@@ -40,20 +40,7 @@ def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Itera
             yield pts[keep]
 
 
-def ball_points(d: int, radius: int, include_origin: bool = True) -> np.ndarray:
-    """All integer points with |n| <= radius, materialized. Small radii only."""
-    chunks = list(iter_shell(d, -1 if include_origin else 0, radius * radius))
-    if not chunks:
-        return np.zeros((0, d), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+def ball_points(d: int, radius: int) -> np.ndarray:
+    """All integer points with |n| <= radius, origin included, materialized. Small radii only."""
+    return np.concatenate(list(iter_shell(d, -1, radius * radius)), axis=0)
 
-
-def count_shell(d: int, r2_min: int, r2_max: int) -> int:
-    return sum(len(c) for c in iter_shell(d, r2_min, r2_max))
-
-
-def unit_directions(points: np.ndarray) -> np.ndarray:
-    """Normalize nonzero integer points to unit vectors (float)."""
-    pts = points.astype(float)
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts / norms

@@ -19,45 +19,45 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from ._core import line_fit, real_if_close
 from ._lattice import iter_shell
-from .sphere import SpherePoly, as_evaluator, sphere_integrate, sphere_volume
+from .sphere import as_evaluator, sphere_integrate
 from .torus import TorusElement, torus_trace
-
-
-def _maybe_real(z: complex, tol: float = 1e-12) -> float | complex:
-    z = complex(z)
-    return z.real if abs(z.imag) <= tol * max(1.0, abs(z.real)) else z
 
 
 @dataclass(frozen=True)
 class LatticeDiagonal:
     """Diagonal operator given by a total entry rule on Z^d.
 
-    entry maps an integer chunk of shape (k, d) to the k diagonal values.
-    zero_value records the convention at n = 0; partial sums exclude the origin
-    regardless (one bounded term, absorbed by every intercept).
+    entry maps an integer chunk of shape (k, d) to the k diagonal values. It
+    is never called at n = 0: partial sums exclude the origin (one bounded
+    term, absorbed by every intercept).
     """
 
     d: int
     entry: Callable[[np.ndarray], np.ndarray]
-    zero_value: complex = 0j
 
     @classmethod
     def symbol_weighted(cls, y, d: int | None = None) -> "LatticeDiagonal":
         """Entries y(n/|n|) * (1 + |n|^2)^{-d/2}."""
         dim = d if d is not None else y.d
-        if getattr(y, "d", dim) != dim:
-            raise ValueError("dimension mismatch")
-        ev = as_evaluator(y)
+        return cls(dim, _weighted_entry(y, dim))
 
-        def entry(chunk: np.ndarray) -> np.ndarray:
-            pts = chunk.astype(float)
-            norms2 = np.einsum("ij,ij->i", pts, pts)
-            dirs = pts / np.sqrt(norms2)[:, None]
-            return ev(dirs) * (1.0 + norms2) ** (-dim / 2.0)
 
-        zero = sphere_integrate(y) / sphere_volume(dim) if isinstance(y, SpherePoly) else 0j
-        return cls(dim, entry, zero)
+def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """Entry rule [scale *] y(n/|n|) * (1 + |n|^2)^{-d/2} on nonzero points."""
+    if getattr(y, "d", d) != d:
+        raise ValueError("dimension mismatch")
+    ev = as_evaluator(y)
+
+    def entry(chunk: np.ndarray) -> np.ndarray:
+        pts = chunk.astype(float)
+        norms2 = np.einsum("ij,ij->i", pts, pts)
+        dirs = pts / np.sqrt(norms2)[:, None]
+        vals = ev(dirs) * (1.0 + norms2) ** (-d / 2.0)
+        return vals if scale is None else scale * vals
+
+    return entry
 
 
 def _grid_sums(diag: LatticeDiagonal, radii: Sequence[int]) -> tuple:
@@ -91,7 +91,7 @@ def lattice_partial_sum(diag: LatticeDiagonal, N: int) -> float | complex:
     if N < 1:
         raise ValueError("N must be >= 1")
     (s,), _ = _grid_sums(diag, [N])
-    return _maybe_real(s)
+    return real_if_close(s)
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,8 @@ def log_fit(diag: LatticeDiagonal, N_grid: Sequence[int]) -> LogFit:
     if len(grid) < 4:
         raise ValueError("need at least 4 grid points")
     sums, _ = _grid_sums(diag, grid)
-    design = np.stack([np.log(grid), np.ones(len(grid))], axis=1)
-    rhs = np.array(sums, dtype=complex)
-    (slope, intercept), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    resid = np.abs(rhs - design @ np.array([slope, intercept]))
-    return LogFit(_maybe_real(slope), _maybe_real(intercept), float(resid.max()), grid)
+    slope, intercept, max_residual = line_fit(np.log(grid), sums)
+    return LogFit(real_if_close(slope), real_if_close(intercept), max_residual, grid)
 
 
 def doubling_grid(N: int, points: int = 5) -> list:
@@ -131,9 +128,8 @@ def normalised_trace_estimate(diag: LatticeDiagonal, N: int) -> float | complex:
     """
     grid = doubling_grid(int(N))
     sums, counts = _grid_sums(diag, grid)
-    design = np.stack([np.log(counts), np.ones(len(grid))], axis=1)
-    (slope, _), *_ = np.linalg.lstsq(design, np.array(sums, dtype=complex), rcond=None)
-    return _maybe_real(slope)
+    slope, _, _ = line_fit(np.log(counts), sums)
+    return real_if_close(slope)
 
 
 def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
@@ -143,7 +139,7 @@ def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
     O(1/log N) rate; kept for comparison, not used by the acceptance checks.
     """
     (s,), (k,) = _grid_sums(diag, [int(N)])
-    return _maybe_real(s / np.log(k))
+    return real_if_close(s / np.log(k))
 
 
 def radial_integral_check(d: int, N: float) -> float:
@@ -162,37 +158,18 @@ def radial_integral_check(d: int, N: float) -> float:
 def model_diagonal(x: TorusElement, y) -> LatticeDiagonal:
     """Diagonal of pi1(x) pi2(y) (1-Laplacian)^{-d/2} in the lattice basis.
 
-    Computed from the shift structure: mode m of x reaches <e_n, . e_n> only
-    when m = 0, carrying phase exp((i/2)<m, theta n>) = 1. The result agrees
-    entrywise with trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}, which tests confirm
-    against the dense window matrices.
+    Mode m of x shifts e_n to e_{n+m}, which reaches <e_n, . e_n> only when
+    m = 0, with phase exp((i/2)<0, theta n>) = 1. So the entries are
+    trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}, which tests confirm against the
+    dense window matrices.
     """
-    d = x.d
-    if getattr(y, "d", d) != d:
-        raise ValueError("dimension mismatch")
-    ev = as_evaluator(y)
-    theta = x.theta.entries
-    modes = sorted(x.coeffs.items())
-
-    def entry(chunk: np.ndarray) -> np.ndarray:
-        pts = chunk.astype(float)
-        norms2 = np.einsum("ij,ij->i", pts, pts)
-        dirs = pts / np.sqrt(norms2)[:, None]
-        weight = ev(dirs) * (1.0 + norms2) ** (-d / 2.0)
-        total = np.zeros(len(chunk), dtype=complex)
-        for m, c in modes:
-            if any(m):
-                continue  # e_{n+m} is orthogonal to e_n
-            total += c * np.exp(0.5j * (pts @ (theta.T @ np.asarray(m, dtype=float))))
-        return total * weight
-
-    return LatticeDiagonal(d, entry)
+    return LatticeDiagonal(x.d, _weighted_entry(y, x.d, torus_trace(x)))
 
 
 def connes_trace_torus(x: TorusElement, y, N: int) -> tuple:
     """(slope estimate over the doubling grid, (1/d) trace(x) * integral of y)."""
     estimate = normalised_trace_estimate(model_diagonal(x, y), N)
-    reference = _maybe_real(torus_trace(x) * sphere_integrate(y) / x.d)
+    reference = real_if_close(torus_trace(x) * sphere_integrate(y) / x.d)
     return estimate, reference
 
 
@@ -219,5 +196,5 @@ def write_dixmier_csv(diag: LatticeDiagonal, N_grid: Sequence[int], path) -> Non
         writer = csv.writer(fh)
         writer.writerow(["N", "S(N)", "K(N)", "estimate"])
         for n, s, k in zip(grid, sums, counts):
-            est = _maybe_real(s / np.log(k))
-            writer.writerow([n, repr(_maybe_real(s)), k, repr(est)])
+            est = real_if_close(s / np.log(k))
+            writer.writerow([n, repr(real_if_close(s)), k, repr(est)])

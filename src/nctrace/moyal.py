@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from ._lattice import iter_shell
-from .sphere import SpherePoly, _multi_indices, as_evaluator, invariance_residual, sp_group_membership, vg_action
+from .sphere import SpherePoly, _multi_indices, _probe_directions, as_evaluator, invariance_residual, sp_group_membership, vg_action
 from .torus import ThetaMatrix
 
 MEMBERSHIP_TOL = 1e-9
@@ -308,9 +308,7 @@ def multiplier_identity_residual(g: np.ndarray, b, d: int, samples: int = 10000,
 
 
 def _shell_points(d: int, R: float, n_random: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = rng.normal(size=(n_random, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([np.eye(d), -np.eye(d), dirs])
+    dirs = _probe_directions(n_random, d, rng)
     radii = np.geomspace(R, 2.0 * R, 17)
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
 

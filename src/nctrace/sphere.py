@@ -1,9 +1,11 @@
 """Polynomial calculus and quadrature on the unit sphere S^{d-1}.
 
 Multi-indices are plain tuples of nonnegative ints. A SpherePoly stores the
-coefficients of t -> sum c_n prod t_k^{n_k}; since |t|^2 = 1 identifies distinct
-coefficient maps, equality of polynomials as sphere functions is semantic
-(moments of the difference plus a sampled sup), never structural.
+coefficients of t -> sum c_n prod t_k^{n_k} as an nctrace._core coefficient
+map (magnitudes at or below its PRUNE_TOL dropped, non-finite ones refused).
+Since |t|^2 = 1 identifies distinct coefficient maps, equality of polynomials
+as sphere functions is semantic (moments of the difference plus a sampled
+sup), never structural.
 
 Quadrature menu: d=2 trapezoid in the angle, d=3 Gauss-Legendre x trapezoid,
 d=4 additionally a uniform product parameterization of S^3, d>=4 scrambled Sobol
@@ -14,16 +16,16 @@ set whose disagreement with the full rule is reported as the error proxy.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from math import lgamma, exp
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import betaincinv
 from scipy.stats import qmc
 
-PRUNE_TOL = 1e-15
+from ._core import add_keys, add_maps, coeff_map, convolve_maps
+
 MEMBERSHIP_TOL = 1e-10
 
 
@@ -82,12 +84,7 @@ class SpherePoly:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for n, c in self.coeffs.items():
-            key = _validate_multi_index(n, self.d)
-            c = complex(c)
-            if abs(c) > PRUNE_TOL:
-                clean[key] = clean.get(key, 0j) + c
+        clean = coeff_map(self.coeffs.items(), lambda n: _validate_multi_index(n, self.d))
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
@@ -110,16 +107,10 @@ class SpherePoly:
     def degree(self) -> int:
         return max((sum(n) for n in self.coeffs), default=0)
 
-    def is_real(self) -> bool:
-        return all(abs(c.imag) <= PRUNE_TOL for c in self.coeffs.values())
-
     def __add__(self, other: "SpherePoly") -> "SpherePoly":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0j) + c
-        return SpherePoly(self.d, out)
+        return SpherePoly(self.d, add_maps(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "SpherePoly") -> "SpherePoly":
         return self + (-1) * other
@@ -132,12 +123,7 @@ class SpherePoly:
         if isinstance(other, SpherePoly):
             if self.d != other.d:
                 raise ValueError("dimension mismatch")
-            out: dict = {}
-            for n, cn in self.coeffs.items():
-                for m, cm in other.coeffs.items():
-                    p = tuple(a + b for a, b in zip(n, m))
-                    out[p] = out.get(p, 0j) + cn * cm
-            return SpherePoly(self.d, out)
+            return SpherePoly(self.d, convolve_maps(self.coeffs, other.coeffs, add_keys))
         return complex(other) * self
 
     def conjugate(self) -> "SpherePoly":
@@ -147,15 +133,9 @@ class SpherePoly:
         """Flat partial derivative d/dt_k (k 1-based), no sphere reduction."""
         if not 1 <= k <= self.d:
             raise ValueError(f"coordinate index {k} out of range 1..{self.d}")
-        out = {}
         i = k - 1
-        for n, c in self.coeffs.items():
-            if n[i] == 0:
-                continue
-            m = list(n)
-            m[i] -= 1
-            out[tuple(m)] = out.get(tuple(m), 0j) + n[i] * c
-        return SpherePoly(self.d, out)
+        # lowering n_i is injective on the support, so no two terms collide
+        return SpherePoly(self.d, {n[:i] + (n[i] - 1,) + n[i + 1 :]: n[i] * c for n, c in self.coeffs.items() if n[i]})
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., d)."""
@@ -234,8 +214,15 @@ def semantic_gap(p: SpherePoly, q: SpherePoly, n_samples: int = 400, seed: int =
 
 
 def random_unit_vectors(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Gaussian draws normalised onto S^{d-1}: uniform directions."""
     v = rng.normal(size=(n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _probe_directions(n_random: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The 2d signed coordinate axes, then n_random uniform directions."""
+    axes = np.eye(d)
+    return np.vstack([axes, -axes, random_unit_vectors(n_random, d, rng)])
 
 
 def sphere_integrate(b: SpherePoly) -> complex:
@@ -533,18 +520,6 @@ class RecursionReport:
             self.max_odd_residual,
             self.max_first_reduction_residual,
             self.max_main_reduction_residual,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "max_degree": self.max_degree,
-                "max_odd_residual": self.max_odd_residual,
-                "max_first_reduction_residual": self.max_first_reduction_residual,
-                "max_main_reduction_residual": self.max_main_reduction_residual,
-            },
-            sort_keys=True,
         )
 
 

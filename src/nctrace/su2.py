@@ -15,6 +15,7 @@ which is why the block construction can fix D = 2J without loss.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from math import exp, lgamma
 from typing import Sequence
@@ -22,7 +23,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .sphere import SpherePoly, sphere_integrate
+from ._core import add_maps, coeff_map, convolve_maps, line_fit, real_if_close
+from .sphere import SpherePoly, _probe_directions, sphere_integrate
 
 # ordered so the diagonal one comes first, matching gens[0]
 PAULI_TRIPLE = (
@@ -75,14 +77,6 @@ class IrrepBlock:
     @property
     def dim(self) -> int:
         return self.l.dim
-
-    @property
-    def laplacian_eig(self) -> float:
-        return self.l.l_squared()
-
-    @property
-    def peter_weyl_weight(self) -> int:
-        return self.l.dim**2
 
     @property
     def casimir_scalar(self) -> float:
@@ -190,6 +184,13 @@ def block_conditional_expectation(block: IrrepBlock, M: np.ndarray) -> np.ndarra
 # noncommutative polynomials in the three normalized generators
 
 
+def _letters(word) -> tuple:
+    w = tuple(int(v) for v in word)
+    if any(v not in (1, 2, 3) for v in w):
+        raise ValueError(f"letters must be 1, 2 or 3, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class GenPoly:
     """Formal complex combination of words in the three normalized generators.
@@ -201,15 +202,7 @@ class GenPoly:
     coeffs: dict
 
     def __post_init__(self):
-        clean = {}
-        for word, c in self.coeffs.items():
-            w = tuple(int(v) for v in word)
-            if any(v not in (1, 2, 3) for v in w):
-                raise ValueError(f"letters must be 1, 2 or 3, got {w}")
-            c = complex(c)
-            if abs(c) > 1e-15:
-                clean[w] = clean.get(w, 0j) + c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", coeff_map(self.coeffs.items(), _letters))
 
     @classmethod
     def one(cls) -> "GenPoly":
@@ -239,10 +232,7 @@ class GenPoly:
         return cls.word(letters)
 
     def __add__(self, other: "GenPoly") -> "GenPoly":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0j) + c
-        return GenPoly(out)
+        return GenPoly(add_maps(self.coeffs, other.coeffs))
 
     def __rmul__(self, scalar) -> "GenPoly":
         s = complex(scalar)
@@ -251,31 +241,16 @@ class GenPoly:
     def __mul__(self, other):
         if not isinstance(other, GenPoly):
             return complex(other) * self
-        out: dict = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0j) + c1 * c2
-        return GenPoly(out)
+        return GenPoly(convolve_maps(self.coeffs, other.coeffs, operator.add))
 
     def adjoint(self) -> "GenPoly":
         """Letters are self-adjoint, so words reverse and coefficients conjugate."""
         return GenPoly({tuple(reversed(w)): c.conjugate() for w, c in self.coeffs.items()})
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
-
 
 def su2_symbol(w: GenPoly) -> SpherePoly:
     """Commutative image on the 2-sphere: letter k becomes the coordinate t_k."""
-    out: dict = {}
-    for word, c in w.coeffs.items():
-        n = [0, 0, 0]
-        for k in word:
-            n[k - 1] += 1
-        key = tuple(n)
-        out[key] = out.get(key, 0j) + c
-    return SpherePoly(3, out)
+    return SpherePoly(3, coeff_map(w.coeffs.items(), lambda word: tuple(word.count(k) for k in (1, 2, 3))))
 
 
 def evaluate_on_block(w: GenPoly, block: IrrepBlock) -> np.ndarray:
@@ -352,10 +327,7 @@ def block_norm_vs_symbol(l_list, w: GenPoly, n_samples: int = 4000, seed: int = 
     words whose symbol attains its sup away from the spectrum edge effects.
     """
     symbol = su2_symbol(w)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_samples, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([np.eye(3), -np.eye(3), dirs])
+    dirs = _probe_directions(n_samples, 3, np.random.default_rng(seed))
     sup = float(np.abs(symbol.evaluate(dirs)).max())
     out = []
     for l in l_list:
@@ -416,10 +388,9 @@ def su2_dixmier_ratio(w: GenPoly, L_max: int) -> tuple:
     tmax = 2 * int(L_max)
     grid = [tmax >> 3, tmax >> 2, tmax >> 1, tmax]
     nums, dens = _ratio_partial_sums(w, grid)
-    design = np.stack([dens, np.ones(len(dens))], axis=1)
-    (slope, _), *_ = np.linalg.lstsq(design, np.array(nums), rcond=None)
+    slope, _, _ = line_fit(dens, nums)
     reference = sphere_integrate(su2_symbol(w)) / (4.0 * np.pi)
-    return _real_if_close(slope), _real_if_close(reference)
+    return real_if_close(slope), real_if_close(reference)
 
 
 def su2_dixmier_quotient(w: GenPoly, L_max: int) -> float | complex:
@@ -430,12 +401,7 @@ def su2_dixmier_quotient(w: GenPoly, L_max: int) -> float | complex:
     """
     tmax = 2 * int(L_max)
     (num,), (den,) = _ratio_partial_sums(w, [tmax])
-    return _real_if_close(num / den)
-
-
-def _real_if_close(z: complex, tol: float = 1e-12) -> float | complex:
-    z = complex(z)
-    return z.real if abs(z.imag) <= tol * max(1.0, abs(z.real)) else z
+    return real_if_close(num / den)
 
 
 def write_block_table(w: GenPoly, L_max: int, path) -> None:
@@ -447,5 +413,5 @@ def write_block_table(w: GenPoly, L_max: int, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["twice_l", "dim", "partial_numerator", "partial_denominator", "quotient"])
         for twice, num, den in zip(grid, nums, dens):
-            q = _real_if_close(num / den)
-            writer.writerow([twice, twice + 1, repr(_real_if_close(num)), repr(den), repr(q)])
+            q = real_if_close(num / den)
+            writer.writerow([twice, twice + 1, repr(real_if_close(num)), repr(den), repr(q)])

@@ -22,13 +22,14 @@ sum of terms sup_{|n|>R} |prod y_j(unit(n+s_j)) - prod y_j(unit(n))|.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._core import add_keys, line_fit
 from ._lattice import ball_points, iter_shell
-from .sphere import SpherePoly, SphereFunction, as_evaluator, sphere_integrate, sphere_volume
+from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator, sphere_integrate, sphere_volume
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, torus_trace, twist_phase
 
 SCAN_FACTOR = 4
@@ -163,12 +164,8 @@ class Symbol:
         """
         if not self.theta.same_as(other.theta):
             raise ValueError("symbols over different theta")
-        rng = np.random.default_rng(seed)
-        dirs = rng.normal(size=(n_directions, self.d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        axes = np.eye(self.d)
         worst = 0.0
-        for s in np.vstack([axes, -axes, dirs]):
+        for s in _probe_directions(n_directions, self.d, np.random.default_rng(seed)):
             worst = max(worst, (self.direction_slice(s) - other.direction_slice(s)).l2_norm())
         return worst
 
@@ -194,14 +191,11 @@ def injectivity_witness(symbol: Symbol, n_directions: int = 128, seed: int = 0) 
     argument. Compare with averaged_window_norm, which evaluates the same
     function on lattice directions.
     """
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_directions, symbol.d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([np.eye(symbol.d), -np.eye(symbol.d), dirs])
+    dirs = _probe_directions(n_directions, symbol.d, np.random.default_rng(seed))
     vals = np.zeros(dirs.shape[0], dtype=complex)
     for x, y in symbol.terms:
         vals += torus_trace(x) * y.evaluate(dirs)
-    return float(np.abs(vals).max()) if len(vals) else 0.0
+    return float(np.abs(vals).max())
 
 
 def averaged_window_norm(symbol: Symbol, radius: int) -> float:
@@ -226,25 +220,31 @@ class LatticeWindow:
     """The lattice ball {|n| <= radius} with a fixed basis order.
 
     Points are sorted by (|n|^2, lexicographic), so enlarging the radius
-    extends the basis without permuting it.
+    extends the basis without permuting it. They are enumerated once, at
+    construction, and returned read-only.
     """
 
     d: int
     radius: int
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
+        pts = ball_points(self.d, self.radius)
+        # lexsort's last key is the primary one: |n|^2, then n_1, ..., n_d
+        order = np.lexsort((*pts.T[::-1], np.einsum("ij,ij->i", pts, pts)))
+        pts = pts[order]
+        pts.flags.writeable = False
+        object.__setattr__(self, "_points", pts)
 
     @property
     def points(self) -> np.ndarray:
-        pts = ball_points(self.d, self.radius)
-        order = sorted(range(len(pts)), key=lambda i: (int(pts[i] @ pts[i]), tuple(pts[i])))
-        return pts[order]
+        return self._points
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self._points)
 
     def index(self) -> dict:
         return {tuple(p): i for i, p in enumerate(self.points)}
@@ -354,10 +354,8 @@ class _Atom:
 
 def _compose(left: _Atom, right: _Atom, theta: ThetaMatrix) -> _Atom:
     coeff = left.coeff * right.coeff * twist_phase(theta, left.phase, right.shift)
-    shift = tuple(a + b for a, b in zip(left.shift, right.shift))
-    phase = tuple(a + b for a, b in zip(left.phase, right.phase))
-    factors = tuple((y, tuple(a + b for a, b in zip(s, right.shift))) for y, s in left.factors)
-    return _Atom(shift, coeff, phase, factors + right.factors)
+    factors = tuple((y, add_keys(s, right.shift)) for y, s in left.factors)
+    return _Atom(add_keys(left.shift, right.shift), coeff, add_keys(left.phase, right.phase), factors + right.factors)
 
 
 def _word_atoms(word: OperatorWord) -> list:
@@ -451,6 +449,21 @@ def _remainder_bound(factors, beyond: float) -> float:
     return total
 
 
+def _tail_bound(signatures, d: int, R: float, scan_factor: float) -> float:
+    """Sum of weight * sup_{|n|>R} |prod y(unit(n+s)) - prod y(unit(n))|.
+
+    Each sup is the larger of a scan of (R, hi] and the remainder beyond hi.
+    """
+    total = 0.0
+    for factors, weight in signatures:
+        max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
+        hi = max(scan_factor * R, R + max_shift + 1.0)
+        scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
+        rem = _remainder_bound(factors, hi)
+        total += weight * max(scan, rem)
+    return total
+
+
 def commutator_tail_norm(x: TorusElement, y, R: float, scan_factor: float = SCAN_FACTOR) -> float:
     """Certified norm of [pi1(x), pi2(y)] restricted to {|n| > R}.
 
@@ -465,16 +478,9 @@ def commutator_tail_norm(x: TorusElement, y, R: float, scan_factor: float = SCAN
     d = x.d
     if isinstance(y, SpherePoly) and y.d != d:
         raise ValueError("dimension mismatch")
-    total = 0.0
-    for m, c in sorted(x.coeffs.items()):
-        if not any(m):
-            continue  # pi1(u_0) is scalar, commutator vanishes
-        hi = max(scan_factor * R, R + float(np.linalg.norm(m)) + 1.0)
-        factors = ((y, m),)
-        scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
-        rem = _remainder_bound(factors, hi)
-        total += abs(c) * max(scan, rem)
-    return total
+    # pi1(u_0) is scalar, so the zero mode's commutator vanishes
+    signatures = [(((y, m),), abs(c)) for m, c in sorted(x.coeffs.items()) if any(m)]
+    return _tail_bound(signatures, d, R, scan_factor)
 
 
 @dataclass(frozen=True)
@@ -498,8 +504,7 @@ def _loglog_slope(radii, values) -> float | None:
     ys = [np.log(v) for v in values if v > 0]
     if len(xs) < 2:
         return None
-    design = np.stack([xs, np.ones(len(xs))], axis=1)
-    slope, _ = np.linalg.lstsq(design, np.array(ys), rcond=None)[0]
+    slope, _, _ = line_fit(xs, ys)
     return float(slope)
 
 
@@ -517,16 +522,7 @@ def residual_compactness_report(
     if any(r < 1 for r in radii):
         raise ValueError("radii must be >= 1")
     signatures = _shifted_signatures(word)
-    norms = []
-    for R in radii:
-        total = 0.0
-        for factors, weight in signatures:
-            max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
-            hi = max(scan_factor * R, R + max_shift + 1.0)
-            scan = _scan_product_difference(factors, word.d, int(R * R), int(hi * hi))
-            rem = _remainder_bound(factors, hi)
-            total += weight * max(scan, rem)
-        norms.append(total)
+    norms = [_tail_bound(signatures, word.d, R, scan_factor) for R in radii]
     return CompactnessReport(radii, tuple(norms), _loglog_slope(radii, norms))
 
 

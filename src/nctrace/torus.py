@@ -3,8 +3,9 @@
 Elements are finite sums x = sum_n c_n u_n over integer vectors n, multiplied by
 the relation u_n u_m = exp((i/2) <n, theta m>) u_{n+m} for a fixed real
 antisymmetric matrix theta. Coefficients are complex doubles; the phases are
-unimodular so no symbolic field is needed. Magnitudes at or below PRUNE_TOL are
-dropped after every operation to keep supports finite under repeated products.
+unimodular so no symbolic field is needed. nctrace._core builds the coefficient
+maps: it drops magnitudes at or below its PRUNE_TOL after every operation, to
+keep supports finite under repeated products, and refuses non-finite ones.
 
 Since <n, theta n> = 0, each u_n is unitary with u_n* = u_{-n}; the adjoint rule
 below follows from that.
@@ -12,13 +13,13 @@ below follows from that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-PRUNE_TOL = 1e-15
+from ._core import add_keys, add_maps, coeff_map, convolve_maps
+
 ANTISYM_TOL = 1e-12
 
 
@@ -34,6 +35,8 @@ class ThetaMatrix:
             raise ValueError(f"theta must be square, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise ValueError("theta needs dimension >= 2")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("theta entries must be finite")
         if np.abs(arr + arr.T).max() > ANTISYM_TOL:
             raise ValueError("theta is not antisymmetric within 1e-12")
         arr = arr.copy()
@@ -43,9 +46,6 @@ class ThetaMatrix:
     @property
     def d(self) -> int:
         return self.entries.shape[0]
-
-    def is_nondegenerate(self, tol: float = 1e-12) -> bool:
-        return abs(np.linalg.det(self.entries)) > tol
 
     @classmethod
     def from_upper(cls, d: int, upper: Iterable[float]) -> "ThetaMatrix":
@@ -87,16 +87,15 @@ class TorusElement:
     coeffs: Mapping[tuple, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
         d = self.theta.d
-        for n, c in self.coeffs.items():
+
+        def mode(n) -> tuple:
             key = tuple(int(v) for v in n)
             if len(key) != d:
                 raise ValueError(f"mode {key} has wrong length for d={d}")
-            c = complex(c)
-            if abs(c) > PRUNE_TOL:
-                clean[key] = clean.get(key, 0.0) + c
-        object.__setattr__(self, "coeffs", clean)
+            return key
+
+        object.__setattr__(self, "coeffs", coeff_map(self.coeffs.items(), mode))
 
     @property
     def d(self) -> int:
@@ -116,10 +115,7 @@ class TorusElement:
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
         _check_same_theta(self, other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0j) + c
-        return TorusElement(self.theta, out)
+        return TorusElement(self.theta, add_maps(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-1) * other
@@ -155,13 +151,8 @@ def twist_phase(theta: ThetaMatrix, n, m) -> complex:
 def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     """(x y)_p = sum over n+m=p of x_n y_m exp((i/2)<n, theta m>)."""
     _check_same_theta(x, y)
-    out: dict = {}
     th = x.theta
-    for n, cn in x.coeffs.items():
-        for m, cm in y.coeffs.items():
-            p = tuple(a + b for a, b in zip(n, m))
-            out[p] = out.get(p, 0j) + cn * cm * twist_phase(th, n, m)
-    return TorusElement(th, out)
+    return TorusElement(th, convolve_maps(x.coeffs, y.coeffs, add_keys, lambda n, m: twist_phase(th, n, m)))
 
 
 def torus_adjoint(x: TorusElement) -> TorusElement:
@@ -205,22 +196,3 @@ def torus_translate_average(x: TorusElement) -> complex:
     """
     return (2.0 * np.pi) ** x.d * torus_trace(x)
 
-
-def to_json(x: TorusElement) -> str:
-    doc = {
-        "d": x.d,
-        "theta": x.theta.entries.tolist(),
-        "coeffs": [
-            {"n": list(n), "re": c.real, "im": c.imag} for n, c in sorted(x.coeffs.items())
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> TorusElement:
-    doc = json.loads(text)
-    theta = ThetaMatrix(np.asarray(doc["theta"], dtype=float))
-    if theta.d != int(doc["d"]):
-        raise ValueError("theta shape disagrees with the declared dimension")
-    coeffs = {tuple(int(v) for v in rec["n"]): complex(rec["re"], rec["im"]) for rec in doc["coeffs"]}
-    return TorusElement(theta, coeffs)

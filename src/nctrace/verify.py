@@ -6,8 +6,9 @@ or CSV report. A record passes when |measured - reference| <= tolerance.
 Given the same config and seed, every measured value reproduces exactly; wall
 time is the only field outside the determinism contract.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error,
-3 report I/O error.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error
+(including a tolerance override naming no record of the run), 3 report I/O
+error.
 """
 
 from __future__ import annotations
@@ -402,8 +403,13 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(config: VerifyConfig) -> VerifyReport:
+    """Run the configured suite; a tolerance naming none of its records is a ConfigError."""
     start = time.perf_counter()
     records = _SUITE_RUNNERS[config.suite](config)
+    names = [r["name"] for r in records]
+    unknown = sorted(set(config.tolerances) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown tolerance name(s) {', '.join(unknown)}; this run's checks are {', '.join(names)}")
     return VerifyReport(config.suite, records, time.perf_counter() - start, config.echo())
 
 

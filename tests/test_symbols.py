@@ -93,6 +93,16 @@ def test_pi1_cocycle_on_interior():
     assert np.abs((left - right)[:, interior]).max() < 1e-13
 
 
+@pytest.mark.parametrize("d, small, large", [(2, 4, 9), (3, 2, 4)])
+def test_window_basis_extends_without_permuting(d, small, large):
+    inner = LatticeWindow(d, small).points
+    outer = LatticeWindow(d, large).points
+    assert np.array_equal(outer[: len(inner)], inner)
+    # the order is (|n|^2, lexicographic), as a Python sort of the same points gives
+    oracle = sorted(map(tuple, outer.tolist()), key=lambda p: (sum(v * v for v in p), p))
+    assert [tuple(p) for p in outer.tolist()] == oracle
+
+
 def test_pi1_tracks_escaped_mass():
     window = LatticeWindow(2, 4)
     rep = build_pi1_matrix(U10, window)

@@ -37,6 +37,12 @@ def test_theta_validation_rejects_symmetric_part():
         ThetaMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_theta_validation_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        ThetaMatrix.from_upper(2, [value])
+
+
 def test_generator_product_twist():
     u10 = unitary_generator(THETA2, (1, 0))
     u01 = unitary_generator(THETA2, (0, 1))

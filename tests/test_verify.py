@@ -137,6 +137,23 @@ class TestMainExitCodes:
         assert main([FAST, "--d", "3"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_theta_is_config_error(self, capsys):
+        assert main(["torus-trace", "--nmax", "128", "--theta", "nan"]) == EXIT_CONFIG_ERROR
+        assert "theta entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_tolerance_name_is_config_error(self, source, tmp_path, capsys):
+        if source == "flag":
+            argv = [FAST, "--tol.quadrature_crosscheck=1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"suite = {FAST}\ntol.quadrature_crosscheck = 1\n")
+            argv = ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "quadrature_crosscheck" in err
+        assert "quadrature_cross_check" in err  # the valid names are listed
+
     def test_unwritable_report_is_io_error(self, capsys):
         code = main([FAST, "--out", "/nonexistent-dir/report.json"])
         assert code == EXIT_IO_ERROR
