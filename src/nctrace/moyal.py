@@ -240,7 +240,7 @@ def ccr_phase(t, s, theta) -> complex:
     return complex(np.exp(0.5j * float(t @ th @ s)))
 
 
-def _default_test_vectors(grid: UniformGrid) -> list:
+def _test_vectors(grid: UniformGrid) -> list:
     mesh = grid.mesh()
     r2 = np.sum(mesh**2, axis=-1)
     gauss = np.exp(-0.5 * r2)
@@ -249,7 +249,7 @@ def _default_test_vectors(grid: UniformGrid) -> list:
     return [gauss, gauss * wave, poly]
 
 
-def ccr_phase_residual(t, s, theta, grid: UniformGrid, test_vectors=None) -> float:
+def ccr_phase_residual(t, s, theta, grid: UniformGrid) -> float:
     """max |U(t)U(s) xi - phase * U(t+s) xi| over an interior window.
 
     The window keeps the points whose preimages under both shift orders stay
@@ -271,7 +271,7 @@ def ccr_phase_residual(t, s, theta, grid: UniformGrid, test_vectors=None) -> flo
     interior = tuple(interior)
     phase = ccr_phase(t, s, theta)
     worst = 0.0
-    for xi in test_vectors or _default_test_vectors(grid):
+    for xi in _test_vectors(grid):
         lhs = grid_unitary_apply(grid, theta, t, grid_unitary_apply(grid, theta, s, xi))
         rhs = phase * grid_unitary_apply(grid, theta, t + s, xi)
         worst = max(worst, float(np.abs((lhs - rhs)[interior]).max()))

@@ -291,27 +291,21 @@ def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
     return Pi1Matrix(mat, np.sqrt(escaped2))
 
 
-def _direction_values(y, window: LatticeWindow, zero_value=None) -> np.ndarray:
+def _direction_values(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
     pts = window.points.astype(float)
     norms = np.linalg.norm(pts, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
-    vals = as_evaluator(y)(pts / safe[:, None])
-    at_zero = zero_value
-    if at_zero is None:
-        if isinstance(y, SpherePoly):
-            at_zero = sphere_integrate(y) / sphere_volume(y.d)
-        else:
-            raise ValueError("need an explicit zero_value for non-polynomial evaluators")
-    return np.where(norms == 0.0, complex(at_zero), vals)
+    vals = y.evaluate(pts / safe[:, None])
+    return np.where(norms == 0.0, complex(sphere_integrate(y) / sphere_volume(y.d)), vals)
 
 
-def build_pi2_matrix(y, window: LatticeWindow, zero_value=None) -> np.ndarray:
+def build_pi2_matrix(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
     """Diagonal matrix of pi2(y), entries y(n/|n|).
 
     The origin gets the normalized spherical mean of y (any fixed choice
     differs by a rank-one perturbation; this one is basis-independent).
     """
-    return np.diag(_direction_values(y, window, zero_value))
+    return np.diag(_direction_values(y, window))
 
 
 def word_matrix(word: OperatorWord, window: LatticeWindow) -> np.ndarray:

@@ -8,7 +8,9 @@ time is the only field outside the determinism contract.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error
 (including a tolerance override naming no record of the run), 3 report I/O
-error.
+error, 4 internal error (an unexpected exception while running the suite).
+
+A `--config` file's `key = value` lines are read as the flags `--key=value`; flags win.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 SUITES = ("torus-trace", "su2", "moments", "symplectic", "moyal", "symbol-compactness")
 
@@ -95,11 +98,9 @@ def _theta_of(config: VerifyConfig):
     return ThetaMatrix.from_upper(config.d, [np.pi / (2.0 + k) for k in range(count)])
 
 
-def _record(name: str, measured, reference, tol: float, overrides: dict) -> dict:
-    tol = float(overrides.get(name, tol))
-    m = float(measured)
-    r = float(reference)
-    return {"name": name, "measured": m, "reference": r, "tolerance": tol, "pass": bool(abs(m - r) <= tol)}
+def _record(name: str, measured, reference, tol: float) -> dict:
+    """One check with its default tolerance; run_suite applies overrides and decides pass."""
+    return {"name": name, "measured": float(measured), "reference": float(reference), "tolerance": float(tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -112,27 +113,26 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
     from .torus import torus_identity, unitary_generator
 
     d = cfg.d
-    tols = cfg.tolerances
     records = []
     one = SpherePoly.constant(d, 1.0)
     diag1 = dx.LatticeDiagonal.symbol_weighted(one)
     vol = sphere_volume(d)
 
     fit = dx.log_fit(diag1, dx.doubling_grid(cfg.nmax))
-    records.append(_record("slope_constant", abs(fit.slope), vol, 0.02 * vol, tols))
+    records.append(_record("slope_constant", abs(fit.slope), vol, 0.02 * vol))
     est = dx.normalised_trace_estimate(diag1, cfg.nmax)
-    records.append(_record("estimate_constant", abs(est), vol / d, 0.03 * vol / d, tols))
+    records.append(_record("estimate_constant", abs(est), vol / d, 0.03 * vol / d))
 
     t1sq = SpherePoly.monomial(d, (2,))
     ref = sphere_moment((2,), d) / d
     est2 = dx.normalised_trace_estimate(dx.LatticeDiagonal.symbol_weighted(t1sq), cfg.nmax // 4)
-    records.append(_record("estimate_t1_squared", abs(est2), ref, 0.05 * ref, tols))
+    records.append(_record("estimate_t1_squared", abs(est2), ref, 0.05 * ref))
 
     odd = dx.log_fit(dx.LatticeDiagonal.symbol_weighted(SpherePoly.coordinate(d, 1)), dx.doubling_grid(cfg.nmax // 4))
-    records.append(_record("slope_odd", abs(odd.slope), 0.0, 1e-10, tols))
+    records.append(_record("slope_odd", abs(odd.slope), 0.0, 1e-10))
 
     drift = abs(dx.radial_integral_check(d, cfg.nmax) - dx.radial_integral_check(d, cfg.nmax // 4))
-    records.append(_record("radial_integral_drift", drift, 0.0, 1e-3, tols))
+    records.append(_record("radial_integral_drift", drift, 0.0, 1e-3))
 
     theta = _theta_of(cfg)
     e = tuple([1, 1] + [0] * (d - 2))
@@ -143,15 +143,8 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
     )
     y = SpherePoly.monomial(d, (0, 2))
     estimate, reference = dx.connes_trace_torus(x, y, min(cfg.nmax, 1024))
-    records.append(
-        _record(
-            "connes_trace_mixed",
-            abs(complex(estimate) - complex(reference)),
-            0.0,
-            0.05 * max(abs(complex(reference)), 0.01),
-            tols,
-        )
-    )
+    err = abs(complex(estimate) - complex(reference))
+    records.append(_record("connes_trace_mixed", err, 0.0, 0.05 * max(abs(complex(reference)), 0.01)))
     return records
 
 
@@ -167,12 +160,11 @@ def _suite_moments(cfg: VerifyConfig) -> list:
 
     if cfg.d % 2:
         raise ConfigError("moment suite needs even d (the paired reduction identity)")
-    tols = cfg.tolerances
     rep = moment_recursion_check(None, cfg.max_degree, d=cfg.d)
     records = [
-        _record("odd_vanishing_residual", rep.max_odd_residual, 0.0, 1e-12, tols),
-        _record("first_reduction_residual", rep.max_first_reduction_residual, 0.0, 1e-12, tols),
-        _record("main_reduction_residual", rep.max_main_reduction_residual, 0.0, 1e-12, tols),
+        _record("odd_vanishing_residual", rep.max_odd_residual, 0.0, 1e-12),
+        _record("first_reduction_residual", rep.max_first_reduction_residual, 0.0, 1e-12),
+        _record("main_reduction_residual", rep.max_main_reduction_residual, 0.0, 1e-12),
     ]
     kind = None if cfg.d != 4 else "hopf"
     rule = quadrature_rule(cfg.d, kind=kind, seed=cfg.seed)
@@ -181,7 +173,7 @@ def _suite_moments(cfg: VerifyConfig) -> list:
         got = quadrature_integrate(SpherePoly.monomial(cfg.d, nvec), rule).value
         worst = max(worst, abs(got - sphere_moment(nvec, cfg.d)))
     tol = 1e-8 if rule.kind in ("trapezoid", "product", "hopf") else 1e-4
-    records.append(_record("quadrature_cross_check", worst, 0.0, tol, tols))
+    records.append(_record("quadrature_cross_check", worst, 0.0, tol))
     return records
 
 
@@ -190,20 +182,17 @@ def _suite_su2(cfg: VerifyConfig) -> list:
 
     from . import su2
 
-    tols = cfg.tolerances
     records = []
     word = su2.GenPoly.parse(cfg.word)
     est, ref = su2.su2_dixmier_ratio(word, cfg.lmax)
     tol = max(0.02 * abs(complex(ref)), 0.01)
-    records.append(_record(f"ratio_{cfg.word}", abs(complex(est) - complex(ref)), 0.0, tol, tols))
+    records.append(_record(f"ratio_{cfg.word}", abs(complex(est) - complex(ref)), 0.0, tol))
 
     block = su2.build_block(20)
-    records.append(
-        _record("commutator_norm_l20", su2.block_commutator_norm(block, 1, 2), 1.0 / 21.0, 1e-12, tols)
-    )
+    records.append(_record("commutator_norm_l20", su2.block_commutator_norm(block, 1, 2), 1.0 / 21.0, 1e-12))
     b = block.unit_gens
     casimir = np.abs(b[0] @ b[0] + b[1] @ b[1] + b[2] @ b[2] - np.eye(block.dim)).max()
-    records.append(_record("casimir_residual_l20", casimir, 0.0, 1e-13, tols))
+    records.append(_record("casimir_residual_l20", casimir, 0.0, 1e-13))
 
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -211,24 +200,24 @@ def _suite_su2(cfg: VerifyConfig) -> list:
         g = expm(1j * np.tensordot(rng.normal(size=3), su2.PAULI_TRIPLE, axes=(0, 0)))
         h = expm(1j * np.tensordot(rng.normal(size=3), su2.PAULI_TRIPLE, axes=(0, 0)))
         worst = max(worst, float(np.abs(su2.su2_to_so3(g @ h) - su2.su2_to_so3(h) @ su2.su2_to_so3(g)).max()))
-    records.append(_record("so3_product_residual", worst, 0.0, 1e-11, tols))
+    records.append(_record("so3_product_residual", worst, 0.0, 1e-11))
 
     cov = max(
         su2.conjugation_covariance_check(su2.build_block(2), 1, 0.3),
         su2.conjugation_covariance_check(su2.build_block(su2.HalfInteger(7)), 3, 1.1),
     )
-    records.append(_record("conjugation_covariance", cov, 0.0, 1e-9, tols))
+    records.append(_record("conjugation_covariance", cov, 0.0, 1e-9))
 
     small = max(2, cfg.lmax // 4)
     r_small = su2.beta_formula_residual(small, 0, 4, 0)
     r_big = su2.beta_formula_residual(cfg.lmax, 0, 4, 0)
-    records.append(_record("beta_residual_040", r_big, 0.0, 0.05, tols))
-    records.append(_record("beta_decrease_040", r_big / r_small, 0.0, 1.0, tols))
+    records.append(_record("beta_residual_040", r_big, 0.0, 0.05))
+    records.append(_record("beta_decrease_040", r_big / r_small, 0.0, 1.0))
     odd_worst = max(
         su2.beta_formula_residual(cfg.lmax, 0, 1, 1),
         su2.beta_formula_residual(cfg.lmax, 1, 1, 1),
     )
-    records.append(_record("beta_odd_zero", odd_worst, 0.0, 1e-12, tols))
+    records.append(_record("beta_odd_zero", odd_worst, 0.0, 1e-12))
     return records
 
 
@@ -238,7 +227,6 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
     from . import moyal
     from .sphere import quadrature_rule
 
-    tols = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     records = []
 
@@ -250,7 +238,7 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
             if abs(np.linalg.det(th)) < 1e-8:
                 continue
             worst_nf = max(worst_nf, moyal.antisymmetric_normal_form(th).residual)
-    records.append(_record("normal_form_residual", worst_nf, 0.0, 1e-10, tols))
+    records.append(_record("normal_form_residual", worst_nf, 0.0, 1e-10))
 
     d = cfg.d if cfg.d % 2 == 0 else cfg.d + 1
     omega = moyal.SymplecticForm(d).matrix
@@ -260,7 +248,7 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
         a = omega @ (s + s.T) / 2.0
         g = expm(float(rng.uniform(-2, 2)) * a)
         worst_exp = max(worst_exp, float(np.abs(g.T @ omega @ g - omega).max()))
-    records.append(_record("exp_membership", worst_exp, 0.0, 1e-9, tols))
+    records.append(_record("exp_membership", worst_exp, 0.0, 1e-9))
 
     worst_conj = 0.0
     for _ in range(20):
@@ -270,22 +258,22 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
             continue
         h = moyal.random_sp_theta(th, rng)
         worst_conj = max(worst_conj, float(np.abs(h.T @ th @ h - th).max()))
-    records.append(_record("conjugate_membership", worst_conj, 0.0, 1e-9, tols))
+    records.append(_record("conjugate_membership", worst_conj, 0.0, 1e-9))
 
     theta = _theta_of(cfg) if cfg.d % 2 == 0 else None
     if theta is not None:
         degree = min(4, cfg.max_degree)
         if cfg.d == 2:
             rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(2), 20, cfg.seed)
-            records.append(_record("invariance_product", rep.max_residual, 0.0, 1e-8, tols))
+            records.append(_record("invariance_product", rep.max_residual, 0.0, 1e-8))
         elif cfg.d == 4:
             rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4, kind="hopf"), 20, cfg.seed)
-            records.append(_record("invariance_hopf", rep.max_residual, 0.0, 1e-6, tols))
+            records.append(_record("invariance_hopf", rep.max_residual, 0.0, 1e-6))
             # the (64,128) product rule has 2^20 nodes, the million-sample check
             rep2 = moyal.sp_invariant_functional_check(
                 theta, degree, quadrature_rule(4, n=(64, 128), kind="hopf"), 3, cfg.seed + 1
             )
-            records.append(_record("invariance_samples_1m", rep2.max_residual, 0.0, 1e-5, tols))
+            records.append(_record("invariance_samples_1m", rep2.max_residual, 0.0, 1e-5))
         # d >= 6: no quadrature in the library resolves the pullback integrand
         # well enough to certify the identity, so only the algebraic records run
     return records
@@ -296,7 +284,6 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
     from .sphere import SpherePoly
     from .torus import ThetaMatrix
 
-    tols = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     records = []
 
@@ -307,9 +294,9 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
     t = tuple(0.5 * rng.integers(-4, 5, size=2).astype(float))
     s = tuple(0.5 * rng.integers(-4, 5, size=2).astype(float))
     worst = max(worst, moyal.ccr_phase_residual(t, s, theta, grid))
-    records.append(_record("ccr_residual", worst, 0.0, 1e-13, tols))
+    records.append(_record("ccr_residual", worst, 0.0, 1e-13))
     anti = abs(moyal.ccr_phase(t, s, theta) * moyal.ccr_phase(s, t, theta) - 1.0)
-    records.append(_record("ccr_antisymmetry", anti, 0.0, 1e-14, tols))
+    records.append(_record("ccr_antisymmetry", anti, 0.0, 1e-14))
 
     worst_mult = moyal.multiplier_identity_residual(np.diag([2.0, 1.0]), SpherePoly.coordinate(2, 1), 2)
     g4 = moyal.random_sp_block(4, rng)
@@ -317,17 +304,17 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
         worst_mult,
         moyal.multiplier_identity_residual(g4, SpherePoly(4, {(1, 1, 0, 0): 1.0}), 4, seed=cfg.seed),
     )
-    records.append(_record("multiplier_identity", worst_mult, 0.0, 1e-13, tols))
+    records.append(_record("multiplier_identity", worst_mult, 0.0, 1e-13))
 
     g = np.diag([2.0, 0.5])
     prof = moyal.h_decay_profile(g, 2, [10.0, 50.0, 250.0, 1000.0], seed=cfg.seed, cell_radii=(500, 1000))
-    records.append(_record("h_profile_ratio", prof.bounded_ratio(), 0.0, 1.05, tols))
+    records.append(_record("h_profile_ratio", prof.bounded_ratio(), 0.0, 1.05))
     cs = prof.extra["cell_sums"]
-    records.append(_record("h_cell_sum_drift", abs(cs[1] / cs[0] - 1.0), 0.0, 0.01, tols))
+    records.append(_record("h_cell_sum_drift", abs(cs[1] / cs[0] - 1.0), 0.0, 0.01))
 
     rz = moyal.riesz_difference_decay(1, cfg.d, [10.0, 50.0, 250.0, 1000.0], seed=cfg.seed)
-    records.append(_record("riesz_profile_ratio", rz.bounded_ratio(), 0.0, 1.05, tols))
-    records.append(_record("riesz_sup_1000", rz.sups[-1], 0.5, 1e-4, tols))
+    records.append(_record("riesz_profile_ratio", rz.bounded_ratio(), 0.0, 1.05))
+    records.append(_record("riesz_sup_1000", rz.sups[-1], 0.5, 1e-4))
     return records
 
 
@@ -336,7 +323,6 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     from .sphere import SpherePoly
     from .torus import twist_phase, unitary_generator
 
-    tols = cfg.tolerances
     theta = _theta_of(cfg)
     d = cfg.d
     rng = np.random.default_rng(cfg.seed)
@@ -351,33 +337,33 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
         unitary_generator(theta, tuple(a + b for a, b in zip(m1, m2))), window
     ).matrix
     cols = window.interior(2.5)
-    records.append(_record("pi1_cocycle_residual", np.abs((prod - target)[:, cols]).max(), 0.0, 1e-13, tols))
+    records.append(_record("pi1_cocycle_residual", np.abs((prod - target)[:, cols]).max(), 0.0, 1e-13))
 
     probe = tuple([3, 4] + [0] * (d - 2))
     small = sy.LatticeWindow(d, 5)
     entry = sy.build_pi2_matrix(SpherePoly.coordinate(d, 1), small)
     idx = small.index()[probe]
-    records.append(_record("pi2_direction_entry", entry[idx, idx].real, 0.6, 1e-14, tols))
+    records.append(_record("pi2_direction_entry", entry[idx, idx].real, 0.6, 1e-14))
 
     vals = [
         sy.commutator_tail_norm(unitary_generator(theta, m1), SpherePoly.coordinate(d, 1), R)
         for R in (50, 100, 200, 400)
     ]
     dev = max(abs(a / b - 2.0) for a, b in zip(vals, vals[1:]))
-    records.append(_record("commutator_halving_deviation", dev, 0.0, 0.2, tols))
+    records.append(_record("commutator_halving_deviation", dev, 0.0, 0.2))
 
     worst_ratio = 0.0
     for _ in range(3):
         word = sy.random_word(theta, rng)
         rep = sy.residual_compactness_report(word, (25, 50, 100, 200))
         worst_ratio = max(worst_ratio, max(b / a for a, b in zip(rep.tail_norms, rep.tail_norms[1:])))
-    records.append(_record("word_residual_decrease", worst_ratio, 0.0, 0.999, tols))
+    records.append(_record("word_residual_decrease", worst_ratio, 0.0, 0.999))
 
     gap = 0.0
     for _ in range(5):
         w1, w2 = sy.random_word(theta, rng, 2), sy.random_word(theta, rng, 2)
         gap = max(gap, sy.sym(w1 * w2).gap(sy.sym(w1) * sy.sym(w2), seed=cfg.seed))
-    records.append(_record("sym_homomorphism_gap", gap, 0.0, 1e-12, tols))
+    records.append(_record("sym_homomorphism_gap", gap, 0.0, 1e-12))
 
     word = sy.OperatorWord(theta, (sy.SphereLetter(SpherePoly.coordinate(d, 1)), sy.TorusLetter(u1)))
     R = 8
@@ -388,7 +374,7 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     cols = np.nonzero((r2 > R * R) & (r2 <= (win.radius - 2) ** 2))[0]
     mat_norm = float(np.linalg.norm(diff[:, cols], 2))
     bound = sy.residual_compactness_report(word, (R,)).tail_norms[0]
-    records.append(_record("tail_bound_certificate", max(0.0, mat_norm - bound), 0.0, 1e-12, tols))
+    records.append(_record("tail_bound_certificate", max(0.0, mat_norm - bound), 0.0, 1e-12))
     return records
 
 
@@ -403,13 +389,16 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(config: VerifyConfig) -> VerifyReport:
-    """Run the configured suite; a tolerance naming none of its records is a ConfigError."""
+    """Run the suite, then apply tolerance overrides (a ConfigError if one names no record) and decide pass."""
     start = time.perf_counter()
     records = _SUITE_RUNNERS[config.suite](config)
     names = [r["name"] for r in records]
     unknown = sorted(set(config.tolerances) - set(names))
     if unknown:
         raise ConfigError(f"unknown tolerance name(s) {', '.join(unknown)}; this run's checks are {', '.join(names)}")
+    for r in records:
+        r["tolerance"] = float(config.tolerances.get(r["name"], r["tolerance"]))
+        r["pass"] = bool(abs(r["measured"] - r["reference"]) <= r["tolerance"])
     return VerifyReport(config.suite, records, time.perf_counter() - start, config.echo())
 
 
@@ -438,8 +427,9 @@ def emit_report(report: VerifyReport, fmt: str, path: str) -> None:
         fh.write(text)
 
 
-def _parse_config_file(path: str) -> dict:
-    out = {}
+def _config_argv(path: str) -> list:
+    """The flags a config file stands for: each `key = value` line is `--key=value`, `_` or `-` alike in key."""
+    argv = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -449,69 +439,44 @@ def _parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
-                out[key] = val
+                key = key.replace("-", "_")
+                argv.append(f"--{key if key.startswith('tol.') else key.replace('_', '-')}={val}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    return out
+    return argv
 
 
-_INT_KEYS = ("d", "nmax", "lmax", "max_degree", "seed")
+def _settings(parser: argparse.ArgumentParser, argv: list) -> tuple:
+    """(the flags argv sets, its tolerance overrides); `--suite` beats the positional suite."""
+    argv, tolerances = _extract_tol_flags(argv)
+    args = vars(parser.parse_args(argv))
+    positional = args.pop("suite_positional")
+    args["suite"] = args["suite"] or positional
+    return {key: val for key, val in args.items() if val is not None}, tolerances
 
 
-def _build_config(args, tol_overrides: dict) -> VerifyConfig:
-    settings: dict = {}
-    if args.config:
-        for key, val in _parse_config_file(args.config).items():
-            norm = key.replace("-", "_")
-            if norm in _INT_KEYS:
-                try:
-                    settings[norm] = int(val)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key} needs an integer, got {val!r}") from exc
-            elif norm in ("suite", "word", "out", "format"):
-                settings[norm] = val
-            elif norm == "theta":
-                settings["theta_upper"] = _parse_theta(val)
-            elif norm.startswith("tol."):
-                try:
-                    settings.setdefault("tolerances", {})[norm[4:]] = float(val)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key} needs a float") from exc
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    flag_map = {
-        "suite": args.suite if args.suite else args.suite_positional,
-        "d": args.d,
-        "nmax": args.nmax,
-        "lmax": args.lmax,
-        "max_degree": args.max_degree,
-        "word": args.word,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            settings[key] = val
-    if args.theta is not None:
-        settings["theta_upper"] = _parse_theta(args.theta)
-    if tol_overrides:
-        merged = settings.get("tolerances", {})
-        merged.update(tol_overrides)
-        settings["tolerances"] = merged
-    if "suite" not in settings or settings["suite"] is None:
+def _build_config(parser: argparse.ArgumentParser, argv: list) -> VerifyConfig:
+    """Settings from the command line, over those from its --config file."""
+    settings, tolerances = _settings(parser, argv)
+    path = settings.pop("config", None)
+    if path:
+        parser.allow_abbrev = False  # a config key is a whole flag name
+        parser.prog += f" --config {path}"  # argparse's messages name the file
+        from_file, file_tolerances = _settings(parser, _config_argv(path))
+        if "config" in from_file:
+            raise ConfigError(f"{path}: a config file cannot name another config file")
+        settings = {**from_file, **settings}
+        tolerances = {**file_tolerances, **tolerances}
+    if "suite" not in settings:
         raise ConfigError("no suite given (positional argument, --suite, or config file)")
-    try:
-        return VerifyConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return VerifyConfig(tolerances=tolerances, **settings)
 
 
 def _parse_theta(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse theta entries {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse theta entries {text!r}") from exc
 
 
 def _extract_tol_flags(argv: list) -> tuple:
@@ -552,7 +517,13 @@ def main(argv=None) -> int:
     parser.add_argument("suite_positional", nargs="?", choices=SUITES, metavar="suite")
     parser.add_argument("--suite", choices=SUITES)
     parser.add_argument("--d", type=int)
-    parser.add_argument("--theta", help="comma list of strict upper-triangle entries")
+    parser.add_argument(
+        "--theta",
+        type=_parse_theta,
+        dest="theta_upper",
+        metavar="THETA",
+        help="comma list of strict upper-triangle entries",
+    )
     parser.add_argument("--nmax", type=int)
     parser.add_argument("--lmax", type=int)
     parser.add_argument("--max-degree", type=int, dest="max_degree")
@@ -560,17 +531,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="report file path")
     parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--config", help="flat key=value config file; flags win")
+    parser.add_argument("--config", help="flat key=value config file, keys named as flags; flags win")
 
     try:
-        argv, tol_overrides = _extract_tol_flags(argv)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on bad flags, which matches the config-error code,
-            # but normalize help (exit 0) through untouched
-            return EXIT_PASS if exc.code == 0 else EXIT_CONFIG_ERROR
-        config = _build_config(args, tol_overrides)
+        config = _build_config(parser, argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad flags, which matches the config-error code,
+        # but normalize help (exit 0) through untouched
+        return EXIT_PASS if exc.code == 0 else EXIT_CONFIG_ERROR
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -581,6 +549,10 @@ def main(argv=None) -> int:
         # the library validates parameter ranges (grid sizes, degrees, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as exc:
+        # a defect, not a failed check: exit 1 stays reserved for check failures
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
     for r in report.records:
         status = "PASS" if r["pass"] else "FAIL"

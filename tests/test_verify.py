@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from nctrace import verify
 from nctrace.verify import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_IO_ERROR,
     EXIT_PASS,
     SUITES,
@@ -163,6 +165,25 @@ class TestMainExitCodes:
         assert main(["--help"]) == EXIT_PASS
         assert "suite" in capsys.readouterr().out
 
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(verify._SUITE_RUNNERS, FAST, broken)
+        assert main([FAST]) == EXIT_INTERNAL_ERROR
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_theta_is_config_error(self, source, tmp_path, capsys):
+        if source == "flag":
+            argv = [FAST, "--theta", "0.5,abc"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"suite = {FAST}\ntheta = 0.5,abc\n")
+            argv = ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "0.5,abc" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_drives_run(self, tmp_path, capsys):
@@ -199,6 +220,42 @@ class TestConfigFile:
 
     def test_missing_file(self, capsys):
         assert main(["--config", "/no/such/file.cfg"]) == EXIT_CONFIG_ERROR
+        capsys.readouterr()
+
+    def test_positional_suite_beats_file_suite(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = su2\nlmax = 2\n")
+        out = tmp_path / "report.json"
+        assert main([FAST, "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["suite"] == FAST
+        assert doc["config"]["lmax"] == 2  # the rest of the file still applies
+
+    @pytest.mark.parametrize("key", ["max_degree", "max-degree"])
+    def test_key_spellings(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.json"
+        cfg.write_text(f"suite = {FAST}\n{key} = 3\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert json.loads(out.read_text())["config"]["max_degree"] == 3
+
+    def test_tolerance_name_used_as_written(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.json"
+        cfg.write_text(f"suite = {FAST}\ntol.quadrature_cross_check = 0.25\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["config"]["tolerances"] == {"quadrature_cross_check": 0.25}
+        tols = {r["name"]: r["tolerance"] for r in doc["records"]}
+        assert tols["quadrature_cross_check"] == 0.25
+
+    def test_config_key_in_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = {FAST}\nconfig = {cfg}\n")
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG_ERROR
         capsys.readouterr()
 
 
