@@ -4,14 +4,33 @@ Shell membership is decided on exact integer squared norms, so no point near a
 radius boundary is ever misclassified. Iteration order is fixed (the box in C
 order, cut into blocks along as few leading axes as keep a chunk within
 `target`), which makes every downstream reduction deterministic.
+
+`iter_orbits` walks only the fundamental domain n_1 >= ... >= n_d >= 0 of the
+hyperoctahedral group (coordinate permutations and sign changes) and gives each
+point its orbit size, for sums whose summand is constant on orbits.
+
+Both enumerators refuse, before building any chunk, a request whose bound on
+the points it would visit exceeds POINT_BUDGET.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import comb, factorial, isqrt
 from typing import Iterator
 
 import numpy as np
+
+POINT_BUDGET = 2**31
+# 2**d * d!, the largest orbit size, fits in int64 up to this dimension
+ORBIT_MAX_D = 16
+
+
+def _check_budget(d: int, r2_max: int, bound: int) -> None:
+    if bound > POINT_BUDGET:
+        raise ValueError(
+            f"lattice enumeration in d={d} up to radius {isqrt(r2_max)} would visit up to {bound} points, "
+            f"over the budget of {POINT_BUDGET}"
+        )
 
 
 def _digits(flat: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -24,7 +43,8 @@ def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Itera
 
     Chunks are int64 arrays of shape (k, d). Points come in a fixed order; chunk
     sizes aim at `target` candidate points each, for every d. With r2_min = 0
-    the origin is excluded automatically.
+    the origin is excluded automatically. A box of more than POINT_BUDGET
+    candidates raises ValueError.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -32,6 +52,7 @@ def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Itera
         return
     M = isqrt(r2_max)
     width = 2 * M + 1
+    _check_budget(d, r2_max, width**d)
     # a chunk is `rows` values of the leading `lead` axes times the whole box of the rest
     lead = 1
     while lead < d and width ** (d - lead) > target:
@@ -49,6 +70,95 @@ def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Itera
         keep = (r2 > r2_min) & (r2 <= r2_max)
         if np.any(keep):
             yield pts[keep]
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(a)) of a nonnegative int64 array, exact."""
+    s = np.sqrt(a.astype(float)).astype(np.int64)
+    s -= s * s > a
+    s += (s + 1) * (s + 1) <= a
+    return s
+
+
+def _next_coordinate(norm2: np.ndarray, last: np.ndarray, r2_min: int, r2_max: int, left: int) -> tuple:
+    """Range [lo, hi] of the next coordinate c <= last of each prefix, `left` coordinates c included still to choose.
+
+    hi keeps |n|^2 <= r2_max; lo is the least c whose completion by `left - 1`
+    more coordinates, each at most c, can exceed r2_min. For the last
+    coordinate (left = 1) the range is exact.
+    """
+    hi = np.minimum(last, _isqrt(r2_max - norm2))
+    q = r2_min - norm2
+    lo = np.where(q < 0, 0, _isqrt(np.maximum(q, 0) // left) + 1)
+    return lo, hi
+
+
+def _orbit_sizes(pts: np.ndarray) -> np.ndarray:
+    """2^(#nonzero) * d! / prod(run lengths of equal values)! for rows sorted in descending order."""
+    k, d = pts.shape
+    run = np.ones(k, dtype=np.int64)
+    stabiliser = np.ones(k, dtype=np.int64)
+    nonzero = (pts[:, 0] != 0).astype(np.int64)
+    for j in range(1, d):
+        # run length of the value at column j so far; the product of these is prod(runs)!
+        run = run * (pts[:, j] == pts[:, j - 1]) + 1
+        stabiliser *= run
+        nonzero += pts[:, j] != 0
+    return (factorial(d) // stabiliser) << nonzero
+
+
+def iter_orbits(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iterator[tuple]:
+    """Yield (points, orbit_sizes) over n_1 >= ... >= n_d >= 0 with r2_min < |n|^2 <= r2_max.
+
+    Every integer point of the shell lies in the orbit of exactly one yielded
+    point under coordinate permutations and sign changes, and orbit_sizes
+    (int64) counts that orbit, so the orbit sizes sum to the shell's point
+    count. The leading d-1 coordinates are built level by level, each level an
+    integer range per prefix; the last coordinate's range is exact, so every
+    point built is yielded. Points come in lexicographic order, at most
+    `target` rows per chunk. More than POINT_BUDGET sorted box points
+    (comb(M + d, d) for M = isqrt(r2_max)), or d > ORBIT_MAX_D, raises ValueError.
+    """
+    if not 1 <= d <= ORBIT_MAX_D:
+        raise ValueError(f"dimension must be in 1..{ORBIT_MAX_D}, got {d}")
+    if r2_max < 0 or r2_max <= r2_min:
+        return
+    M = isqrt(r2_max)
+    _check_budget(d, r2_max, comb(M + d, d))
+    heads = np.zeros((1, 0), dtype=np.int64)
+    norm2 = np.zeros(1, dtype=np.int64)
+    last = np.full(1, M, dtype=np.int64)
+    for left in range(d, 1, -1):
+        lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, left)
+        idx, values = _expand(lo, hi, 0, None)
+        heads = np.column_stack([heads[idx], values])
+        norm2 = norm2[idx] + values * values
+        last = values
+    lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, 1)
+    total = int(np.sum(np.maximum(hi - lo + 1, 0)))
+    for start in range(0, total, target):
+        idx, values = _expand(lo, hi, start, min(start + target, total))
+        pts = np.empty((len(idx), d), dtype=np.int64)
+        pts[:, :-1] = heads[idx]
+        pts[:, -1] = values
+        yield pts, _orbit_sizes(pts)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int | None) -> tuple:
+    """Flat positions start..stop of the concatenated ranges [lo_i, hi_i]: (range index, value) per position."""
+    sizes = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(sizes)
+    stop = int(np.sum(sizes)) if stop is None else stop
+    if stop <= start:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # ranges first..final hold the positions; clip the two end ranges to them
+    first, final = np.searchsorted(ends, [start, stop - 1], side="right")
+    take = sizes[first : final + 1].copy()
+    take[0] -= start - (ends[first] - sizes[first])
+    take[-1] -= ends[final] - stop
+    idx = np.repeat(np.arange(first, final + 1), take)
+    offset = ends - sizes - lo  # flat position of value 0 in each range
+    return idx, np.arange(start, stop, dtype=np.int64) - offset[idx]
 
 
 def ball_points(d: int, radius: int) -> np.ndarray:

@@ -7,6 +7,20 @@ multiple of that slope, so the estimator fits partial sums against the log of
 the eigenvalue count over a doubling grid instead of taking a single quotient
 (the quotient carries the O(1) intercept as an O(1/log N) error, which no
 desk-scale N outruns; the slope does not).
+
+Diagonals built by `LatticeDiagonal.symbol_weighted` or `model_diagonal` from a
+SpherePoly carry it as `symbol`, and their partial sums take the symmetric
+path: the weight (1+|n|^2)^{-d/2} is constant on each orbit of the
+hyperoctahedral group (coordinate permutations and sign changes), and so is
+the orbit sum of every monomial u^alpha, u = n/|n| -- 0 when an exponent is
+odd, otherwise the orbit size times the mean of u^beta over the distinct
+rearrangements beta of alpha. One walk over the fundamental domain
+n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`) fills a table of these
+orbit-weighted sums per shell, and every partial sum is that table dotted with
+the coefficients. A callable or SphereFunction symbol gives only point values,
+which are not constant on orbits, so it cannot be summed orbit by orbit: such
+diagonals take the direct path, which evaluates `entry` at every lattice
+point and is the oracle the tests check the symmetric path against.
 """
 
 from __future__ import annotations
@@ -20,8 +34,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._core import line_fit, real_if_close
-from ._lattice import iter_shell
-from .sphere import as_evaluator, sphere_integrate
+from ._lattice import ORBIT_MAX_D, iter_orbits, iter_shell
+from .sphere import SpherePoly, as_evaluator, sphere_integrate
 from .torus import TorusElement, torus_trace
 
 
@@ -31,17 +45,25 @@ class LatticeDiagonal:
 
     entry maps an integer chunk of shape (k, d) to the k diagonal values. It
     is never called at n = 0: partial sums exclude the origin (one bounded
-    term, absorbed by every intercept).
+    term, absorbed by every intercept). When the entries are
+    scale * symbol(n/|n|) * (1+|n|^2)^{-d/2} for a SpherePoly symbol, the
+    factories record both, and partial sums use them instead of entry.
     """
 
     d: int
     entry: Callable[[np.ndarray], np.ndarray]
+    symbol: SpherePoly | None = None
+    scale: complex = 1.0
+
+    def __post_init__(self):
+        if self.symbol is not None and self.symbol.d != self.d:
+            raise ValueError("dimension mismatch")
 
     @classmethod
     def symbol_weighted(cls, y, d: int | None = None) -> "LatticeDiagonal":
         """Entries y(n/|n|) * (1 + |n|^2)^{-d/2}."""
         dim = d if d is not None else y.d
-        return cls(dim, _weighted_entry(y, dim))
+        return cls(dim, _weighted_entry(y, dim), y if isinstance(y, SpherePoly) else None)
 
 
 def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.ndarray], np.ndarray]:
@@ -72,6 +94,8 @@ def _grid_sums(diag: LatticeDiagonal, radii: Sequence[int]) -> tuple:
         raise ValueError("radii must be strictly increasing")
     if rs and rs[0] < 1:
         raise ValueError("radii must be >= 1")
+    if diag.symbol is not None and diag.d <= ORBIT_MAX_D:
+        return _symmetric_sums(diag, rs)
     sums, counts = [], []
     acc = 0j
     count = 0
@@ -84,6 +108,67 @@ def _grid_sums(diag: LatticeDiagonal, radii: Sequence[int]) -> tuple:
         sums.append(acc)
         counts.append(count)
     return sums, counts
+
+
+def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
+    """_grid_sums for a SpherePoly symbol, summed orbit by orbit (see the module docstring).
+
+    table[i, j] is the sum over the shell between radii i-1 and i of
+    orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th sorted even
+    exponent; each fundamental-domain column is reduced by numpy pairwise
+    summation in a fixed chunk order, so results are reproducible bit for bit.
+    """
+    d = diag.d
+    columns: dict = {}
+    for alpha, c in diag.symbol.coeffs.items():
+        if not any(e % 2 for e in alpha):
+            key = tuple(sorted(alpha, reverse=True))
+            columns[key] = columns.get(key, 0) + c
+    rearrangements = [_distinct_permutations(key) for key in columns]
+    needs_u = any(any(key) for key in columns)
+    table = np.zeros((len(rs), len(columns)))
+    counts = []
+    count = 0
+    prev2 = 0
+    for row, r in enumerate(rs):
+        for pts, orbit in iter_orbits(d, prev2, r * r):
+            count += int(np.sum(orbit))
+            if not columns:
+                continue
+            norms2 = np.einsum("ij,ij->i", pts, pts).astype(float)
+            base = orbit * (1.0 + norms2) ** (-d / 2.0)
+            u2 = pts * pts / norms2[:, None] if needs_u else None
+            for col, betas in enumerate(rearrangements):
+                table[row, col] += np.sum(base * _mean_monomial(u2, betas))
+        prev2 = r * r
+        counts.append(count)
+    coeffs = np.array(list(columns.values()), dtype=complex)
+    sums = [complex(diag.scale * np.sum(coeffs * row)) for row in np.cumsum(table, axis=0)]
+    return sums, counts
+
+
+def _distinct_permutations(key: tuple) -> list:
+    """The distinct rearrangements of a multiset of exponents, as tuples."""
+    if not key:
+        return [()]
+    out = []
+    for v in sorted(set(key)):
+        rest = list(key)
+        rest.remove(v)
+        out += [(v,) + tail for tail in _distinct_permutations(tuple(rest))]
+    return out
+
+
+def _mean_monomial(u2: np.ndarray | None, betas: list):
+    """Mean over the exponents beta (all even) of u^beta, given u2 = u*u per point."""
+    total = 0.0
+    for beta in betas:
+        term = 1.0
+        for i, e in enumerate(beta):
+            if e:
+                term = term * u2[:, i] ** (e // 2)
+        total = total + term
+    return total / len(betas)
 
 
 def lattice_partial_sum(diag: LatticeDiagonal, N: int) -> float | complex:
@@ -163,7 +248,8 @@ def model_diagonal(x: TorusElement, y) -> LatticeDiagonal:
     trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}, which tests confirm against the
     dense window matrices.
     """
-    return LatticeDiagonal(x.d, _weighted_entry(y, x.d, torus_trace(x)))
+    scale = torus_trace(x)
+    return LatticeDiagonal(x.d, _weighted_entry(y, x.d, scale), y if isinstance(y, SpherePoly) else None, scale)
 
 
 def connes_trace_torus(x: TorusElement, y, N: int) -> tuple:

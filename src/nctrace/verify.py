@@ -439,8 +439,7 @@ def _config_argv(path: str) -> list:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                argv.append(f"--{key if key.startswith('tol.') else key.replace('_', '-')}={val}")
+                argv.append(f"--{key.replace('_', '-')}={val}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return argv
@@ -480,6 +479,7 @@ def _parse_theta(text: str) -> tuple:
 
 
 def _extract_tol_flags(argv: list) -> tuple:
+    """(argv without its --tol.<check> flags, {check: tolerance}); `-` in a check name reads as `_`."""
     rest = []
     tols = {}
     i = 0
@@ -498,6 +498,7 @@ def _extract_tol_flags(argv: list) -> tuple:
                 i += 2
             if not name:
                 raise ConfigError("empty check name in --tol. flag")
+            name = name.replace("-", "_")
             try:
                 tols[name] = float(val)
             except ValueError as exc:

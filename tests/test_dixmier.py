@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from nctrace.dixmier import (
     LatticeDiagonal,
+    _grid_sums,
     connes_trace_torus,
     doubling_grid,
     fit_summary_json,
@@ -17,7 +19,7 @@ from nctrace.dixmier import (
     radial_integral_check,
     write_dixmier_csv,
 )
-from nctrace.sphere import SpherePoly, vg_action
+from nctrace.sphere import SpherePoly, _multi_indices, vg_action
 from nctrace.torus import ThetaMatrix, torus_identity, torus_trace, unitary_generator
 
 THETA = ThetaMatrix.from_upper(2, [np.pi / 2])
@@ -182,3 +184,61 @@ def test_fit_summary_json_fields():
     doc = json.loads(fit_summary_json(fit, 2 * np.pi))
     assert set(doc) == {"slope", "reference", "relative_error", "max_residual", "N_grid"}
     assert doc["relative_error"] < 0.02
+
+
+def _random_poly(d, rng):
+    """Complex coefficients on a random half of the monomials up to degree 4, odd and even alike."""
+    indices = _multi_indices(d, 4)
+    chosen = rng.choice(len(indices), size=len(indices) // 2, replace=False)
+    return SpherePoly(d, {indices[i]: complex(*rng.normal(size=2)) for i in chosen})
+
+
+@pytest.mark.parametrize(
+    "d, grid", [(2, [1, 2, 5, 17, 40]), (3, [1, 3, 8, 20]), (4, [1, 2, 5, 9]), (5, [1, 2, 4, 6]), (6, [1, 2, 3])]
+)
+def test_symmetric_sums_match_direct_path(d, grid):
+    rng = np.random.default_rng(100 + d)
+    y = _random_poly(d, rng)
+    x = torus_identity(ThetaMatrix.from_upper(d, rng.normal(size=d * (d - 1) // 2))) * complex(*rng.normal(size=2))
+    for diag in (LatticeDiagonal.symbol_weighted(y), model_diagonal(x, y)):
+        assert diag.symbol is y
+        fast, fast_counts = _grid_sums(diag, grid)
+        direct, counts = _grid_sums(dataclasses.replace(diag, symbol=None), grid)
+        assert fast_counts == counts
+        np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0)
+        # each shell r2_min < |n|^2 <= r2_max with r2_min > 0 on its own
+        np.testing.assert_allclose(np.diff(fast), np.diff(direct), rtol=1e-12, atol=0)
+    odd = SpherePoly(d, {n: c for n, c in y.coeffs.items() if any(e % 2 for e in n)})
+    assert odd.coeffs
+    sums, counts = _grid_sums(LatticeDiagonal.symbol_weighted(odd), grid)
+    assert sums == [0j] * len(grid)
+    assert counts == _grid_sums(LatticeDiagonal(d, odd.evaluate), grid)[1]
+
+
+def test_symmetric_path_never_calls_entry():
+    def entry(chunk):
+        raise AssertionError("entry evaluated")
+
+    diag = dataclasses.replace(LatticeDiagonal.symbol_weighted(ONE2), entry=entry)
+    assert lattice_partial_sum(diag, 2) == pytest.approx(2.0 + 4 / 3 + 4 / 5, abs=1e-14)
+
+
+def test_symbol_dimension_must_match():
+    with pytest.raises(ValueError):
+        LatticeDiagonal(3, LatticeDiagonal.symbol_weighted(ONE2).entry, ONE2)
+
+
+def test_point_budget_refuses_direct_path():
+    diag = LatticeDiagonal(6, lambda chunk: np.ones(len(chunk)))
+    with pytest.raises(ValueError, match="d=6"):
+        lattice_partial_sum(diag, 64)
+
+
+def test_direct_path_beyond_orbit_dimension(monkeypatch):
+    # orbit sizes 2^d d! overflow int64 for d > ORBIT_MAX_D; such diagonals are summed point by point
+    monkeypatch.setattr("nctrace.dixmier.ORBIT_MAX_D", 1)
+    calls = []
+    diag = LatticeDiagonal.symbol_weighted(ONE2)
+    diag = dataclasses.replace(diag, entry=lambda chunk, f=diag.entry: calls.append(len(chunk)) or f(chunk))
+    assert lattice_partial_sum(diag, 2) == pytest.approx(2.0 + 4 / 3 + 4 / 5, abs=1e-14)
+    assert sum(calls) == 12

@@ -1,12 +1,12 @@
 """Tests for the shared lattice enumeration: chunk sizes, order and shell membership."""
 
-from itertools import product
+from itertools import permutations, product
 from math import isqrt
 
 import numpy as np
 import pytest
 
-from nctrace._lattice import iter_shell
+from nctrace._lattice import POINT_BUDGET, iter_orbits, iter_shell
 
 
 def _first_axis_chunks(d, r2_min, r2_max, target):
@@ -46,3 +46,43 @@ def test_chunk_boundaries_unchanged_when_one_axis_suffices(d, r2_min, r2_max, ta
     for got, want in zip(chunks, oracle):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def _hyperoctahedral_orbit(p):
+    """All signed permutations of a point, brute force."""
+    signs = list(product((1, -1), repeat=len(p)))
+    return {tuple(s * v for s, v in zip(sign, perm)) for perm in permutations(p) for sign in signs}
+
+
+@pytest.mark.parametrize(
+    "d, r2_min, r2_max, target",
+    [(1, 0, 50, 3), (2, 0, 400, 7), (2, 100, 401, 1 << 22), (3, 4, 100, 5), (3, -1, 64, 50), (4, 10, 40, 3),
+     (5, 0, 16, 100), (6, 3, 12, 17), (3, 6, 7, 4)],
+)
+def test_orbits_tile_the_shell(d, r2_min, r2_max, target):
+    shell = list(iter_shell(d, r2_min, r2_max))
+    shell = {tuple(p) for p in np.concatenate(shell).tolist()} if shell else set()
+    chunks = list(iter_orbits(d, r2_min, r2_max, target))
+    assert all(0 < len(pts) <= target and pts.dtype == orbit.dtype == np.int64 for pts, orbit in chunks)
+    points = [tuple(p) for pts, _ in chunks for p in pts.tolist()]
+    sizes = [int(o) for _, orbit in chunks for o in orbit]
+    assert points == sorted(points)  # lexicographic, each point once
+    assert len(set(points)) == len(points)
+    covered = set()
+    for p, size in zip(points, sizes):
+        assert list(p) == sorted(p, reverse=True) and p[-1] >= 0
+        orbit = _hyperoctahedral_orbit(p)
+        assert size == len(orbit)
+        assert not covered & orbit
+        covered |= orbit
+    assert covered == shell
+    assert sum(sizes) == len(shell)
+
+
+def test_budget_refuses_before_building_a_chunk():
+    assert POINT_BUDGET == 2**31
+    with pytest.raises(ValueError, match=f"d=6 up to radius 64 would visit up to {129**6} points"):
+        next(iter_shell(6, 0, 64 * 64))
+    with pytest.raises(ValueError, match="d=6 up to radius 4096"):
+        next(iter_orbits(6, 0, 4096 * 4096))
+    next(iter_orbits(2, 0, 4096 * 4096))  # every size in use stays within the budget

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,30 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "quadrature_crosscheck" in err
         assert "quadrature_cross_check" in err  # the valid names are listed
+
+    def test_lattice_budget_is_config_error(self, capsys):
+        # the first lattice sum would visit about 4.5e11 fundamental-domain points
+        start = time.perf_counter()
+        assert main(["torus-trace", "--d", "6", "--nmax", "4096"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert "d=6" in err and "budget" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["quadrature_cross_check", "quadrature-cross-check"])
+    def test_tolerance_name_spellings(self, source, name, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        if source == "flag":
+            argv = [FAST, f"--tol.{name}", "0.25"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"suite = {FAST}\ntol.{name} = 0.25\n")
+            argv = ["--config", str(cfg)]
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["config"]["tolerances"] == {"quadrature_cross_check": 0.25}
+        assert {r["name"]: r["tolerance"] for r in doc["records"]}["quadrature_cross_check"] == 0.25
 
     def test_unwritable_report_is_io_error(self, capsys):
         code = main([FAST, "--out", "/nonexistent-dir/report.json"])
