@@ -15,7 +15,7 @@ the points it would visit exceeds POINT_BUDGET.
 
 from __future__ import annotations
 
-from math import comb, factorial, isqrt
+from math import exp, factorial, isqrt, lgamma, log, pi
 from typing import Iterator
 
 import numpy as np
@@ -25,10 +25,11 @@ POINT_BUDGET = 2**31
 ORBIT_MAX_D = 16
 
 
-def _check_budget(d: int, r2_max: int, bound: int) -> None:
+def _check_budget(d: int, r2_max: int, bound: int | float) -> None:
     if bound > POINT_BUDGET:
+        shown = bound if isinstance(bound, int) else f"{bound:.4g}"
         raise ValueError(
-            f"lattice enumeration in d={d} up to radius {isqrt(r2_max)} would visit up to {bound} points, "
+            f"lattice enumeration in d={d} up to radius {isqrt(r2_max)} would visit up to {shown} points, "
             f"over the budget of {POINT_BUDGET}"
         )
 
@@ -107,50 +108,61 @@ def _orbit_sizes(pts: np.ndarray) -> np.ndarray:
     return (factorial(d) // stabiliser) << nonzero
 
 
+def _orbit_bound(d: int, r2_max: int) -> float:
+    """Upper bound on the points n_1 >= ... >= n_d >= 0 with |n|^2 <= r2_max.
+
+    n -> m = n + (d-1, ..., 1, 0) is one-to-one onto strictly decreasing m >= 0,
+    and the unit cubes m + [0,1)^d are disjoint and lie in the sorted,
+    nonnegative part of the ball of radius |n| + |(d-1, ..., 0)| + sqrt(d),
+    whose volume is V_d R^d / (2^d d!). R is rounded up to an integer and the
+    volume computed in logs and capped at e^700, far over any budget, so that
+    no radius overflows a float.
+    """
+    radius = isqrt(r2_max) + isqrt((d - 1) * d * (2 * d - 1) // 6) + isqrt(d) + 3  # each square root rounded up
+    log_volume = d * log(radius) + d / 2 * log(pi) - lgamma(d / 2 + 1) - d * log(2) - lgamma(d + 1)
+    return exp(min(log_volume, 700.0))
+
+
 def iter_orbits(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iterator[tuple]:
     """Yield (points, orbit_sizes) over n_1 >= ... >= n_d >= 0 with r2_min < |n|^2 <= r2_max.
 
     Every integer point of the shell lies in the orbit of exactly one yielded
     point under coordinate permutations and sign changes, and orbit_sizes
     (int64) counts that orbit, so the orbit sizes sum to the shell's point
-    count. The leading d-1 coordinates are built level by level, each level an
-    integer range per prefix; the last coordinate's range is exact, so every
-    point built is yielded. Points come in lexicographic order, at most
-    `target` rows per chunk. More than POINT_BUDGET sorted box points
-    (comb(M + d, d) for M = isqrt(r2_max)), or d > ORBIT_MAX_D, raises ValueError.
+    count. Coordinates are chosen one at a time, each an integer range per
+    prefix; the last coordinate's range is exact, so every point built is
+    yielded. Points come in lexicographic order, at most `target` rows per
+    chunk, and no level of prefixes holds more than `target` rows at once.
+    A bound (_orbit_bound) over POINT_BUDGET, or d > ORBIT_MAX_D, raises
+    ValueError.
     """
     if not 1 <= d <= ORBIT_MAX_D:
         raise ValueError(f"dimension must be in 1..{ORBIT_MAX_D}, got {d}")
     if r2_max < 0 or r2_max <= r2_min:
         return
     M = isqrt(r2_max)
-    _check_budget(d, r2_max, comb(M + d, d))
-    heads = np.zeros((1, 0), dtype=np.int64)
-    norm2 = np.zeros(1, dtype=np.int64)
-    last = np.full(1, M, dtype=np.int64)
-    for left in range(d, 1, -1):
-        lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, left)
-        idx, values = _expand(lo, hi, 0, None)
-        heads = np.column_stack([heads[idx], values])
-        norm2 = norm2[idx] + values * values
-        last = values
-    lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, 1)
+    _check_budget(d, r2_max, _orbit_bound(d, r2_max))
+    start = (np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, M, dtype=np.int64))
+    yield from _complete(*start, d, r2_min, r2_max, target)
+
+
+def _complete(heads, norm2, last, left: int, r2_min: int, r2_max: int, target: int) -> Iterator[tuple]:
+    """Complete each prefix row of `heads` by `left` more coordinates, at most `target` new rows at a time."""
+    lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, left)
     total = int(np.sum(np.maximum(hi - lo + 1, 0)))
     for start in range(0, total, target):
         idx, values = _expand(lo, hi, start, min(start + target, total))
-        pts = np.empty((len(idx), d), dtype=np.int64)
-        pts[:, :-1] = heads[idx]
-        pts[:, -1] = values
-        yield pts, _orbit_sizes(pts)
+        pts = np.column_stack([heads[idx], values])
+        if left == 1:
+            yield pts, _orbit_sizes(pts)
+        else:
+            yield from _complete(pts, norm2[idx] + values * values, values, left - 1, r2_min, r2_max, target)
 
 
-def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int | None) -> tuple:
-    """Flat positions start..stop of the concatenated ranges [lo_i, hi_i]: (range index, value) per position."""
+def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> tuple:
+    """Flat positions start..stop (start < stop) of the concatenated ranges [lo_i, hi_i]: (range index, value) each."""
     sizes = np.maximum(hi - lo + 1, 0)
     ends = np.cumsum(sizes)
-    stop = int(np.sum(sizes)) if stop is None else stop
-    if stop <= start:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     # ranges first..final hold the positions; clip the two end ranges to them
     first, final = np.searchsorted(ends, [start, stop - 1], side="right")
     take = sizes[first : final + 1].copy()

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,9 +46,16 @@ class LatticeDiagonal:
 
     entry maps an integer chunk of shape (k, d) to the k diagonal values. It
     is never called at n = 0: partial sums exclude the origin (one bounded
-    term, absorbed by every intercept). When the entries are
-    scale * symbol(n/|n|) * (1+|n|^2)^{-d/2} for a SpherePoly symbol, the
-    factories record both, and partial sums use them instead of entry.
+    term, absorbed by every intercept).
+
+    symbol and scale are set by the factories when the entries are
+    scale * symbol(n/|n|) * (1+|n|^2)^{-d/2} for a SpherePoly symbol. When
+    symbol is set it, not entry, defines the partial sums (the symmetric path
+    of the module docstring); entry stays the pointwise view of the same
+    values. So dataclasses.replace(diag, entry=f) keeps summing the symbol:
+    that suits a wrapper of the same entry, such as a call counter, which
+    then sees no calls. To sum a different rule, build LatticeDiagonal(d, f),
+    or replace symbol=None as well.
     """
 
     d: int
@@ -62,8 +70,13 @@ class LatticeDiagonal:
     @classmethod
     def symbol_weighted(cls, y, d: int | None = None) -> "LatticeDiagonal":
         """Entries y(n/|n|) * (1 + |n|^2)^{-d/2}."""
-        dim = d if d is not None else y.d
-        return cls(dim, _weighted_entry(y, dim), y if isinstance(y, SpherePoly) else None)
+        return _symbol_diagonal(y, d if d is not None else y.d)
+
+
+def _symbol_diagonal(y, d: int, scale: complex | None = None) -> LatticeDiagonal:
+    """Entries [scale *] y(n/|n|) * (1 + |n|^2)^{-d/2}, carrying y when it is a SpherePoly."""
+    poly = y if isinstance(y, SpherePoly) else None
+    return LatticeDiagonal(d, _weighted_entry(y, d, scale), poly, 1.0 if scale is None else scale)
 
 
 def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.ndarray], np.ndarray]:
@@ -124,7 +137,7 @@ def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
         if not any(e % 2 for e in alpha):
             key = tuple(sorted(alpha, reverse=True))
             columns[key] = columns.get(key, 0) + c
-    rearrangements = [_distinct_permutations(key) for key in columns]
+    rearrangements = [sorted(set(permutations(key))) for key in columns]
     needs_u = any(any(key) for key in columns)
     table = np.zeros((len(rs), len(columns)))
     counts = []
@@ -145,18 +158,6 @@ def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
     coeffs = np.array(list(columns.values()), dtype=complex)
     sums = [complex(diag.scale * np.sum(coeffs * row)) for row in np.cumsum(table, axis=0)]
     return sums, counts
-
-
-def _distinct_permutations(key: tuple) -> list:
-    """The distinct rearrangements of a multiset of exponents, as tuples."""
-    if not key:
-        return [()]
-    out = []
-    for v in sorted(set(key)):
-        rest = list(key)
-        rest.remove(v)
-        out += [(v,) + tail for tail in _distinct_permutations(tuple(rest))]
-    return out
 
 
 def _mean_monomial(u2: np.ndarray | None, betas: list):
@@ -248,8 +249,7 @@ def model_diagonal(x: TorusElement, y) -> LatticeDiagonal:
     trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}, which tests confirm against the
     dense window matrices.
     """
-    scale = torus_trace(x)
-    return LatticeDiagonal(x.d, _weighted_entry(y, x.d, scale), y if isinstance(y, SpherePoly) else None, scale)
+    return _symbol_diagonal(y, x.d, torus_trace(x))
 
 
 def connes_trace_torus(x: TorusElement, y, N: int) -> tuple:

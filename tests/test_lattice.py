@@ -6,7 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from nctrace._lattice import POINT_BUDGET, iter_orbits, iter_shell
+from nctrace._lattice import POINT_BUDGET, _orbit_bound, iter_orbits, iter_shell
 
 
 def _first_axis_chunks(d, r2_min, r2_max, target):
@@ -85,4 +85,23 @@ def test_budget_refuses_before_building_a_chunk():
         next(iter_shell(6, 0, 64 * 64))
     with pytest.raises(ValueError, match="d=6 up to radius 4096"):
         next(iter_orbits(6, 0, 4096 * 4096))
-    next(iter_orbits(2, 0, 4096 * 4096))  # every size in use stays within the budget
+    with pytest.raises(ValueError, match="d=3 up to radius 4096"):
+        next(iter_orbits(3, 0, 4096 * 4096))
+    next(iter_orbits(2, 0, 4096 * 4096))
+    next(iter_orbits(3, 0, 2048 * 2048))
+
+
+def test_orbit_bound_holds_and_is_tight():
+    for d in range(1, 7):
+        for r2 in (0, 1, 2, 5, 30, 100, 1000):
+            points = sum(len(pts) for pts, _ in iter_orbits(d, -1, r2))
+            assert points <= _orbit_bound(d, r2)
+    # the sorted box comb(M + d, d) = 7.2e9 would refuse d=6 at radius 128; the domain holds about 5e8
+    assert _orbit_bound(6, 128 * 128) < POINT_BUDGET
+    assert _orbit_bound(16, 10**400) > POINT_BUDGET  # no float overflow
+
+
+def test_orbit_prefixes_stay_within_target():
+    # about 1e8 sorted 5-coordinate prefixes at radius 128: built level by level in blocks of `target`
+    pts, orbit = next(iter_orbits(6, 0, 128 * 128, target=1000))
+    assert len(pts) <= 1000 and pts[0].tolist() == [1, 0, 0, 0, 0, 0] and orbit[0] == 12

@@ -165,6 +165,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=6" in err and "budget" in err
 
+    def test_tail_scan_budget_is_config_error(self, capsys):
+        # the commutator tail scan at R = 400 covers the box of radius 1600; it runs first
+        start = time.perf_counter()
+        assert main(["symbol-compactness", "--d", "3"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert "d=3 up to radius 1600" in err and "budget" in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("name", ["quadrature_cross_check", "quadrature-cross-check"])
     def test_tolerance_name_spellings(self, source, name, tmp_path, capsys):
