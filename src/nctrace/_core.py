@@ -72,7 +72,7 @@ def line_fit(x, y) -> tuple:
     return slope, intercept, float(resid.max())
 
 
-def real_if_close(z: complex, tol: float = 1e-12) -> float | complex:
-    """z.real when the imaginary part is roundoff relative to max(1, |Re z|)."""
+def real_if_close(z: complex) -> float | complex:
+    """z.real when the imaginary part is roundoff (1e-12) relative to max(1, |Re z|)."""
     z = complex(z)
-    return z.real if abs(z.imag) <= tol * max(1.0, abs(z.real)) else z
+    return z.real if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)) else z

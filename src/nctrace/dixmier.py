@@ -29,10 +29,10 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import permutations
+from math import log1p, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._core import line_fit, real_if_close
 from ._lattice import ORBIT_MAX_D, iter_orbits, iter_shell
@@ -198,11 +198,11 @@ def log_fit(diag: LatticeDiagonal, N_grid: Sequence[int]) -> LogFit:
     return LogFit(real_if_close(slope), real_if_close(intercept), max_residual, grid)
 
 
-def doubling_grid(N: int, points: int = 5) -> list:
-    """{N / 2^(points-1), ..., N/2, N}; N must leave the smallest radius >= 2."""
-    if N < 1 << points:
-        raise ValueError(f"N must be at least {1 << points}")
-    return [N >> k for k in range(points - 1, -1, -1)]
+def doubling_grid(N: int) -> list:
+    """{N/16, N/8, N/4, N/2, N}; N must be at least 32, leaving the smallest radius >= 2."""
+    if N < 32:
+        raise ValueError("N must be at least 32")
+    return [N >> k for k in range(4, -1, -1)]
 
 
 def normalised_trace_estimate(diag: LatticeDiagonal, N: int) -> float | complex:
@@ -231,14 +231,19 @@ def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
 def radial_integral_check(d: int, N: float) -> float:
     """integral_0^N r^{d-1} (1+r^2)^{-d/2} dr - log N; bounded in N.
 
-    Split at r = 1 and substitute r = e^u on [1, N], where the integrand
-    becomes the bounded (r^2/(1+r^2))^{d/2}.
+    Closed form: with T = N^2/(1+N^2) and S = sqrt(T), t = r^2/(1+r^2) turns the integral
+    into (1/2) integral_0^T t^{d/2-1}/(1-t) dt, whose -(1/2) log(1-T) cancels log N exactly:
+        even d: (1/2) log1p(1/N^2) - (1/2) sum_{k=1}^{d/2-1} T^k/k
+        odd d:  log1p(S) + (1/2) log1p(1/N^2) - sum_{k=0}^{(d-3)/2} S^(2k+1)/(2k+1)
     """
-    if N <= 1:
-        raise ValueError("N must be > 1")
-    head, _ = quad(lambda r: r ** (d - 1) * (1.0 + r * r) ** (-d / 2.0), 0.0, 1.0)
-    tail, _ = quad(lambda u: (1.0 + np.exp(-2.0 * u)) ** (-d / 2.0), 0.0, np.log(N))
-    return head + tail - float(np.log(N))
+    if d < 1 or N <= 1:
+        raise ValueError("need d >= 1 and N > 1")
+    T = N * N / (1.0 + N * N)
+    excess = 0.5 * log1p(1.0 / (N * N))  # log sqrt(1+N^2) - log N
+    if d % 2 == 0:
+        return excess - 0.5 * sum(T**k / k for k in range(1, d // 2))
+    S = sqrt(T)
+    return log1p(S) + excess - sum(S ** (2 * k + 1) / (2 * k + 1) for k in range((d - 1) // 2))
 
 
 def model_diagonal(x: TorusElement, y) -> LatticeDiagonal:

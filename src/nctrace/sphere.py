@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import betaincinv
-from scipy.stats import qmc
 
 from ._core import add_keys, add_maps, coeff_map, convolve_maps
 
@@ -322,6 +321,8 @@ def _cube_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
 
 
 def _sobol_points(d: int, n: int, seed: int) -> tuple:
+    from scipy.stats import qmc  # slow to import, and only this rule uses it
+
     m = max(4, int(round(np.log2(n))))
     eng = qmc.Sobol(d=d - 1, scramble=True, seed=seed)
     u = eng.random_base2(m=m)

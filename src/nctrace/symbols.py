@@ -33,6 +33,7 @@ from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator,
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, torus_trace, twist_phase
 
 SCAN_FACTOR = 4
+DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,17 @@ class LatticeWindow:
         return np.nonzero(keep)[0]
 
 
+def _window_matrix(window: LatticeWindow) -> np.ndarray:
+    """Zeros of shape (size, size), complex; a ValueError when that exceeds DENSE_WINDOW_BYTES."""
+    size = window.size
+    if size * size * 16 > DENSE_WINDOW_BYTES:
+        raise ValueError(
+            f"window matrices at d={window.d}, radius {window.radius} ({size} points) need "
+            f"{size * size * 16 / 2**30:.1f} GiB each, over the {DENSE_WINDOW_BYTES // 2**30} GiB limit"
+        )
+    return np.zeros((size, size), dtype=complex)
+
+
 class Pi1Matrix(NamedTuple):
     matrix: np.ndarray
     escaped: np.ndarray  # per-column l2 mass sent outside the window
@@ -271,10 +283,10 @@ def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
         raise ValueError("window dimension mismatch")
     if x.support_radius() > window.radius:
         raise ValueError("window radius must cover the support of x")
+    mat = _window_matrix(window)
     pts = window.points
     idx = window.index()
     size = len(pts)
-    mat = np.zeros((size, size), dtype=complex)
     escaped2 = np.zeros(size)
     theta = x.theta.entries
     for m, c in x.coeffs.items():
@@ -305,7 +317,9 @@ def build_pi2_matrix(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
     The origin gets the normalized spherical mean of y (any fixed choice
     differs by a rank-one perturbation; this one is basis-independent).
     """
-    return np.diag(_direction_values(y, window))
+    mat = _window_matrix(window)
+    np.fill_diagonal(mat, _direction_values(y, window))
+    return mat
 
 
 def word_matrix(word: OperatorWord, window: LatticeWindow) -> np.ndarray:
@@ -327,8 +341,7 @@ def word_matrix(word: OperatorWord, window: LatticeWindow) -> np.ndarray:
 
 def representative_matrix(symbol: Symbol, window: LatticeWindow) -> np.ndarray:
     """Normal-ordered model of a symbol: sum_k pi1(x_k) @ pi2(y_k)."""
-    size = window.size
-    out = np.zeros((size, size), dtype=complex)
+    out = _window_matrix(window)
     for x, y in symbol.terms:
         out += build_pi1_matrix(x, window).matrix @ build_pi2_matrix(y, window)
     return out

@@ -24,6 +24,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
+
+from . import dixmier as dx, moyal, su2, symbols as sy
+from .sphere import SpherePoly, _multi_indices, moment_recursion_check, quadrature_integrate, quadrature_rule, sphere_moment, sphere_volume
+from .torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -90,8 +95,6 @@ class VerifyReport:
 
 
 def _theta_of(config: VerifyConfig):
-    from .torus import ThetaMatrix
-
     if config.theta_upper is not None:
         return ThetaMatrix.from_upper(config.d, config.theta_upper)
     count = config.d * (config.d - 1) // 2
@@ -108,10 +111,9 @@ def _record(name: str, measured, reference, tol: float) -> dict:
 
 
 def _suite_torus_trace(cfg: VerifyConfig) -> list:
-    from . import dixmier as dx
-    from .sphere import SpherePoly, sphere_moment, sphere_volume
-    from .torus import torus_identity, unitary_generator
-
+    if cfg.nmax < 128:
+        # the t1^2 and odd-slope fits run on the doubling grid at nmax // 4, which needs 32
+        raise ConfigError(f"torus-trace needs --nmax >= 128, got {cfg.nmax}")
     d = cfg.d
     records = []
     one = SpherePoly.constant(d, 1.0)
@@ -149,15 +151,6 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
 
 
 def _suite_moments(cfg: VerifyConfig) -> list:
-    from .sphere import (
-        SpherePoly,
-        _multi_indices,
-        moment_recursion_check,
-        quadrature_integrate,
-        quadrature_rule,
-        sphere_moment,
-    )
-
     if cfg.d % 2:
         raise ConfigError("moment suite needs even d (the paired reduction identity)")
     rep = moment_recursion_check(None, cfg.max_degree, d=cfg.d)
@@ -178,10 +171,6 @@ def _suite_moments(cfg: VerifyConfig) -> list:
 
 
 def _suite_su2(cfg: VerifyConfig) -> list:
-    from scipy.linalg import expm
-
-    from . import su2
-
     records = []
     word = su2.GenPoly.parse(cfg.word)
     est, ref = su2.su2_dixmier_ratio(word, cfg.lmax)
@@ -222,11 +211,6 @@ def _suite_su2(cfg: VerifyConfig) -> list:
 
 
 def _suite_symplectic(cfg: VerifyConfig) -> list:
-    from scipy.linalg import expm
-
-    from . import moyal
-    from .sphere import quadrature_rule
-
     rng = np.random.default_rng(cfg.seed)
     records = []
 
@@ -280,10 +264,6 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
 
 
 def _suite_moyal(cfg: VerifyConfig) -> list:
-    from . import moyal
-    from .sphere import SpherePoly
-    from .torus import ThetaMatrix
-
     rng = np.random.default_rng(cfg.seed)
     records = []
 
@@ -319,10 +299,6 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
 
 
 def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
-    from . import symbols as sy
-    from .sphere import SpherePoly
-    from .torus import twist_phase, unitary_generator
-
     theta = _theta_of(cfg)
     d = cfg.d
     rng = np.random.default_rng(cfg.seed)

@@ -1,9 +1,16 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+
+import nctrace
 
 from nctrace.dixmier import (
     LatticeDiagonal,
@@ -79,6 +86,39 @@ def test_radial_check_closed_form_d2():
     for N in (100.0, 1000.0):
         expected = 0.5 * np.log(1 + N * N) - np.log(N)
         assert radial_integral_check(2, N) == pytest.approx(expected, abs=1e-9)
+
+
+def _radial_quad(d, N):
+    """Oracle: adaptive quadrature split at r = 1, with r = e^u on [1, N] (a bounded integrand)."""
+    head, _ = quad(lambda r: r ** (d - 1) * (1.0 + r * r) ** (-d / 2.0), 0.0, 1.0)
+    tail, _ = quad(lambda u: (1.0 + np.exp(-2.0 * u)) ** (-d / 2.0), 0.0, np.log(N))
+    return head + tail - float(np.log(N))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_radial_check_closed_form_matches_quadrature(d):
+    for N in (1.5, 2, 32, 512, 2048, 4096, 1e6):
+        assert abs(radial_integral_check(d, N) - _radial_quad(d, N)) <= 1e-12
+
+
+def test_radial_check_rejects_bad_input():
+    for d, N in ((2, 1.0), (2, 0.5), (0, 10.0)):
+        with pytest.raises(ValueError):
+            radial_integral_check(d, N)
+
+
+def test_import_loads_neither_scipy_integrate_nor_stats():
+    code = (
+        "import sys, nctrace\n"
+        "assert 'scipy.integrate' not in sys.modules and 'scipy.stats' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.stats')))\n"
+        "rule = nctrace.quadrature_rule(4, n=2**10, kind='sobol')\n"
+        "assert rule.kind == 'sobol' and len(rule.points) == 2**10\n"
+    )
+    src = str(Path(nctrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_radial_check_drift():

@@ -173,6 +173,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=3 up to radius 1600" in err and "budget" in err
 
+    def test_small_nmax_is_config_error(self, capsys):
+        # the nmax // 4 fits need nmax >= 128; the check runs before the nmax-sized sums
+        assert main(["torus-trace", "--nmax", "64"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--nmax" in err and "128" in err
+
+    def test_oversized_window_matrix_is_config_error(self, capsys):
+        # the d=5 window of radius 6 has 42205 points: a 26.5 GiB dense matrix
+        start = time.perf_counter()
+        assert main(["symbol-compactness", "--d", "5"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert "d=5, radius 6 (42205 points)" in err and "GiB" in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("name", ["quadrature_cross_check", "quadrature-cross-check"])
     def test_tolerance_name_spellings(self, source, name, tmp_path, capsys):
