@@ -21,7 +21,6 @@ from math import lgamma, exp
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaincinv
 
 from ._core import add_keys, add_maps, coeff_map, convolve_maps
 
@@ -304,6 +303,8 @@ def _cube_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
     (1 - s^2)^{(j-3)/2} via the inverse regularized incomplete Beta; the last
     two coordinates come from an angle. Smooth except at coordinate poles.
     """
+    from scipy.special import betaincinv  # only the Sobol rule needs it
+
     n = u.shape[0]
     out = np.empty((n, d))
     radial = np.ones(n)

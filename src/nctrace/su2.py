@@ -88,10 +88,15 @@ class IrrepBlock:
         """b_k = D_k / sqrt(4 l(l+1)); satisfy sum b_k^2 = I."""
         return self.gens / np.sqrt(self.casimir_scalar)
 
-    @property
-    def unit_spectrum(self) -> np.ndarray:
-        """Eigenvalues of unit_gens[0]: m / sqrt(l(l+1)), m = -l..l."""
-        return np.real(np.diag(self.unit_gens[0]))
+
+def _ladder(l) -> tuple:
+    """(spin, weights m ascending, l(l+1), raising coefficients sqrt(l(l+1) - m(m+1)) for m < l)."""
+    half = _as_half(l)
+    if half.twice_value < 1:
+        raise ValueError("need l >= 1/2")
+    m = (np.arange(half.dim) - half.value).astype(float)
+    ll = half.l_squared()
+    return half, m, ll, np.sqrt(ll - m[:-1] * (m[:-1] + 1.0))
 
 
 def build_block(l) -> IrrepBlock:
@@ -101,15 +106,11 @@ def build_block(l) -> IrrepBlock:
     ascending weight m; D = (2 Jz, 2 Jx, 2 Jy) gives [D1, D2] = 2i D3 cyclic
     with D1 = diag(-2l ... 2l).
     """
-    half = _as_half(l)
-    if half.twice_value < 1:
-        raise ValueError("need l >= 1/2")
+    half, m, ll, raise_ = _ladder(l)
     dim = half.dim
-    m = (np.arange(dim) - half.value).astype(float)
-    ll = half.l_squared()
     jz = np.diag(m).astype(complex)
     jp = np.zeros((dim, dim), dtype=complex)
-    jp[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(ll - m[:-1] * (m[:-1] + 1.0))
+    jp[np.arange(1, dim), np.arange(dim - 1)] = raise_
     jm = jp.conj().T
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
@@ -264,35 +265,78 @@ def evaluate_on_block(w: GenPoly, block: IrrepBlock) -> np.ndarray:
     return out
 
 
-def _word_trace(word: tuple, b: np.ndarray, dim: int, cache: dict) -> complex:
-    """Trace of a product of unit generators, splitting the word in half.
+# A word of k letters is a band matrix of width 2k+1 in the weight basis: b1 is
+# diagonal, b2 and b3 sit on the two first off-diagonals. A band matrix M is kept
+# as a map offset a -> vector v with v[j] = M[j+a, j] (zero where row j+a leaves
+# the block), so a product or a trace costs O(dim) per pair of offsets.
 
-    tr(AB) = einsum(ij,ji) avoids the final matrix product; halves are cached
-    so powers of a single letter cost one multiplication per block.
+
+def _unit_bands(l) -> tuple:
+    """(spin, bands of b1, b2, b3) straight from the ladder coefficients."""
+    half, m, ll, raise_ = _ladder(l)
+    scale = np.sqrt(4.0 * ll)
+    up = np.zeros(half.dim)
+    up[:-1] = raise_ / scale  # b2[j+1, j]
+    down = np.roll(up, 1)  # b2[j-1, j]
+    return half, ({0: (2.0 * m / scale).astype(complex)}, {1: up + 0j, -1: down + 0j}, {1: -1j * up, -1: 1j * down})
+
+
+def _window(a: int, dim: int) -> tuple:
+    """Columns j with row j+a inside the block, and those rows."""
+    return (slice(0, dim - a), slice(a, dim)) if a >= 0 else (slice(-a, dim), slice(0, dim + a))
+
+
+def _band_mul(left: dict, right: dict, dim: int) -> dict:
+    """Bands of LR: (LR)[j+a+b, j] = L[j+a+b, j+b] R[j+b, j]."""
+    out: dict = {}
+    for a, u in left.items():
+        for b, v in right.items():
+            if abs(a + b) >= dim:
+                continue
+            cols, rows = _window(b, dim)
+            out.setdefault(a + b, np.zeros(dim, dtype=complex))[cols] += u[rows] * v[cols]
+    return out
+
+
+def _word_bands(word: tuple, gens: tuple, dim: int) -> dict:
+    """Bands of the product of unit generators along word; the empty word is I."""
+    out = {0: np.ones(dim, dtype=complex)}
+    for k in word:
+        out = _band_mul(out, gens[k - 1], dim)
+    return out
+
+
+def _band_trace(left: dict, right: dict, dim: int) -> complex:
+    """tr(LR) as the sum over offsets a of the aligned dot products of L's band a and R's band -a."""
+    total = 0j
+    for a in sorted(left):
+        if -a in right:
+            cols, rows = _window(a, dim)
+            total += np.dot(left[a][cols], right[-a][rows])
+    return complex(total)
+
+
+def block_trace(w: GenPoly, block) -> complex:
+    """tr w(b) on the spin-l block, given as an IrrepBlock or a spin.
+
+    Each word is cut in half and traced from the bands of its two halves, in
+    O(dim k^2) for k letters; halves are cached, so powers of one letter build
+    one half product per block. Only the spin is read: no dense matrix is built.
     """
-    if not word:
-        return complex(dim)
-    if len(word) == 1:
-        return complex(np.trace(b[word[0] - 1]))
-
-    def half_product(w: tuple) -> np.ndarray:
-        if w not in cache:
-            m = b[w[0] - 1]
-            for k in w[1:]:
-                m = m @ b[k - 1]
-            cache[w] = m
-        return cache[w]
-
-    cut = len(word) // 2
-    left = half_product(word[:cut])
-    right = half_product(word[cut:])
-    return complex(np.einsum("ij,ji->", left, right))
-
-
-def block_trace(w: GenPoly, block: IrrepBlock) -> complex:
-    b = block.unit_gens
+    half, gens = _unit_bands(block.l if isinstance(block, IrrepBlock) else block)
+    dim = half.dim
     cache: dict = {}
-    return sum((c * _word_trace(word, b, block.dim, cache) for word, c in sorted(w.coeffs.items())), 0j)
+
+    def half_bands(word: tuple) -> dict:
+        if word not in cache:
+            cache[word] = _word_bands(word, gens, dim)
+        return cache[word]
+
+    total = 0j
+    for word, c in sorted(w.coeffs.items()):
+        cut = len(word) // 2
+        total += c * _band_trace(half_bands(word[:cut]), half_bands(word[cut:]), dim)
+    return total
 
 
 def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
@@ -302,15 +346,15 @@ def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
     Hermitian part, against c * x^n1 (1-x^2)^{(n2+n3)/2} over the eigenvalues x
     of b1, with c = Beta((n2+1)/2, (n3+1)/2) / pi for n2, n3 both even and
     c = 0 when either is odd. The skew part of the diagonal is pure commutator
-    residue of size O(1/l), pinned separately by tests.
+    residue of size O(1/l), pinned separately by tests. The pinching is band 0
+    of the word, so no dense block is built.
     """
     if min(n1, n2, n3) < 0:
         raise ValueError("exponents must be nonnegative")
-    block = build_block(l)
-    word = GenPoly.word([1] * n1 + [2] * n2 + [3] * n3)
-    mat = evaluate_on_block(word, block)
-    diag = np.real(np.diag(mat))  # diagonal of the Hermitian part (W + W*)/2
-    x = block.unit_spectrum
+    half, gens = _unit_bands(l)
+    bands = _word_bands((1,) * n1 + (2,) * n2 + (3,) * n3, gens, half.dim)
+    x = np.real(gens[0][0])  # eigenvalues of b1: m / sqrt(l(l+1))
+    diag = np.real(bands[0]) if 0 in bands else np.zeros_like(x)  # diagonal of the Hermitian part (W + W*)/2
     if n2 % 2 or n3 % 2:
         closed = np.zeros_like(x)
     else:
@@ -363,10 +407,9 @@ def _ratio_partial_sums(w: GenPoly, twice_grid: Sequence[int]) -> tuple:
     it = iter(grid)
     nxt = next(it)
     for half in _spin_range(grid[-1]):
-        block = build_block(half)
         weight = (1.0 + half.l_squared()) ** -1.5
-        num += block.dim * block_trace(w, block) * weight
-        den += block.dim**2 * weight
+        num += half.dim * block_trace(w, half) * weight
+        den += half.dim**2 * weight
         while nxt is not None and half.twice_value == nxt:
             nums.append(num)
             dens.append(den)

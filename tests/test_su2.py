@@ -1,9 +1,11 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nctrace import su2
 from nctrace.sphere import semantic_gap, sphere_integrate
 from nctrace.su2 import (
     PAULI_TRIPLE,
@@ -158,6 +160,65 @@ def test_block_evaluation_matches_direct_product():
     direct = 2.0 * b[0] @ b[1] @ b[1] - 0.5 * b[2]
     assert np.abs(evaluate_on_block(w, block) - direct).max() < 1e-14
     assert block_trace(w, block) == pytest.approx(np.trace(direct), abs=1e-12)
+
+
+WORDS_UP_TO_4 = [w for k in range(5) for w in itertools.product((1, 2, 3), repeat=k)]
+
+
+def dense_word(block, word):
+    """The slow path: the dense product of unit generators along word."""
+    m = np.eye(block.dim, dtype=complex)
+    for k in word:
+        m = m @ block.unit_gens[k - 1]
+    return m
+
+
+def test_band_trace_matches_dense_product():
+    assert len(WORDS_UP_TO_4) == 121
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=121) + 1j * rng.normal(size=121)
+    for twice in list(range(1, 13)) + [40, 101]:
+        block = build_block(HalfInteger(twice))
+        dense = [np.trace(dense_word(block, word)) for word in WORDS_UP_TO_4]
+        for word, c, want in zip(WORDS_UP_TO_4, coeffs, dense):
+            got = block_trace(GenPoly.word(word, c), block)
+            assert abs(got - c * want) <= 1e-13 * max(1.0, abs(c * want)), (twice, word)
+        whole = GenPoly(dict(zip(WORDS_UP_TO_4, coeffs)))
+        want = np.dot(coeffs, dense)
+        assert abs(block_trace(whole, block) - want) <= 1e-13 * max(1.0, abs(want))
+        assert block_trace(whole, HalfInteger(twice)) == block_trace(whole, block)
+
+
+def test_band_trace_of_odd_off_diagonal_word_is_zero():
+    for twice in (1, 2, 7, 40):
+        for word in WORDS_UP_TO_4:
+            if sum(k != 1 for k in word) % 2:
+                assert block_trace(GenPoly.word(word), HalfInteger(twice)) == 0.0
+
+
+def test_band_diagonal_matches_dense_pinching():
+    for l in (HalfInteger(1), 3, 20):
+        block = build_block(l)
+        half, gens = su2._unit_bands(l)
+        for n1, n2, n3 in itertools.product(range(7), repeat=3):
+            if n1 + n2 + n3 > 6:
+                continue
+            word = (1,) * n1 + (2,) * n2 + (3,) * n3
+            bands = su2._word_bands(word, gens, half.dim)
+            band0 = bands.get(0, np.zeros(half.dim))
+            dense = np.diag(evaluate_on_block(GenPoly.word(word), block))
+            assert np.abs(band0 - dense).max() < 1e-14, (l, word)
+
+
+def test_spin_traces_build_no_dense_block(monkeypatch):
+    def refuse(l):
+        raise AssertionError("dense block built")
+
+    monkeypatch.setattr(su2, "build_block", refuse)
+    est, ref = su2_dixmier_ratio(GenPoly.parse("b1b1b2b2"), 16)
+    assert abs(est - ref) < 0.01
+    # build_block refuses, so l = 2000 runs without its dense 4001 x 4001 block
+    assert beta_formula_residual(2000, 0, 4, 0) < beta_formula_residual(200, 0, 4, 0)
 
 
 def test_beta_exact_cases_every_spin():
