@@ -17,6 +17,14 @@ shifts seen by each diagonal factor. The same expansion applied to the
 normal-ordered representative produces atoms with identical (coeff, a, M) and
 all s_j = 0, so the difference pairs off atom by atom and its tail norm is a
 sum of terms sup_{|n|>R} |prod y_j(unit(n+s_j)) - prod y_j(unit(n))|.
+
+Each sup is a scan of the shell R < |n| <= hi (hi = 4R by default) plus an
+analytic remainder beyond hi. One request, all the radii of a report or of a
+commutator, scans in one pass: the scan edges cut the lattice into annulus
+pieces, each piece is walked once, every signature is reduced to a per-piece
+max on the shared directions and letter values, and each radius takes the max
+of its pieces. A request costs the points of the ball of radius hi_max minus
+the ball of radius R_min, not one shell per radius and signature.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator,
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, torus_trace, twist_phase
 
 SCAN_FACTOR = 4
+# candidate points per tail-scan chunk. Each per-chunk array stays near 1 MB; at
+# iter_shell's default of 2^22 they reach 64 MB, and faulting them in took about
+# a fifth of the d=2 suite's time and most of its memory
+SCAN_CHUNK = 1 << 16
 DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
 
 
@@ -398,27 +410,6 @@ def _shifted_signatures(word: OperatorWord) -> list:
     return [(factors_of[k], w) for k, w in sorted(weights.items())]
 
 
-def _scan_product_difference(factors, d: int, r2_lo: int, r2_hi: int) -> float:
-    """sup over the shell r2_lo < |n|^2 <= r2_hi of |prod y(unit(n+s)) - prod y(unit(n))|."""
-    worst = 0.0
-    for chunk in iter_shell(d, r2_lo, r2_hi):
-        pts = chunk.astype(float)
-        base_dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        shifted = np.ones(len(chunk), dtype=complex)
-        base = np.ones(len(chunk), dtype=complex)
-        for y, s in factors:
-            ev = as_evaluator(y)
-            base_vals = ev(base_dirs)
-            base = base * base_vals
-            if any(s):
-                moved = pts + np.asarray(s, dtype=float)
-                shifted = shifted * ev(moved / np.linalg.norm(moved, axis=1, keepdims=True))
-            else:
-                shifted = shifted * base_vals
-        worst = max(worst, float(np.abs(shifted - base).max()))
-    return worst
-
-
 def _factor_bounds(y) -> tuple:
     """(sup bound or None, function beyond, |s| -> single-factor tail bound)."""
     if isinstance(y, SpherePoly):
@@ -456,38 +447,117 @@ def _remainder_bound(factors, beyond: float) -> float:
     return total
 
 
-def _tail_bound(signatures, d: int, R: float, scan_factor: float) -> float:
-    """Sum of weight * sup_{|n|>R} |prod y(unit(n+s)) - prod y(unit(n))|.
+def _unit(cols: np.ndarray) -> np.ndarray:
+    """Unit directions, shape (k, d), of the points whose coordinates are the rows of cols (d, k).
 
-    Each sup is the larger of a scan of (R, hi] and the remainder beyond hi.
+    The coordinates are integers stored as floats, so every square and partial
+    sum of |n|^2 is an integer below 2^53 and the norm is exactly what
+    np.linalg.norm gives. Points come out as a transposed view, so that each
+    coordinate a SpherePoly reads is contiguous.
     """
-    total = 0.0
-    for factors, weight in signatures:
+    norm2 = cols[0] * cols[0]
+    for c in cols[1:]:
+        norm2 += c * c
+    return (cols / np.sqrt(norm2)).T
+
+
+def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
+    """Per radius R, the sum over signatures of weight * sup_{|n|>R} |prod y(unit(n+s)) - prod y(unit(n))|.
+
+    Each sup is the larger of a scan of (R, hi] and the remainder beyond hi,
+    hi = max(scan_factor*R, R + max shift + 1). The edges |n|^2 = int(R*R) and
+    int(hi*hi) of every (signature, radius) range cut the lattice into annulus
+    pieces; each piece that some range covers is walked once, outermost first,
+    so an over-budget request is refused before any point is scanned. Per
+    chunk the directions, each letter's values and each shifted value are
+    computed once and shared by every signature; a range's scan is the max of
+    its pieces' maxima.
+    """
+    for R in radii:
+        if not np.isfinite(R):
+            raise ValueError(f"radius {R} is not finite")
+        if R < 1:
+            raise ValueError(f"radius {R} must be >= 1")
+    if not np.isfinite(scan_factor):
+        raise ValueError(f"scan_factor {scan_factor} is not finite")
+    ranges = []  # per signature, per radius: the scanned squared-norm range (lo, top]
+    remainders = []
+    for factors, _ in signatures:
         max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
-        hi = max(scan_factor * R, R + max_shift + 1.0)
-        scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
-        rem = _remainder_bound(factors, hi)
-        total += weight * max(scan, rem)
-    return total
+        shift2 = max(sum(v * v for v in s) for _, s in factors)
+        ranges.append([])
+        remainders.append([])
+        for R in radii:
+            hi = max(scan_factor * R, R + max_shift + 1.0)
+            if not np.isfinite(hi * hi):
+                raise ValueError(f"radius {R} puts the scan edge at {hi:.4g}, whose square is not finite")
+            if shift2 > int(R * R):
+                # the scan would reach n = -s, where n + s has no direction
+                raise ValueError(f"radius {R} is below the largest shift of the word, |s| = {max_shift:.4g}")
+            ranges[-1].append((int(R * R), int(hi * hi)))
+            remainders[-1].append(_remainder_bound(factors, hi))
+
+    edges = sorted({e for row in ranges for lo_top in row for e in lo_top})
+    piece_max: dict = {}  # (piece index, signature index) -> sup over the piece
+    for k in reversed(range(len(edges) - 1)):
+        r2_lo, r2_hi = edges[k], edges[k + 1]
+        users = [i for i, row in enumerate(ranges) if any(lo <= r2_lo and r2_hi <= top for lo, top in row)]
+        if not users:
+            continue
+        piece_max.update(((k, i), 0.0) for i in users)
+        for chunk in iter_shell(d, r2_lo, r2_hi, target=SCAN_CHUNK):
+            cols = chunk.T.astype(float, order="C")
+            base_dirs = _unit(cols)
+            base_vals: dict = {}
+            shifted_vals: dict = {}
+            for i in users:
+                for y, s in signatures[i][0]:
+                    if id(y) not in base_vals:
+                        base_vals[id(y)] = as_evaluator(y)(base_dirs)
+                    if any(s) and (id(y), s) not in shifted_vals:
+                        shifted_vals[id(y), s] = as_evaluator(y)(_unit(cols + np.asarray(s, dtype=float)[:, None]))
+            for i in users:
+                shifted = np.ones(len(chunk), dtype=complex)
+                base = np.ones(len(chunk), dtype=complex)
+                for y, s in signatures[i][0]:
+                    base_y = base_vals[id(y)]
+                    base = base * base_y
+                    shifted = shifted * (shifted_vals[id(y), s] if any(s) else base_y)
+                piece_max[k, i] = max(piece_max[k, i], float(np.abs(shifted - base).max()))
+
+    totals = []
+    for j in range(len(radii)):
+        total = 0.0
+        for i, (_, weight) in enumerate(signatures):
+            lo, top = ranges[i][j]
+            pieces = range(edges.index(lo), edges.index(top))
+            scan = max((piece_max[k, i] for k in pieces), default=0.0)
+            total += weight * max(scan, remainders[i][j])
+        totals.append(total)
+    return totals
 
 
-def commutator_tail_norm(x: TorusElement, y, R: float, scan_factor: float = SCAN_FACTOR) -> float:
-    """Certified norm of [pi1(x), pi2(y)] restricted to {|n| > R}.
+def commutator_tail_norms(x: TorusElement, y, radii, scan_factor: float = SCAN_FACTOR) -> list:
+    """Certified norms of [pi1(x), pi2(y)] restricted to {|n| > R}, one per R in radii.
 
     Per mode m of x the commutator is the weighted shift
     n -> x_m * phase * (y(unit(n+m)) - y(unit(n))) e_{n+m}; its tail norm is the
     sup of the weight over |n| > R, evaluated by scanning the shell
     (R, scan_factor*R] and bounding the rest analytically. Modes aggregate by
     triangle inequality. Enlarging scan_factor never increases the report.
+    All radii share one walk of the lattice.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
     d = x.d
-    if isinstance(y, SpherePoly) and y.d != d:
-        raise ValueError("dimension mismatch")
+    if getattr(y, "d", d) != d:
+        raise ValueError(f"factor dimension {y.d} does not match the torus dimension {d}")
     # pi1(u_0) is scalar, so the zero mode's commutator vanishes
     signatures = [(((y, m),), abs(c)) for m, c in sorted(x.coeffs.items()) if any(m)]
-    return _tail_bound(signatures, d, R, scan_factor)
+    return _tail_bounds(signatures, d, tuple(float(r) for r in radii), scan_factor)
+
+
+def commutator_tail_norm(x: TorusElement, y, R: float, scan_factor: float = SCAN_FACTOR) -> float:
+    """Certified norm of [pi1(x), pi2(y)] restricted to {|n| > R}; see commutator_tail_norms."""
+    return commutator_tail_norms(x, y, (R,), scan_factor)[0]
 
 
 @dataclass(frozen=True)
@@ -526,10 +596,7 @@ def residual_compactness_report(
     against R (None when fewer than two positive entries).
     """
     radii = tuple(float(r) for r in R_list)
-    if any(r < 1 for r in radii):
-        raise ValueError("radii must be >= 1")
-    signatures = _shifted_signatures(word)
-    norms = [_tail_bound(signatures, word.d, R, scan_factor) for R in radii]
+    norms = _tail_bounds(_shifted_signatures(word), word.d, radii, scan_factor)
     return CompactnessReport(radii, tuple(norms), _loglog_slope(radii, norms))
 
 

@@ -321,11 +321,7 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     idx = small.index()[probe]
     records.append(_record("pi2_direction_entry", entry[idx, idx].real, 0.6, 1e-14))
 
-    # largest radius first, so a scan over the lattice point budget is refused before the smaller ones run
-    vals = [
-        sy.commutator_tail_norm(unitary_generator(theta, m1), SpherePoly.coordinate(d, 1), R)
-        for R in (400, 200, 100, 50)
-    ][::-1]
+    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), (50, 100, 200, 400))
     dev = max(abs(a / b - 2.0) for a, b in zip(vals, vals[1:]))
     records.append(_record("commutator_halving_deviation", dev, 0.0, 0.2))
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nctrace.sphere import SphereFunction, SpherePoly
+import nctrace.symbols as symbols_module
+from nctrace._lattice import iter_shell
+from nctrace.sphere import SphereFunction, SpherePoly, as_evaluator
 from nctrace.symbols import (
     LatticeWindow,
     OperatorWord,
@@ -13,12 +15,15 @@ from nctrace.symbols import (
     build_pi1_matrix,
     build_pi2_matrix,
     commutator_tail_norm,
+    commutator_tail_norms,
     injectivity_witness,
     random_word,
     representative_matrix,
     residual_compactness_report,
     sym,
     word_matrix,
+    _remainder_bound,
+    _shifted_signatures,
 )
 from nctrace.torus import ThetaMatrix, torus_identity, torus_trace, twist_phase, unitary_generator
 
@@ -210,3 +215,132 @@ def test_random_word_never_normal_ordered():
     for _ in range(5):
         word = random_word(THETA, rng)
         assert residual_compactness_report(word, (25.0,)).tail_norms[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# the per-(radius, signature) shell scan, kept as the oracle of the one-pass kernel
+
+
+def _scan_product_difference(factors, d, r2_lo, r2_hi):
+    """sup over the shell r2_lo < |n|^2 <= r2_hi of |prod y(unit(n+s)) - prod y(unit(n))|."""
+    worst = 0.0
+    for chunk in iter_shell(d, r2_lo, r2_hi):
+        pts = chunk.astype(float)
+        base_dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        shifted = np.ones(len(chunk), dtype=complex)
+        base = np.ones(len(chunk), dtype=complex)
+        for y, s in factors:
+            ev = as_evaluator(y)
+            base_vals = ev(base_dirs)
+            base = base * base_vals
+            if any(s):
+                moved = pts + np.asarray(s, dtype=float)
+                shifted = shifted * ev(moved / np.linalg.norm(moved, axis=1, keepdims=True))
+            else:
+                shifted = shifted * base_vals
+        worst = max(worst, float(np.abs(shifted - base).max()))
+    return worst
+
+
+def _tail_bound(signatures, d, R, scan_factor):
+    total = 0.0
+    for factors, weight in signatures:
+        max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
+        hi = max(scan_factor * R, R + max_shift + 1.0)
+        scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
+        rem = _remainder_bound(factors, hi)
+        total += weight * max(scan, rem)
+    return total
+
+
+def _commutator_oracle(x, y, radii, scan_factor):
+    signatures = [(((y, m),), abs(c)) for m, c in sorted(x.coeffs.items()) if any(m)]
+    return [_tail_bound(signatures, x.d, float(R), scan_factor) for R in radii]
+
+
+@pytest.mark.parametrize(
+    "d, seed, radii, scan_factor",
+    [
+        (2, 0, (20.0, 9.0, 20.0, 13.5), 4),
+        (2, 5, (13.5, 9.0, 9.0), 8),
+        (3, 2, (10.0, 7.0, 10.0), 4),
+    ],
+)
+def test_report_equals_per_radius_oracle(d, seed, radii, scan_factor):
+    theta = THETA if d == 2 else ThetaMatrix.from_upper(3, [0.3, -0.7, 1.1])
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        word = random_word(theta, rng, 3)
+        signatures = _shifted_signatures(word)
+        assert signatures
+        expected = tuple(_tail_bound(signatures, d, R, scan_factor) for R in radii)
+        assert residual_compactness_report(word, radii, scan_factor).tail_norms == expected
+
+
+def test_report_of_normal_ordered_word_is_exactly_zero():
+    assert residual_compactness_report(word_of(U10, U01, T1 * T2, T2), (30.0, 9.0, 30.0)).tail_norms == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("scan_factor", [4, 8])
+def test_commutator_norms_equal_per_radius_oracle(scan_factor):
+    lipschitz = SphereFunction(2, lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1], lipschitz=4.0)
+    x = U10 + (0.5 - 2j) * U01 + 0.25 * torus_identity(THETA)
+    radii = (40.0, 12.5, 40.0, 25.0)
+    for y in (T1 * T2, T1 * T1 * T1 + 2.0 * T2, lipschitz):
+        assert commutator_tail_norms(x, y, radii, scan_factor) == _commutator_oracle(x, y, radii, scan_factor)
+
+
+def test_commutator_norms_when_the_shift_sets_the_scan_edge():
+    # R + |s| + 1 = 4.41 is over scan_factor * R = 4
+    x = unitary_generator(THETA, (1, 1))
+    assert 2.0 + np.sqrt(2.0) + 1.0 > 2 * 2.0
+    assert commutator_tail_norms(x, T1 * T2, (2.0,), 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)
+    assert commutator_tail_norm(x, T1 * T2, 2.0, 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)[0]
+
+
+def test_over_budget_scan_is_refused_before_any_chunk(monkeypatch):
+    chunks = []
+
+    def counting_iter_shell(*args, **kwargs):
+        for chunk in iter_shell(*args, **kwargs):
+            chunks.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(symbols_module, "iter_shell", counting_iter_shell)
+    theta3 = ThetaMatrix.from_upper(3, [0.3, -0.7, 1.1])
+    # the piece (800^2, 1600^2] is over POINT_BUDGET in d=3; the pieces below R = 400 are not
+    with pytest.raises(ValueError, match="d=3 up to radius 1600.*budget"):
+        commutator_tail_norms(unitary_generator(theta3, (1, 0, 0)), SpherePoly.coordinate(3, 1), (50, 400))
+    assert chunks == []
+
+
+@pytest.mark.parametrize("coordinate", [0, 2])
+def test_commutator_refuses_factor_of_other_dimension(coordinate):
+    f = SphereFunction(3, lambda p: p[..., coordinate], lipschitz=1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        commutator_tail_norm(U10, f, 10.0)
+    with pytest.raises(ValueError, match="dimension"):
+        commutator_tail_norm(U10, SpherePoly.coordinate(3, 1), 10.0)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_radius_or_scan_factor_refused(bad):
+    word = word_of(T1, U10)
+    with pytest.raises(ValueError, match="radius .* not finite"):
+        residual_compactness_report(word, (25.0, bad))
+    with pytest.raises(ValueError, match="radius .* not finite"):
+        commutator_tail_norms(U10, T1, (bad,))
+    with pytest.raises(ValueError, match="scan_factor .* not finite"):
+        residual_compactness_report(word, (25.0,), scan_factor=bad)
+    with pytest.raises(ValueError, match="scan_factor .* not finite"):
+        commutator_tail_norm(U10, T1, 25.0, scan_factor=bad)
+    # finite, but the square of the scan edge overflows
+    with pytest.raises(ValueError, match="square is not finite"):
+        residual_compactness_report(word, (1e200,))
+
+
+def test_radius_inside_a_shift_refused():
+    # at R = 1 the scan would reach n = (-3, 0), where n + (3, 0) has no direction
+    with pytest.raises(ValueError, match="shift"):
+        commutator_tail_norm(unitary_generator(THETA, (3, 0)), T1, 1.0)
+    assert commutator_tail_norm(unitary_generator(THETA, (3, 0)), T1, 3.0) > 0
