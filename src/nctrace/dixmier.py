@@ -25,8 +25,6 @@ point and is the oracle the tests check the symmetric path against.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from itertools import permutations
 from math import log1p, sqrt
@@ -262,30 +260,3 @@ def connes_trace_torus(x: TorusElement, y, N: int) -> tuple:
     estimate = normalised_trace_estimate(model_diagonal(x, y), N)
     reference = real_if_close(torus_trace(x) * sphere_integrate(y) / x.d)
     return estimate, reference
-
-
-def fit_summary_json(fit: LogFit, reference: float | complex) -> str:
-    """Slope vs reference as JSON; relative error uses a 0.01 floor on |ref|."""
-    slope = complex(fit.slope)
-    ref = complex(reference)
-    rel = abs(slope - ref) / max(abs(ref), 0.01)
-    doc = {
-        "slope": [slope.real, slope.imag],
-        "reference": [ref.real, ref.imag],
-        "relative_error": rel,
-        "max_residual": fit.max_residual,
-        "N_grid": list(fit.N_grid),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def write_dixmier_csv(diag: LatticeDiagonal, N_grid: Sequence[int], path) -> None:
-    """Columns N, S(N), K(N), estimate (the per-row quotient S/log K)."""
-    grid = [int(n) for n in N_grid]
-    sums, counts = _grid_sums(diag, grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "S(N)", "K(N)", "estimate"])
-        for n, s, k in zip(grid, sums, counts):
-            est = real_if_close(s / np.log(k))
-            writer.writerow([n, repr(real_if_close(s)), k, repr(est)])

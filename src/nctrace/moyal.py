@@ -10,7 +10,6 @@ difference), certified by sampled shell suprema.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +52,7 @@ class SymplecticForm:
 class NormalForm:
     beta: np.ndarray
     residual: float
-    gram: np.ndarray  # beta beta^T, reported for inspection, never asserted
+    gram: np.ndarray  # beta beta^T, reported for inspection
 
     @property
     def condition_number(self) -> float:
@@ -134,14 +133,6 @@ class InvarianceReport:
     @property
     def max_residual(self) -> float:
         return max((r[2] for r in self.rows), default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_residual": self.max_residual,
-                "rows": [{"g": i, "monomial": list(n), "residual": r} for i, n, r in self.rows],
-            }
-        )
 
 
 def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 20, seed: int = 0) -> InvarianceReport:
@@ -324,7 +315,7 @@ def _h_weight(g: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
 class ShellProfile:
     radii: tuple
     sups: tuple
-    extra: dict
+    cell_sums: tuple = ()  # one per cell radius of h_decay_profile
 
     def bounded_ratio(self) -> float:
         """max over the last two radii / max over the first two."""
@@ -333,9 +324,6 @@ class ShellProfile:
         head = max(self.sups[0], self.sups[1])
         tail = max(self.sups[-2], self.sups[-1])
         return tail / head if head > 0 else float("inf")
-
-    def to_json(self) -> str:
-        return json.dumps({"radii": list(self.radii), "sup": list(self.sups), **self.extra})
 
 
 def h_decay_profile(
@@ -350,7 +338,7 @@ def h_decay_profile(
 
     Bounded profiles certify the quadratic-decay margin of h beyond mere
     integrability. When cell_radii is given (affordable for d = 2), partial
-    sums of per-unit-cell sups of |h| over balls are reported as well; their
+    sums of per-unit-cell sups of |h| over balls are returned as cell_sums; their
     stabilization is the summability surrogate.
     """
     g = np.asarray(g, dtype=float)
@@ -362,12 +350,11 @@ def h_decay_profile(
         pts = _shell_points(d, float(R), n_random, rng)
         vals = np.abs(_h_weight(g, pts, d)) * np.linalg.norm(pts, axis=1) ** (d + 2)
         sups.append(float(vals.max()))
-    extra = {}
+    cell_sums = []
     if cell_radii is not None:
         # cell n + [0,1]^d sampled at its corners and center
         corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
         offsets = np.vstack([corners, np.full((1, d), 0.5)])
-        cell_sums = []
         for R in cell_radii:
             total = 0.0
             for chunk in iter_shell(d, -1, int(R) * int(R)):
@@ -379,9 +366,7 @@ def h_decay_profile(
                 vals[ok] = np.abs(_h_weight(g, flat[ok], d))
                 total += float(np.sum(vals.reshape(len(chunk), -1).max(axis=1)))
             cell_sums.append(total)
-        extra["cell_radii"] = [int(r) for r in cell_radii]
-        extra["cell_sums"] = cell_sums
-    return ShellProfile(tuple(float(r) for r in shell_radii), tuple(sups), extra)
+    return ShellProfile(tuple(float(r) for r in shell_radii), tuple(sups), tuple(cell_sums))
 
 
 def riesz_difference_decay(k: int, d: int, radii: Sequence[float], n_random: int = 2000, seed: int = 0) -> ShellProfile:
@@ -400,4 +385,4 @@ def riesz_difference_decay(k: int, d: int, radii: Sequence[float], n_random: int
         norms = np.linalg.norm(pts, axis=1)
         hk = pts[:, k - 1] / norms - pts[:, k - 1] / np.sqrt(1.0 + norms**2)
         sups.append(float((np.abs(hk) * norms**2).max()))
-    return ShellProfile(tuple(float(r) for r in radii), tuple(sups), {})
+    return ShellProfile(tuple(float(r) for r in radii), tuple(sups))

@@ -15,7 +15,6 @@ set whose disagreement with the full rule is reported as the error proxy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import lgamma, exp
 from typing import Callable, NamedTuple
@@ -568,13 +567,3 @@ def moment_recursion_check(l: MomentFunctional | None, max_degree: int, d: int |
             main_res = max(main_res, abs(l(bumped) - (nvec[k] + 1) / (deg + dim) * l(nvec)))
         rows.append((nvec, odd_res, first_res, main_res))
     return RecursionReport(dim, max_degree, rows)
-
-
-def write_moment_csv(functional: MomentFunctional, path) -> None:
-    """Columns n_1..n_d,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"n_{k + 1}" for k in range(functional.d)] + ["value"])
-        for nvec in sorted(functional.values):
-            val = functional.values[nvec]
-            writer.writerow(list(nvec) + [repr(val.real) if val.imag == 0 else repr(val)])

@@ -14,7 +14,6 @@ which is why the block construction can fix D = 2J without loss.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from math import exp, lgamma
@@ -445,16 +444,3 @@ def su2_dixmier_quotient(w: GenPoly, L_max: int) -> float | complex:
     tmax = 2 * int(L_max)
     (num,), (den,) = _ratio_partial_sums(w, [tmax])
     return real_if_close(num / den)
-
-
-def write_block_table(w: GenPoly, L_max: int, path) -> None:
-    """CSV per spin: twice_value, dim, block trace, running quotient."""
-    tmax = 2 * int(L_max)
-    grid = list(range(1, tmax + 1))
-    nums, dens = _ratio_partial_sums(w, grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["twice_l", "dim", "partial_numerator", "partial_denominator", "quotient"])
-        for twice, num, den in zip(grid, nums, dens):
-            q = real_if_close(num / den)
-            writer.writerow([twice, twice + 1, repr(real_if_close(num)), repr(den), repr(q)])

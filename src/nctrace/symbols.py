@@ -29,7 +29,6 @@ the ball of radius R_min, not one shell per radius and signature.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,6 +81,9 @@ class OperatorWord:
                 if not let.x.theta.same_as(self.theta):
                     raise ValueError("letter lives over a different theta")
             elif isinstance(let, SphereLetter):
+                # sym and the tail scans read the letter's coefficients
+                if not isinstance(let.y, SpherePoly):
+                    raise TypeError(f"a sphere letter needs a SpherePoly, not {type(let.y).__name__}")
                 if let.y.d != self.theta.d:
                     raise ValueError("sphere letter dimension mismatch")
             else:
@@ -565,15 +567,6 @@ class CompactnessReport:
     radii: tuple
     tail_norms: tuple
     fit_slope: float | None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "R": list(self.radii),
-                "tail_norm": list(self.tail_norms),
-                "fit_slope": self.fit_slope,
-            }
-        )
 
 
 def _loglog_slope(radii, values) -> float | None:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import dixmier as dx, moyal, su2, symbols as sy
-from .sphere import SpherePoly, _multi_indices, moment_recursion_check, quadrature_integrate, quadrature_rule, sphere_moment, sphere_volume
+from .sphere import MomentFunctional, SpherePoly, moment_recursion_check, quadrature_rule, sphere_moment, sphere_volume
 from .torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
 
 EXIT_PASS = 0
@@ -161,10 +161,8 @@ def _suite_moments(cfg: VerifyConfig) -> list:
     ]
     kind = None if cfg.d != 4 else "hopf"
     rule = quadrature_rule(cfg.d, kind=kind, seed=cfg.seed)
-    worst = 0.0
-    for nvec in _multi_indices(cfg.d, min(6, cfg.max_degree)):
-        got = quadrature_integrate(SpherePoly.monomial(cfg.d, nvec), rule).value
-        worst = max(worst, abs(got - sphere_moment(nvec, cfg.d)))
+    table = MomentFunctional.from_quadrature(cfg.d, min(6, cfg.max_degree), rule).values
+    worst = max((abs(got - sphere_moment(nvec, cfg.d)) for nvec, got in table.items()), default=0.0)
     tol = 1e-8 if rule.kind in ("trapezoid", "product", "hopf") else 1e-4
     records.append(_record("quadrature_cross_check", worst, 0.0, tol))
     return records
@@ -289,7 +287,7 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
     g = np.diag([2.0, 0.5])
     prof = moyal.h_decay_profile(g, 2, [10.0, 50.0, 250.0, 1000.0], seed=cfg.seed, cell_radii=(500, 1000))
     records.append(_record("h_profile_ratio", prof.bounded_ratio(), 0.0, 1.05))
-    cs = prof.extra["cell_sums"]
+    cs = prof.cell_sums
     records.append(_record("h_cell_sum_drift", abs(cs[1] / cs[0] - 1.0), 0.0, 0.01))
 
     rz = moyal.riesz_difference_decay(1, cfg.d, [10.0, 50.0, 250.0, 1000.0], seed=cfg.seed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nctrace
 from nctrace.sphere import SpherePoly
 from nctrace.su2 import GenPoly
 from nctrace.torus import ThetaMatrix, TorusElement
@@ -19,3 +20,9 @@ BUILDERS = {
 def test_non_finite_coefficient_rejected(cls, value):
     with pytest.raises(ValueError, match="not finite"):
         BUILDERS[cls](value)
+
+
+def test_public_names_resolve():
+    assert len(set(nctrace.__all__)) == len(nctrace.__all__)
+    missing = [name for name in nctrace.__all__ if not hasattr(nctrace, name)]
+    assert missing == []

@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -17,14 +15,12 @@ from nctrace.dixmier import (
     _grid_sums,
     connes_trace_torus,
     doubling_grid,
-    fit_summary_json,
     lattice_partial_sum,
     log_fit,
     model_diagonal,
     normalised_trace_estimate,
     partial_sum_quotient,
     radial_integral_check,
-    write_dixmier_csv,
 )
 from nctrace.sphere import SpherePoly, _multi_indices, vg_action
 from nctrace.torus import ThetaMatrix, torus_identity, torus_trace, unitary_generator
@@ -205,25 +201,6 @@ def test_connes_mixed_example():
     est, ref = connes_trace_torus(x, SpherePoly.monomial(2, (0, 2)), 1024)
     assert ref == pytest.approx(np.pi / 2, abs=1e-14)
     assert abs(est - ref) / max(abs(ref), 0.01) < 0.05
-
-
-def test_csv_schema(tmp_path):
-    path = tmp_path / "sums.csv"
-    write_dixmier_csv(LatticeDiagonal.symbol_weighted(ONE2), [32, 64, 128, 256], path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["N", "S(N)", "K(N)", "estimate"]
-    assert len(rows) == 5
-    for _, s, k, est in rows[1:]:
-        assert float(est) == pytest.approx(float(s) / np.log(float(k)), rel=1e-12)
-
-
-def test_fit_summary_json_fields():
-    diag = LatticeDiagonal.symbol_weighted(ONE2)
-    fit = log_fit(diag, doubling_grid(512))
-    doc = json.loads(fit_summary_json(fit, 2 * np.pi))
-    assert set(doc) == {"slope", "reference", "relative_error", "max_residual", "N_grid"}
-    assert doc["relative_error"] < 0.02
 
 
 def _random_poly(d, rng):

@@ -18,7 +18,6 @@ from nctrace.sphere import (
     sphere_moment,
     sphere_volume,
     vg_action,
-    write_moment_csv,
 )
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -191,11 +190,3 @@ def test_sphere_function_wraps_callable():
     f = SphereFunction(2, lambda pts: pts[..., 0] ** 2, lipschitz=2.0)
     pts = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(f.evaluator(pts), [0.0, 1.0])
-
-
-def test_moment_csv_roundtrip(tmp_path):
-    m = MomentFunctional.exact(2, 4)
-    path = tmp_path / "moments.csv"
-    write_moment_csv(m, path)
-    header = path.read_text().splitlines()[0]
-    assert "moment" in header or "value" in header

@@ -1,4 +1,3 @@
-import csv
 import itertools
 
 import numpy as np
@@ -23,7 +22,6 @@ from nctrace.su2 import (
     su2_dixmier_ratio,
     su2_symbol,
     su2_to_so3,
-    write_block_table,
 )
 
 
@@ -271,12 +269,7 @@ def test_quotient_lags_the_slope():
     assert abs(est - ref) < abs(quot - ref)
 
 
-def test_block_table_csv(tmp_path):
-    path = tmp_path / "blocks.csv"
-    write_block_table(GenPoly.word((1, 1)), 8, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["twice_l", "dim", "partial_numerator", "partial_denominator", "quotient"]
-    assert len(rows) == 17
-    for row in rows[1:]:
-        assert float(row[-1]) == pytest.approx(1 / 3, abs=1e-12)
+def test_b1b1_quotient_is_a_third_at_every_spin():
+    nums, dens = su2._ratio_partial_sums(GenPoly.word((1, 1)), list(range(1, 17)))
+    for num, den in zip(nums, dens):
+        assert num / den == pytest.approx(1 / 3, abs=1e-12)
