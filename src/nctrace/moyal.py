@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from ._lattice import iter_shell
-from .sphere import SpherePoly, _multi_indices, _probe_directions, as_evaluator, invariance_residual, sp_group_membership, vg_action
+from .sphere import _monomial_integrals, _probe_directions, as_evaluator, sp_group_membership, sphere_moment, vg_action
 from .torus import ThetaMatrix
 
 MEMBERSHIP_TOL = 1e-9
@@ -140,7 +140,9 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
 
     Symplectic matrices have determinant 1, so the weighted pullback must
     preserve every monomial integral exactly; rows record the quadrature
-    residual per (random transform, monomial up to the degree).
+    residual per (random transform, monomial up to the degree). Each transform
+    takes one batch pass over the fine nodes (sphere._monomial_integrals);
+    sphere.invariance_residual is the per-monomial form of the same residual.
     """
     th = _theta_entries(theta)
     d = th.shape[0]
@@ -151,9 +153,9 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
     rows = []
     for i in range(n_transforms):
         g = sp_theta_conjugate(random_sp_block(d, rng), nf.beta, th)
-        for nvec in _multi_indices(d, degree):
-            b = SpherePoly.monomial(d, nvec)
-            rows.append((i, nvec, invariance_residual(g, b, rule)))
+        det = np.linalg.det(g)
+        values = _monomial_integrals(rule.points, rule.weights, degree, g)
+        rows.extend((i, nvec, abs(v - sphere_moment(nvec, d) / det)) for nvec, v in values.items())
     return InvarianceReport(tuple(rows))
 
 

@@ -38,17 +38,9 @@ def _validate_multi_index(nvec, d: int) -> tuple:
 
 def _multi_indices(d: int, max_degree: int) -> list:
     """All d-tuples of nonnegative ints with sum <= max_degree, lexicographic."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d - 1:
-            for last in range(remaining + 1):
-                out.append(prefix + (last,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v)
-
-    rec((), max_degree)
+    out = [()]
+    for _ in range(d):
+        out = [prefix + (v,) for prefix in out for v in range(max_degree - sum(prefix) + 1)]
     return out
 
 
@@ -271,28 +263,25 @@ def _s3_hopf_points(n_u: int, n_phi: int) -> tuple:
     """Uniform product parameterization of S^3.
 
     t = (sqrt(1-u) cos p1, sqrt(1-u) sin p1, sqrt(u) cos p2, sqrt(u) sin p2)
-    carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2.
+    carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2. Nodes run over
+    (u, p1, p2) in C order; cos and sin are taken on the n_phi angles only and
+    broadcast.
     """
     zu, wu = np.polynomial.legendre.leggauss(n_u)
     u = 0.5 * (zu + 1.0)
     wu = 0.5 * wu
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
-    U, P1, P2 = np.meshgrid(u, phi, phi, indexing="ij")
-    WU = np.meshgrid(wu, phi, phi, indexing="ij")[0]
-    r1 = np.sqrt(1.0 - U).ravel()
-    r2 = np.sqrt(U).ravel()
-    pts = np.stack(
-        [
-            r1 * np.cos(P1).ravel(),
-            r1 * np.sin(P1).ravel(),
-            r2 * np.cos(P2).ravel(),
-            r2 * np.sin(P2).ravel(),
-        ],
-        axis=1,
-    )
-    w = 0.5 * WU.ravel() * wphi * wphi
-    return pts, w
+    r1 = np.sqrt(1.0 - u)[:, None, None]
+    r2 = np.sqrt(u)[:, None, None]
+    cos, sin = np.cos(phi), np.sin(phi)
+    pts = np.empty((n_u, n_phi, n_phi, 4))
+    pts[..., 0] = r1 * cos[:, None]
+    pts[..., 1] = r1 * sin[:, None]
+    pts[..., 2] = r2 * cos
+    pts[..., 3] = r2 * sin
+    w = np.repeat(0.5 * wu * wphi * wphi, n_phi * n_phi)
+    return pts.reshape(-1, 4), w
 
 
 def _cube_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
@@ -331,48 +320,62 @@ def _sobol_points(d: int, n: int, seed: int) -> tuple:
     return pts, w
 
 
+def _node_counts(n, parts: int) -> tuple:
+    """n as a tuple of one or `parts` positive integer node counts, else ValueError."""
+    counts = (n,) if np.isscalar(n) else tuple(n)
+    if len(counts) not in (1, parts) or not all(
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c > 0 for c in counts
+    ):
+        what = "a positive integer" if parts == 1 else f"a positive integer or {parts} of them"
+        raise ValueError(f"node count must be {what}, got {n!r}")
+    return tuple(int(c) for c in counts)
+
+
 def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> QuadratureRule:
     """Build a sphere rule. kind defaults to trapezoid (d=2), product (d=3), sobol (d>=4).
 
     d=4 additionally supports kind="hopf", the uniform product rule on S^3,
-    whose accuracy on smooth integrands is limited only by roundoff.
+    whose accuracy on smooth integrands is limited only by roundoff. n is a
+    positive node count, or for the product and Hopf rules a pair of them
+    (latitudes, angles); a non-positive or non-integer count is a ValueError.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if kind is None:
         kind = "trapezoid" if d == 2 else ("product" if d == 3 else "sobol")
+    counts = None if n is None else _node_counts(n, 2 if kind in ("product", "hopf") else 1)
     if kind == "trapezoid":
         if d != 2:
             raise ValueError("trapezoid rule is the d=2 product rule")
-        n = int(n or 2048)
+        n = counts[0] if counts else 2048
         pts, w = _circle_points(n)
         cpts, cw = _circle_points(max(8, n // 2))
     elif kind == "product":
         if d != 3:
             raise ValueError(f"product Gauss rule unsupported for d={d}")
-        if n is None:
+        if counts is None:
             nz, nphi = 96, 192
-        elif np.isscalar(n):
-            nz, nphi = int(n), 2 * int(n)
+        elif len(counts) == 1:
+            nz, nphi = counts[0], 2 * counts[0]
         else:
-            nz, nphi = map(int, n)
+            nz, nphi = counts
         pts, w = _s2_product_points(nz, nphi)
         cpts, cw = _s2_product_points(max(4, nz // 2), max(8, nphi // 2))
     elif kind == "hopf":
         if d != 4:
             raise ValueError("hopf product rule exists only for d=4")
-        if n is None:
+        if counts is None:
             nu, nphi = 48, 64
-        elif np.isscalar(n):
-            nu, nphi = int(n), int(n)
+        elif len(counts) == 1:
+            nu, nphi = counts[0], counts[0]
         else:
-            nu, nphi = map(int, n)
+            nu, nphi = counts
         pts, w = _s3_hopf_points(nu, nphi)
         cpts, cw = _s3_hopf_points(max(4, nu // 2), max(8, nphi // 2))
     elif kind == "sobol":
         if d < 4:
             raise ValueError("use the product rules below d=4")
-        n = int(n or (1 << 20))
+        n = counts[0] if counts else 1 << 20
         pts, w = _sobol_points(d, n, seed)
         half = pts.shape[0] // 2
         cpts, cw = pts[:half], np.full(half, sphere_volume(d) / half)
@@ -387,6 +390,66 @@ def quadrature_integrate(f, rule: QuadratureRule) -> QuadratureResult:
     value = complex(np.dot(rule.weights, ev(rule.points)))
     coarse = complex(np.dot(rule.coarse_weights, ev(rule.coarse_points)))
     return QuadratureResult(value, abs(value - coarse))
+
+
+_BLOCK = 1 << 16  # nodes per block of _monomial_integrals
+
+
+def _table_dots(power: np.ndarray, partial: np.ndarray, remaining: int, out: list, k: int = 0) -> None:
+    """Append sum_j partial_j prod_{i>=k} power[i, n_i, j] for every (n_k, ..., n_{d-1}) of sum <= remaining.
+
+    Lexicographic order, as in _multi_indices. Partial products are shared
+    along that order, and the powers of the last coordinate enter as one
+    matrix-vector product per prefix. A plain recursive function, not a
+    closure: a self-referencing closure is a reference cycle that would keep
+    every block's power table alive until the cyclic collector runs.
+    """
+    if k == power.shape[0] - 1:
+        out.append(power[k, : remaining + 1] @ partial)
+        return
+    for e in range(remaining + 1):
+        _table_dots(power, partial if e == 0 else partial * power[k, e], remaining - e, out, k + 1)
+
+
+def _monomial_integrals(points, weights, max_degree: int, g=None) -> dict:
+    """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
+
+    The batch form of quadrature_integrate(vg_action(g, t^n), rule).value for
+    all n at once, on the fine nodes only (no error proxy). Nodes are walked in
+    blocks of _BLOCK, stored column-wise. Per block, u = gt/|gt| and the
+    weight w |gt|^{-d} are formed once in real arithmetic, then the power table
+    u_k^e for e <= max_degree, and each monomial is a weighted dot of table
+    rows. Block sums are added in block order, so the result is deterministic
+    and memory is O(d * max_degree * _BLOCK) whatever the node count. Keys run
+    in the order of _multi_indices.
+    """
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n_nodes, d = points.shape
+    if g is not None:
+        g = np.asarray(g, dtype=float)
+    keys = _multi_indices(d, max_degree)
+    if not keys:
+        return {}
+    totals = np.zeros(len(keys))
+    for start in range(0, n_nodes, _BLOCK):
+        cols = points[start : start + _BLOCK].T
+        w = weights[start : start + _BLOCK]
+        if g is None:
+            u = np.ascontiguousarray(cols)
+        else:
+            gt = g @ cols
+            norms = np.sqrt(np.einsum("kj,kj->j", gt, gt))
+            u = gt / norms
+            w = w / norms**d
+        power = np.empty((d, max_degree + 1, u.shape[1]))
+        power[:, 0] = 1.0
+        for e in range(1, max_degree + 1):
+            np.multiply(power[:, e - 1], u, out=power[:, e])
+        sums = []
+        _table_dots(power, w, max_degree, sums)
+        totals += np.concatenate(sums)
+    return {n: complex(v) for n, v in zip(keys, totals)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +548,9 @@ class MomentFunctional:
 
     @classmethod
     def from_quadrature(cls, d: int, max_degree: int, rule: QuadratureRule) -> "MomentFunctional":
-        table = {}
-        for n in _multi_indices(d, max_degree):
-            table[n] = quadrature_integrate(SpherePoly.monomial(d, n), rule).value
-        return cls(d, table, max_degree)
+        if rule.d != d:
+            raise ValueError(f"quadrature rule is for d={rule.d}, not {d}")
+        return cls(d, _monomial_integrals(rule.points, rule.weights, max_degree), max_degree)
 
     def __call__(self, nvec) -> complex:
         key = _validate_multi_index(nvec, self.d)

@@ -1,8 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
+from nctrace import sphere
+from nctrace.moyal import random_sp_block
 from nctrace.sphere import (
     MomentFunctional,
+    _BLOCK,
+    _monomial_integrals,
+    _multi_indices,
     SphereFunction,
     SpherePoly,
     invariance_residual,
@@ -111,6 +118,140 @@ def test_quadrature_error_proxy_present():
 def test_hopf_rule_rejected_off_s3():
     with pytest.raises(ValueError):
         quadrature_rule(3, kind="hopf")
+
+
+@pytest.mark.parametrize(
+    "d,n,kind",
+    [
+        (2, 0, None),
+        (2, -4, None),
+        (2, 2.5, None),
+        (2, (3, 4), None),
+        (3, 0, None),
+        (3, (4, -1), None),
+        (3, (4, 8, 2), None),
+        (4, 0, "hopf"),
+        (4, (3, -2), "hopf"),
+        (4, (3.0, 8), "hopf"),
+        (4, (True, 8), "hopf"),
+        (5, 0, "sobol"),
+        (5, -(2**10), "sobol"),
+    ],
+)
+def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
+    def never(*args):
+        raise AssertionError("a rule was built before its node counts were checked")
+
+    for builder in ("_circle_points", "_s2_product_points", "_s3_hopf_points", "_sobol_points"):
+        monkeypatch.setattr(sphere, builder, never)
+    with pytest.raises(ValueError, match="node count"):
+        quadrature_rule(d, n=n, kind=kind)
+
+
+def _meshgrid_hopf_points(n_u, n_phi):
+    """The S^3 product rule built on the full (u, p1, p2) meshgrid, as before the broadcast form."""
+    zu, wu = np.polynomial.legendre.leggauss(n_u)
+    u = 0.5 * (zu + 1.0)
+    wu = 0.5 * wu
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * np.pi / n_phi
+    U, P1, P2 = np.meshgrid(u, phi, phi, indexing="ij")
+    WU = np.meshgrid(wu, phi, phi, indexing="ij")[0]
+    r1 = np.sqrt(1.0 - U).ravel()
+    r2 = np.sqrt(U).ravel()
+    pts = np.stack(
+        [r1 * np.cos(P1).ravel(), r1 * np.sin(P1).ravel(), r2 * np.cos(P2).ravel(), r2 * np.sin(P2).ravel()],
+        axis=1,
+    )
+    return pts, 0.5 * WU.ravel() * wphi * wphi
+
+
+@pytest.mark.parametrize("n_u,n_phi", [(48, 64), (64, 128), (24, 32), (4, 8), (7, 13)])
+def test_hopf_points_bitwise_equal_to_meshgrid_construction(n_u, n_phi):
+    pts, w = sphere._s3_hopf_points(n_u, n_phi)
+    ref_pts, ref_w = _meshgrid_hopf_points(n_u, n_phi)
+    assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
+    assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+
+
+def _oracle_moments(rule, max_degree, g):
+    """Per-monomial path: quadrature_integrate of t^n, or of vg_action(g, t^n), one index at a time."""
+    out = {}
+    for nvec in _multi_indices(rule.d, max_degree):
+        b = SpherePoly.monomial(rule.d, nvec)
+        out[nvec] = quadrature_integrate(b if g is None else vg_action(g, b), rule).value
+    return out
+
+
+def _transform(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        return None
+    if kind == "sp":
+        return random_sp_block(d, rng)
+    return np.eye(d) + 0.3 * rng.normal(size=(d, d))
+
+
+@pytest.mark.parametrize(
+    "d,n,kind,g_kind",
+    [
+        (2, None, None, "identity"),
+        (2, None, None, "sp"),
+        (2, None, None, "gl"),
+        (3, (24, 48), None, "identity"),
+        (3, (24, 48), None, "gl"),
+        (4, None, "hopf", "identity"),
+        (4, None, "hopf", "sp"),
+        (4, None, "hopf", "gl"),
+        (4, (64, 128), "hopf", "sp"),
+        (5, 2**14, "sobol", "identity"),
+        (5, 2**14, "sobol", "gl"),
+    ],
+)
+def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
+    rule = quadrature_rule(d, n=n, kind=kind)
+    g = _transform(g_kind, d, seed=d)
+    got = _monomial_integrals(rule.points, rule.weights, 4, g)
+    want = _oracle_moments(rule, 4, g)
+    assert list(got) == list(want)
+    for nvec, value in got.items():
+        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+
+
+def test_batch_moments_on_a_million_nodes_match_exact_moments():
+    # The Hopf rule integrates these monomials exactly, so the exact moments are
+    # the reference. One complex dot over all 2^20 equal-sign terms, as in
+    # quadrature_integrate, loses about 4e-13 relative on t^0; blockwise sums do not.
+    rule = quadrature_rule(4, n=(64, 128), kind="hopf")
+    for nvec, value in _monomial_integrals(rule.points, rule.weights, 4).items():
+        exact = sphere_moment(nvec, 4)
+        assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact)), nvec
+
+
+def test_batch_moments_with_a_partial_last_block_are_deterministic():
+    rule = quadrature_rule(4, n=(50, 40), kind="hopf")
+    assert rule.size > _BLOCK and rule.size % _BLOCK
+    g = _transform("sp", 4, seed=11)
+    first = _monomial_integrals(rule.points, rule.weights, 4, g)
+    assert first == _monomial_integrals(rule.points, rule.weights, 4, g)
+    want = _oracle_moments(rule, 4, g)
+    for nvec, value in first.items():
+        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    table = MomentFunctional.from_quadrature(4, 4, rule).values
+    assert table == _monomial_integrals(rule.points, rule.weights, 4)
+
+
+def test_batch_moments_leave_no_reference_cycles():
+    # a cycle through a block's power table would hold it until the cyclic
+    # collector runs, and peak memory would grow with the number of calls
+    rule = quadrature_rule(4, n=(16, 32), kind="hopf")
+    gc.collect()
+    gc.disable()
+    try:
+        _monomial_integrals(rule.points, rule.weights, 4, _transform("sp", 4, seed=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_moment_functional_exact_and_uncovered():
