@@ -7,11 +7,11 @@ from nctrace import sphere
 from nctrace.moyal import random_sp_block
 from nctrace.sphere import (
     MomentFunctional,
+    SphereFunction,
+    SpherePoly,
     _BLOCK,
     _monomial_integrals,
     _multi_indices,
-    SphereFunction,
-    SpherePoly,
     invariance_residual,
     lie_action,
     moment_recursion_check,
@@ -149,7 +149,7 @@ def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
 
 
 def _meshgrid_hopf_points(n_u, n_phi):
-    """The S^3 product rule built on the full (u, p1, p2) meshgrid, as before the broadcast form."""
+    """The S^3 product rule built on the full (u, p1, p2) meshgrid: the oracle of the broadcast build."""
     zu, wu = np.polynomial.legendre.leggauss(n_u)
     u = 0.5 * (zu + 1.0)
     wu = 0.5 * wu
