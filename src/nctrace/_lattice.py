@@ -5,6 +5,12 @@ radius boundary is ever misclassified. Iteration order is fixed (the box in C
 order, cut into blocks along as few leading axes as keep a chunk within
 `target`), which makes every downstream reduction deterministic.
 
+`iter_shell` builds only the points it yields. Per prefix of the leading d-1
+coordinates (itself a ball point, enumerated the same way one axis down) the
+last coordinate of the annulus is the exact pair of integer ranges
+[-b, -a] and [a, b], with a and b integer square roots. The chunks are those
+of the box: the same points, in the same order, cut at the same places.
+
 `iter_orbits` walks only the fundamental domain n_1 >= ... >= n_d >= 0 of the
 hyperoctahedral group (coordinate permutations and sign changes) and gives each
 point its orbit size, for sums whose summand is constant on orbits.
@@ -34,43 +40,79 @@ def _check_budget(d: int, r2_max: int, bound: int | float) -> None:
         )
 
 
-def _digits(flat: np.ndarray, width: int, count: int) -> np.ndarray:
-    """Base-`width` digits of each flat index, most significant first: shape (len(flat), count)."""
-    return flat[:, None] // width ** np.arange(count - 1, -1, -1, dtype=np.int64) % width
+def check_shell_budget(d: int, r2_max: int) -> None:
+    """Refuse, as iter_shell does, a shell whose box of (2 floor(sqrt r2_max) + 1)^d candidates exceeds POINT_BUDGET."""
+    _check_budget(d, r2_max, (2 * isqrt(r2_max) + 1) ** d)
 
 
 def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iterator[np.ndarray]:
     """Yield chunks of integer points n with r2_min < |n|^2 <= r2_max.
 
-    Chunks are int64 arrays of shape (k, d). Points come in a fixed order; chunk
-    sizes aim at `target` candidate points each, for every d. With r2_min = 0
-    the origin is excluded automatically. A box of more than POINT_BUDGET
-    candidates raises ValueError.
+    Chunks are int64 arrays of shape (k, d). Points come in the C order of the
+    box [-M, M]^d, M = floor(sqrt r2_max); a chunk holds the shell points of a
+    block of the box of about `target` candidates, for every d, and empty
+    blocks yield nothing. With r2_min = 0 the origin is excluded
+    automatically. A box of more than POINT_BUDGET candidates raises
+    ValueError.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if r2_max < 0 or r2_max <= r2_min:
         return
+    check_shell_budget(d, r2_max)
     M = isqrt(r2_max)
     width = 2 * M + 1
-    _check_budget(d, r2_max, width**d)
-    # a chunk is `rows` values of the leading `lead` axes times the whole box of the rest
+    # a block is `rows` values of the leading `lead` axes times the whole box of the rest
     lead = 1
     while lead < d and width ** (d - lead) > target:
         lead += 1
-    tail = _digits(np.arange(width ** (d - lead), dtype=np.int64), width, d - lead) - M
+    per_head = width ** (d - lead)
     heads = width**lead
-    rows = max(1, min(heads, target // len(tail)))
+    rows = max(1, min(heads, target // per_head))
     for start in range(0, heads, rows):
-        head = _digits(np.arange(start, min(start + rows, heads), dtype=np.int64), width, lead) - M
-        pts = np.empty((len(head), len(tail), d), dtype=np.int64)
-        pts[:, :, :lead] = head[:, None, :]
-        pts[:, :, lead:] = tail
-        pts = pts.reshape(-1, d)
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        keep = (r2 > r2_min) & (r2 <= r2_max)
-        if np.any(keep):
-            yield pts[keep]
+        pts = _last_axis(d, M, r2_min, r2_max, start * per_head, min(start + rows, heads) * per_head)[0]
+        if len(pts):
+            yield pts
+
+
+def _ball_range(d: int, M: int, r2_max: int, start: int, stop: int) -> tuple:
+    """Points of [-M, M]^d with |n|^2 <= r2_max and C-order flat index in [start, stop): (points, |n|^2, flat index)."""
+    if d == 0:
+        # the one empty prefix; callers ask for it with start <= 0 < stop
+        return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    pts, norm2, zero, row, last = _last_axis(d, M, -1, r2_max, start, stop)
+    return pts, norm2[row] + last * last, zero[row] + last
+
+
+def _last_axis(d: int, M: int, r2_min: int, r2_max: int, start: int, stop: int) -> tuple:
+    """Points of [-M, M]^d with r2_min < |n|^2 <= r2_max and flat index in [start, stop), in that order.
+
+    Returns (points, |prefix|^2, flat index of prefix + (0,), row, last): point
+    i is prefix row[i] followed by last[i]. Per prefix of d-1 coordinates the
+    last one runs over [-b, -max(a, 1)] and [a, b], a = least c >= 0 with
+    c^2 > r2_min - |prefix|^2 and b = floor(sqrt(r2_max - |prefix|^2)), both
+    clipped to the flat range.
+    """
+    width = 2 * M + 1
+    prefixes, norm2, flat = _ball_range(d - 1, M, r2_max, start // width, -(-stop // width))
+    zero = flat * width + M
+    b = _isqrt(r2_max - norm2)
+    q = r2_min - norm2
+    a = np.where(q < 0, 0, _isqrt(np.maximum(q, 0)) + 1)
+    first = np.maximum(start - zero, -M)
+    final = np.minimum(stop - 1 - zero, M)
+    lo = np.column_stack([np.maximum(-b, first), np.maximum(a, first)]).ravel()
+    hi = np.column_stack([np.minimum(-np.maximum(a, 1), final), np.minimum(b, final)]).ravel()
+    total = int(np.sum(np.maximum(hi - lo + 1, 0)))
+    if total == 0:
+        row = last = np.zeros(0, dtype=np.int64)
+    else:
+        idx, last = _expand(lo, hi, 0, total)
+        row = idx >> 1
+    pts = np.empty((total, d), dtype=np.int64)
+    pts[:, :-1] = prefixes[row]
+    pts[:, -1] = last
+    return pts, norm2, zero, row, last
 
 
 def _isqrt(a: np.ndarray) -> np.ndarray:

@@ -385,10 +385,16 @@ def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> Q
 
 
 def quadrature_integrate(f, rule: QuadratureRule) -> QuadratureResult:
-    """Estimate the sphere integral of f with a two-level error proxy."""
+    """Estimate the sphere integral of f with a two-level error proxy.
+
+    Each level is a pairwise sum of weight * value. A BLAS dot over all nodes
+    can lose far more: on the 2^20-node Hopf rule a complex dot missed the
+    integral of 1 by 2.6e-12 and real dots on the two parts by 1.5e-12, where
+    the pairwise sum misses by 2.8e-14.
+    """
     ev = as_evaluator(f)
-    value = complex(np.dot(rule.weights, ev(rule.points)))
-    coarse = complex(np.dot(rule.coarse_weights, ev(rule.coarse_points)))
+    value = complex(np.sum(rule.weights * ev(rule.points)))
+    coarse = complex(np.sum(rule.coarse_weights * ev(rule.coarse_points)))
     return QuadratureResult(value, abs(value - coarse))
 
 

@@ -21,10 +21,15 @@ sum of terms sup_{|n|>R} |prod y_j(unit(n+s_j)) - prod y_j(unit(n))|.
 Each sup is a scan of the shell R < |n| <= hi (hi = 4R by default) plus an
 analytic remainder beyond hi. One request, all the radii of a report or of a
 commutator, scans in one pass: the scan edges cut the lattice into annulus
-pieces, each piece is walked once, every signature is reduced to a per-piece
-max on the shared directions and letter values, and each radius takes the max
-of its pieces. A request costs the points of the ball of radius hi_max minus
-the ball of radius R_min, not one shell per radius and signature.
+pieces (each in PIECE_STEPS geometric steps), walked innermost first, and
+every signature is reduced to a per-piece max on the shared directions and
+letter values. Each (signature, radius) keeps a running max that starts at
+its remainder. The remainder bound at a piece's inner edge bounds every point
+beyond it, so a piece is scanned only for the signatures where that bound
+reaches a running max of a radius covering the piece; the pieces left out
+cannot change a reported number. A request costs at most the points of the
+ball of radius hi_max minus the ball of radius R_min, and usually the inner
+part of each range only.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._core import add_keys, line_fit
-from ._lattice import ball_points, iter_shell
+from ._lattice import ball_points, check_shell_budget, iter_shell
 from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator, sphere_integrate, sphere_volume
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, torus_trace, twist_phase
 
@@ -44,6 +49,9 @@ SCAN_FACTOR = 4
 # iter_shell's default of 2^22 they reach 64 MB, and faulting them in took about
 # a fifth of the d=2 suite's time and most of its memory
 SCAN_CHUNK = 1 << 16
+# geometric steps per annulus piece of a tail scan, so that pruning can skip the
+# outer part of a piece; at 4 the d=2 suite scans 4.65M points, at 1 6.52M
+PIECE_STEPS = 4
 DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
 
 
@@ -339,25 +347,36 @@ def build_pi2_matrix(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
 def word_matrix(word: OperatorWord, window: LatticeWindow) -> np.ndarray:
     """Product of the letter matrices on the window, leftmost letter leftmost.
 
-    Boundary columns are unreliable whenever a pi1 letter shifts mass out of
-    the window; restrict comparisons to window.interior(total shift bound).
+    A diagonal letter scales columns (or, as a vector before the first shift
+    letter, rows) instead of entering a dense product. Boundary columns are
+    unreliable whenever a pi1 letter shifts mass out of the window; restrict
+    comparisons to window.interior(total shift bound).
     """
-    out = None
+    out = None  # a vector while only diagonal letters have been read
     for let in word.letters:
-        mat = (
-            build_pi1_matrix(let.x, window).matrix
-            if isinstance(let, TorusLetter)
-            else build_pi2_matrix(let.y, window)
-        )
-        out = mat if out is None else out @ mat
+        if isinstance(let, TorusLetter):
+            mat = build_pi1_matrix(let.x, window).matrix
+            if out is None:
+                out = mat
+            elif out.ndim == 1:
+                out = out[:, None] * mat
+            else:
+                out = out @ mat
+        else:
+            vals = _direction_values(let.y, window)
+            out = vals if out is None else out * vals
+    if out.ndim == 1:
+        diag = _window_matrix(window)
+        np.fill_diagonal(diag, out)
+        return diag
     return out
 
 
 def representative_matrix(symbol: Symbol, window: LatticeWindow) -> np.ndarray:
-    """Normal-ordered model of a symbol: sum_k pi1(x_k) @ pi2(y_k)."""
+    """Normal-ordered model of a symbol: sum_k pi1(x_k) @ pi2(y_k), the diagonal factor scaling columns."""
     out = _window_matrix(window)
     for x, y in symbol.terms:
-        out += build_pi1_matrix(x, window).matrix @ build_pi2_matrix(y, window)
+        out += build_pi1_matrix(x, window).matrix * _direction_values(y, window)
     return out
 
 
@@ -469,11 +488,17 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
     Each sup is the larger of a scan of (R, hi] and the remainder beyond hi,
     hi = max(scan_factor*R, R + max shift + 1). The edges |n|^2 = int(R*R) and
     int(hi*hi) of every (signature, radius) range cut the lattice into annulus
-    pieces; each piece that some range covers is walked once, outermost first,
-    so an over-budget request is refused before any point is scanned. Per
-    chunk the directions, each letter's values and each shifted value are
-    computed once and shared by every signature; a range's scan is the max of
-    its pieces' maxima.
+    pieces, and each piece into PIECE_STEPS geometric steps. The budget is
+    checked once at the outermost edge, so an over-budget request is refused
+    before any point is scanned; the pieces are then walked innermost first.
+    Every range keeps a running value, the max of its remainder and of the
+    pieces scanned so far. A piece is scanned only for the signatures whose
+    remainder bound at its inner edge, which bounds every point beyond that
+    edge, reaches (up to a factor 1 + 1e-9 for rounding) the running value of
+    a range covering it; no other point can raise a range's max, so every
+    norm is the one the full scan gives. Per chunk the directions, each
+    letter's values and each shifted value are computed once and shared by the
+    scanned signatures.
     """
     for R in radii:
         if not np.isfinite(R):
@@ -483,12 +508,12 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
     if not np.isfinite(scan_factor):
         raise ValueError(f"scan_factor {scan_factor} is not finite")
     ranges = []  # per signature, per radius: the scanned squared-norm range (lo, top]
-    remainders = []
+    best = []  # per signature, per radius: the max of the remainder beyond top and of the pieces scanned so far
     for factors, _ in signatures:
         max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
         shift2 = max(sum(v * v for v in s) for _, s in factors)
         ranges.append([])
-        remainders.append([])
+        best.append([])
         for R in radii:
             hi = max(scan_factor * R, R + max_shift + 1.0)
             if not np.isfinite(hi * hi):
@@ -497,44 +522,58 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
                 # the scan would reach n = -s, where n + s has no direction
                 raise ValueError(f"radius {R} is below the largest shift of the word, |s| = {max_shift:.4g}")
             ranges[-1].append((int(R * R), int(hi * hi)))
-            remainders[-1].append(_remainder_bound(factors, hi))
+            best[-1].append(_remainder_bound(factors, hi))
 
     edges = sorted({e for row in ranges for lo_top in row for e in lo_top})
-    piece_max: dict = {}  # (piece index, signature index) -> sup over the piece
-    for k in reversed(range(len(edges) - 1)):
-        r2_lo, r2_hi = edges[k], edges[k + 1]
-        users = [i for i, row in enumerate(ranges) if any(lo <= r2_lo and r2_hi <= top for lo, top in row)]
+    if edges:
+        check_shell_budget(d, edges[-1])
+    cuts = set(edges)
+    for lo, top in zip(edges, edges[1:]):
+        cuts.update(int(lo * (top / lo) ** (k / PIECE_STEPS)) for k in range(1, PIECE_STEPS))
+    cuts = sorted(cuts)
+    for r2_lo, r2_hi in zip(cuts, cuts[1:]):
+        users = {}  # signature index -> indices of the radii whose range covers the piece
+        for i, row in enumerate(ranges):
+            covering = [j for j, (lo, top) in enumerate(row) if lo <= r2_lo and r2_hi <= top]
+            if not covering:
+                continue
+            try:
+                bound = _remainder_bound(signatures[i][0], float(np.sqrt(r2_lo)))
+            except ValueError:
+                bound = np.inf
+            if any(bound * (1.0 + 1e-9) >= best[i][j] for j in covering):
+                users[i] = covering
         if not users:
             continue
-        piece_max.update(((k, i), 0.0) for i in users)
+        piece_max = dict.fromkeys(users, 0.0)
         for chunk in iter_shell(d, r2_lo, r2_hi, target=SCAN_CHUNK):
             cols = chunk.T.astype(float, order="C")
             base_dirs = _unit(cols)
             base_vals: dict = {}
             shifted_vals: dict = {}
-            for i in users:
+            for i in piece_max:
                 for y, s in signatures[i][0]:
                     if id(y) not in base_vals:
                         base_vals[id(y)] = as_evaluator(y)(base_dirs)
                     if any(s) and (id(y), s) not in shifted_vals:
                         shifted_vals[id(y), s] = as_evaluator(y)(_unit(cols + np.asarray(s, dtype=float)[:, None]))
-            for i in users:
+            for i in piece_max:
                 shifted = np.ones(len(chunk), dtype=complex)
                 base = np.ones(len(chunk), dtype=complex)
                 for y, s in signatures[i][0]:
                     base_y = base_vals[id(y)]
                     base = base * base_y
                     shifted = shifted * (shifted_vals[id(y), s] if any(s) else base_y)
-                piece_max[k, i] = max(piece_max[k, i], float(np.abs(shifted - base).max()))
+                piece_max[i] = max(piece_max[i], float(np.abs(shifted - base).max()))
+        for i, covering in users.items():
+            for j in covering:
+                best[i][j] = max(best[i][j], piece_max[i])
 
     totals = []
     for j in range(len(radii)):
         total = 0.0
         for i, (_, weight) in enumerate(signatures):
-            lo, top = ranges[i][j]
-            pieces = range(edges.index(lo), edges.index(top))
-            scan = max((piece_max[k, i] for k in pieces), default=0.0)
-            total += weight * max(scan, remainders[i][j])
+            total += weight * best[i][j]
         totals.append(total)
     return totals
 

@@ -23,6 +23,63 @@ def _first_axis_chunks(d, r2_min, r2_max, target):
             yield pts[keep]
 
 
+def _digits(flat, width, count):
+    return flat[:, None] // width ** np.arange(count - 1, -1, -1, dtype=np.int64) % width
+
+
+def _box_chunks(d, r2_min, r2_max, target=1 << 22):
+    """The enumerator that built each block of the box and masked it, kept as the oracle of iter_shell."""
+    if r2_max < 0 or r2_max <= r2_min:
+        return
+    M = isqrt(r2_max)
+    width = 2 * M + 1
+    lead = 1
+    while lead < d and width ** (d - lead) > target:
+        lead += 1
+    tail = _digits(np.arange(width ** (d - lead), dtype=np.int64), width, d - lead) - M
+    heads = width**lead
+    rows = max(1, min(heads, target // len(tail)))
+    for start in range(0, heads, rows):
+        head = _digits(np.arange(start, min(start + rows, heads), dtype=np.int64), width, lead) - M
+        pts = np.empty((len(head), len(tail), d), dtype=np.int64)
+        pts[:, :, :lead] = head[:, None, :]
+        pts[:, :, lead:] = tail
+        pts = pts.reshape(-1, d)
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        keep = (r2 > r2_min) & (r2 <= r2_max)
+        if np.any(keep):
+            yield pts[keep]
+
+
+def _assert_same_chunks(got, want):
+    assert [c.shape for c in got] == [c.shape for c in want]
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "d, r2_max, small", [(1, 50, 4), (1, 1000, 7), (2, 50, 3), (2, 400, 50), (3, 30, 40), (4, 12, 100)]
+)
+def test_shell_chunks_equal_box_and_mask(d, r2_max, small):
+    for r2_min in (-1, 0, 1, r2_max // 3, r2_max - 1):
+        for target in (small, 1 << 22):
+            got = list(iter_shell(d, r2_min, r2_max, target))
+            _assert_same_chunks(got, list(_box_chunks(d, r2_min, r2_max, target)))
+
+
+@pytest.mark.parametrize(
+    "d, r2_min, r2_max, points",
+    [(1, -1, 0, 1), (2, -1, 0, 1), (4, -5, 0, 1), (1, 3, 4, 2), (2, 2, 3, 0), (3, 6, 7, 0), (4, 1, 1, 0), (2, 5, 4, 0),
+     (3, 0, 0, 0), (2, 24, 25, 12), (1, 0, -1, 0)],
+)
+def test_empty_and_tiny_shells_equal_box_and_mask(d, r2_min, r2_max, points):
+    for target in (1, 2, 1 << 22):
+        got = list(iter_shell(d, r2_min, r2_max, target))
+        _assert_same_chunks(got, list(_box_chunks(d, r2_min, r2_max, target)))
+        assert sum(len(c) for c in got) == points
+
+
 @pytest.mark.parametrize("d, r2_min, r2_max, target", [(5, 0, 4, 30), (5, 1, 4, 2), (6, 0, 2, 10), (6, -1, 3, 100)])
 def test_chunks_honour_target_for_every_d(d, r2_min, r2_max, target):
     width = 2 * isqrt(r2_max) + 1

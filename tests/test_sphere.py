@@ -206,6 +206,7 @@ def _transform(kind, d, seed):
         (4, (64, 128), "hopf", "sp"),
         (5, 2**14, "sobol", "identity"),
         (5, 2**14, "sobol", "gl"),
+        (4, (64, 128), "hopf", "identity"),
     ],
 )
 def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
@@ -220,8 +221,9 @@ def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
 
 def test_batch_moments_on_a_million_nodes_match_exact_moments():
     # The Hopf rule integrates these monomials exactly, so the exact moments are
-    # the reference. One complex dot over all 2^20 equal-sign terms, as in
-    # quadrature_integrate, loses about 4e-13 relative on t^0; blockwise sums do not.
+    # the reference. One complex dot over all 2^20 equal-sign terms loses about
+    # 4e-13 relative on t^0; blockwise sums, and the pairwise sums of
+    # quadrature_integrate, do not.
     rule = quadrature_rule(4, n=(64, 128), kind="hopf")
     for nvec, value in _monomial_integrals(rule.points, rule.weights, 4).items():
         exact = sphere_moment(nvec, 4)

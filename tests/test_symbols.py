@@ -5,6 +5,7 @@ import nctrace.symbols as symbols_module
 from nctrace._lattice import iter_shell
 from nctrace.sphere import SphereFunction, SpherePoly, as_evaluator
 from nctrace.symbols import (
+    SCAN_FACTOR,
     LatticeWindow,
     OperatorWord,
     SphereLetter,
@@ -212,6 +213,37 @@ def test_tail_bound_certifies_matrix_norm():
     assert observed <= residual_compactness_report(word, (float(R),)).tail_norms[0] + 1e-12
 
 
+def _dense_word_matrix(word, window):
+    """The product of dense letter matrices, diagonal letters included, kept as the oracle of word_matrix."""
+    out = None
+    for let in word.letters:
+        if isinstance(let, TorusLetter):
+            mat = build_pi1_matrix(let.x, window).matrix
+        else:
+            mat = build_pi2_matrix(let.y, window)
+        out = mat if out is None else out @ mat
+    return out
+
+
+def test_diagonal_letters_scale_instead_of_multiplying():
+    window = LatticeWindow(2, 7)
+    x = U10 + (0.5 - 2j) * U01
+    words = [
+        word_of(T1, U10),
+        word_of(U10, T1),
+        word_of(T1, T2 * T2, x, T1 * T2, U01, T2),
+        word_of(T1 * T2, T2),
+        word_of(x, U01),
+    ]
+    for word in words:
+        got, want = word_matrix(word, window), _dense_word_matrix(word, window)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14
+    symbol = sym(word_of(T1, x, T2)) + sym(word_of(U01, T1 * T1))
+    want = sum(build_pi1_matrix(xk, window).matrix @ build_pi2_matrix(yk, window) for xk, yk in symbol.terms)
+    assert np.abs(representative_matrix(symbol, window) - want).max() <= 1e-14
+
+
 def test_random_word_never_normal_ordered():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -226,7 +258,7 @@ def test_random_word_never_normal_ordered():
 def _scan_product_difference(factors, d, r2_lo, r2_hi):
     """sup over the shell r2_lo < |n|^2 <= r2_hi of |prod y(unit(n+s)) - prod y(unit(n))|."""
     worst = 0.0
-    for chunk in iter_shell(d, r2_lo, r2_hi):
+    for chunk in iter_shell(d, r2_lo, r2_hi, target=1 << 16):
         pts = chunk.astype(float)
         base_dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         shifted = np.ones(len(chunk), dtype=complex)
@@ -266,6 +298,8 @@ def _commutator_oracle(x, y, radii, scan_factor):
         (2, 0, (20.0, 9.0, 20.0, 13.5), 4),
         (2, 5, (13.5, 9.0, 9.0), 8),
         (3, 2, (10.0, 7.0, 10.0), 4),
+        (3, 0, (6.0, 12.0), 4),
+        (3, 9, (5.5, 8.0), 4),
     ],
 )
 def test_report_equals_per_radius_oracle(d, seed, radii, scan_factor):
@@ -277,6 +311,17 @@ def test_report_equals_per_radius_oracle(d, seed, radii, scan_factor):
         assert signatures
         expected = tuple(_tail_bound(signatures, d, R, scan_factor) for R in radii)
         assert residual_compactness_report(word, radii, scan_factor).tail_norms == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_suite_words_equal_per_radius_oracle(seed):
+    # the three words that symbol-compactness --d 2 --seed <seed> draws, at its radii
+    rng = np.random.default_rng(seed)
+    radii = (25.0, 50.0, 100.0, 200.0)
+    for _ in range(3):
+        word = random_word(THETA, rng)
+        expected = tuple(_tail_bound(_shifted_signatures(word), 2, R, SCAN_FACTOR) for R in radii)
+        assert residual_compactness_report(word, radii).tail_norms == expected
 
 
 def test_report_of_normal_ordered_word_is_exactly_zero():
@@ -298,6 +343,23 @@ def test_commutator_norms_when_the_shift_sets_the_scan_edge():
     assert 2.0 + np.sqrt(2.0) + 1.0 > 2 * 2.0
     assert commutator_tail_norms(x, T1 * T2, (2.0,), 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)
     assert commutator_tail_norm(x, T1 * T2, 2.0, 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)[0]
+
+
+def test_pruned_commutator_scan_skips_most_of_the_ball(monkeypatch):
+    # the suite's commutator request covers the 8.03M points of 50 < |n| <= 1600
+    points = []
+
+    def counting_iter_shell(*args, **kwargs):
+        for chunk in iter_shell(*args, **kwargs):
+            points.append(len(chunk))
+            yield chunk
+
+    radii = (50.0, 100.0, 200.0, 400.0)
+    ball = sum(len(c) for c in iter_shell(2, 50 * 50, 1600 * 1600))
+    assert 8.03e6 < ball < 8.04e6
+    monkeypatch.setattr(symbols_module, "iter_shell", counting_iter_shell)
+    assert commutator_tail_norms(U10, T1, radii) == _commutator_oracle(U10, T1, radii, SCAN_FACTOR)
+    assert sum(points) <= 2.1e6
 
 
 def test_over_budget_scan_is_refused_before_any_chunk(monkeypatch):
