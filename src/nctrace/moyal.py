@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from ._lattice import iter_shell
-from .sphere import _monomial_integrals, _probe_directions, as_evaluator, sp_group_membership, sphere_moment, vg_action
+from .sphere import _monomial_integrals, _probe_directions, as_evaluator, sphere_moment, vg_action
 from .torus import ThetaMatrix
 
 MEMBERSHIP_TOL = 1e-9
@@ -52,11 +52,6 @@ class SymplecticForm:
 class NormalForm:
     beta: np.ndarray
     residual: float
-    gram: np.ndarray  # beta beta^T, reported for inspection
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.beta))
 
 
 def antisymmetric_normal_form(theta) -> NormalForm:
@@ -86,7 +81,7 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     beta = Q * scale
     omega = SymplecticForm(d).matrix
     residual = float(np.abs(beta.T @ th @ beta - omega).max())
-    return NormalForm(beta, residual, beta @ beta.T)
+    return NormalForm(beta, residual)
 
 
 def random_sp_block(d: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
@@ -104,6 +99,15 @@ def random_sp_block(d: int, rng: np.random.Generator, scale: float = 0.5) -> np.
     return expm(scale * omega @ s)
 
 
+def sp_group_membership(g: np.ndarray, form: np.ndarray) -> bool:
+    """Whether g^T form g = form within MEMBERSHIP_TOL (form may be any antisymmetric matrix)."""
+    g = np.asarray(g, dtype=float)
+    form = np.asarray(form, dtype=float)
+    if g.shape != form.shape or g.shape[0] != g.shape[1]:
+        raise ValueError("dimension mismatch")
+    return float(np.abs(g.T @ form @ g - form).max()) <= MEMBERSHIP_TOL
+
+
 def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarray:
     """beta g beta^{-1}; maps the block-form group onto Sp(theta).
 
@@ -113,10 +117,10 @@ def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarra
     g = np.asarray(g, dtype=float)
     beta = np.asarray(beta, dtype=float)
     d = g.shape[0]
-    if not sp_group_membership(g, SymplecticForm(d).matrix, MEMBERSHIP_TOL):
+    if not sp_group_membership(g, SymplecticForm(d).matrix):
         raise ValueError("g does not preserve the block form")
     out = beta @ g @ np.linalg.inv(beta)
-    if theta is not None and not sp_group_membership(out, _theta_entries(theta), MEMBERSHIP_TOL):
+    if theta is not None and not sp_group_membership(out, _theta_entries(theta)):
         raise ValueError("conjugated matrix fails the theta-form membership")
     return out
 

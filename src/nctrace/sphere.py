@@ -4,8 +4,8 @@ Multi-indices are plain tuples of nonnegative ints. A SpherePoly stores the
 coefficients of t -> sum c_n prod t_k^{n_k} as an nctrace._core coefficient
 map (magnitudes at or below its PRUNE_TOL dropped, non-finite ones refused).
 Since |t|^2 = 1 identifies distinct coefficient maps, equality of polynomials
-as sphere functions is semantic (moments of the difference plus a sampled
-sup), never structural.
+as sphere functions is tested by evaluating the difference, never by comparing
+coefficient maps.
 
 Quadrature menu: d=2 trapezoid in the angle, d=3 Gauss-Legendre x trapezoid,
 d=4 additionally a uniform product parameterization of S^3, d>=4 scrambled Sobol
@@ -23,8 +23,6 @@ import numpy as np
 
 from ._core import add_keys, add_maps, coeff_map, convolve_maps
 
-MEMBERSHIP_TOL = 1e-10
-
 
 def _validate_multi_index(nvec, d: int) -> tuple:
     key = tuple(int(v) for v in nvec)
@@ -38,6 +36,8 @@ def _validate_multi_index(nvec, d: int) -> tuple:
 
 def _multi_indices(d: int, max_degree: int) -> list:
     """All d-tuples of nonnegative ints with sum <= max_degree, lexicographic."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     out = [()]
     for _ in range(d):
         out = [prefix + (v,) for prefix in out for v in range(max_degree - sum(prefix) + 1)]
@@ -177,29 +177,6 @@ def as_evaluator(f) -> Callable[[np.ndarray], np.ndarray]:
     if callable(f):
         return f
     raise TypeError(f"cannot evaluate object of type {type(f)!r} on the sphere")
-
-
-def semantic_gap(p: SpherePoly, q: SpherePoly, n_samples: int = 400, seed: int = 0) -> float:
-    """How far two coefficient maps are as functions on the sphere.
-
-    Exact moments of the difference against all monomials up to the combined
-    degree, plus a sampled sup of the pointwise difference. Zero iff equal as
-    sphere functions (up to sampling for the transcendental part; the moment
-    block alone separates polynomials of the tested degrees).
-    """
-    if p.d != q.d:
-        raise ValueError("dimension mismatch")
-    diff = p - q
-    if not diff.coeffs:
-        return 0.0
-    gap = 0.0
-    probe_deg = p.degree() + q.degree()
-    for nvec in _multi_indices(diff.d, probe_deg):
-        probe = SpherePoly.monomial(diff.d, nvec)
-        gap = max(gap, abs(sphere_integrate(diff * probe)))
-    pts = random_unit_vectors(n_samples, diff.d, np.random.default_rng(seed))
-    gap = max(gap, float(np.abs(diff.evaluate(pts)).max()))
-    return gap
 
 
 def random_unit_vectors(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -515,24 +492,6 @@ def lie_action(A: np.ndarray, b: SpherePoly) -> SpherePoly:
     euler = sum((coords[k] * partials[k] for k in range(d)), zero)
     At_t = sum((At[k] * coords[k] for k in range(d)), zero)
     return grad_At - euler * At_t - d * (At_t * b)
-
-
-def sp_algebra_membership(A: np.ndarray, omega: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether omega A + A^T omega vanishes within tol."""
-    A = np.asarray(A, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if A.shape != omega.shape or A.shape[0] != A.shape[1]:
-        raise ValueError("dimension mismatch")
-    return float(np.abs(omega @ A + A.T @ omega).max()) <= tol
-
-
-def sp_group_membership(g: np.ndarray, form: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether g^T form g = form within tol (form may be any antisymmetric matrix)."""
-    g = np.asarray(g, dtype=float)
-    form = np.asarray(form, dtype=float)
-    if g.shape != form.shape or g.shape[0] != g.shape[1]:
-        raise ValueError("dimension mismatch")
-    return float(np.abs(g.T @ form @ g - form).max()) <= tol
 
 
 # ---------------------------------------------------------------------------

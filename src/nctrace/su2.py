@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._core import add_maps, coeff_map, convolve_maps, line_fit, real_if_close
-from .sphere import SpherePoly, _probe_directions, sphere_integrate
+from .sphere import SpherePoly, sphere_integrate
 
 # ordered so the diagonal one comes first, matching gens[0]
 PAULI_TRIPLE = (
@@ -363,23 +363,6 @@ def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
     return float(np.abs(diag - closed).max())
 
 
-def block_norm_vs_symbol(l_list, w: GenPoly, n_samples: int = 4000, seed: int = 0) -> list:
-    """Per spin: |block norm of the word - sampled sup of its sphere symbol|.
-
-    Returns (twice_value, gap) pairs; gaps decrease along growing spins for
-    words whose symbol attains its sup away from the spectrum edge effects.
-    """
-    symbol = su2_symbol(w)
-    dirs = _probe_directions(n_samples, 3, np.random.default_rng(seed))
-    sup = float(np.abs(symbol.evaluate(dirs)).max())
-    out = []
-    for l in l_list:
-        block = build_block(l)
-        norm = float(np.linalg.norm(evaluate_on_block(w, block), 2))
-        out.append((block.l.twice_value, abs(norm - sup)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trace ratio estimation
 
@@ -433,14 +416,3 @@ def su2_dixmier_ratio(w: GenPoly, L_max: int) -> tuple:
     slope, _, _ = line_fit(dens, nums)
     reference = sphere_integrate(su2_symbol(w)) / (4.0 * np.pi)
     return real_if_close(slope), real_if_close(reference)
-
-
-def su2_dixmier_quotient(w: GenPoly, L_max: int) -> float | complex:
-    """Single-point quotient of the two partial sums at L_max.
-
-    Converges to the same limit as su2_dixmier_ratio but only at an
-    O(1/log L) rate; kept for comparison.
-    """
-    tmax = 2 * int(L_max)
-    (num,), (den,) = _ratio_partial_sums(w, [tmax])
-    return real_if_close(num / den)

@@ -42,7 +42,7 @@ import numpy as np
 from ._core import add_keys, line_fit
 from ._lattice import ball_points, check_shell_budget, iter_shell
 from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator, sphere_integrate, sphere_volume
-from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, torus_trace, twist_phase
+from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, twist_phase
 
 SCAN_FACTOR = 4
 # candidate points per tail-scan chunk. Each per-chunk array stays near 1 MB; at
@@ -204,34 +204,6 @@ def sym(word: OperatorWord) -> Symbol:
             term = Symbol(word.theta, ((torus_identity(word.theta), let.y),))
         out = out * term
     return out
-
-
-def injectivity_witness(symbol: Symbol, n_directions: int = 128, seed: int = 0) -> float:
-    """max over sampled directions of |sum_k trace(x_k) y_k(s)|.
-
-    Strictly positive witnesses that the symbol's translation-average is a
-    nonzero function of the direction, the lower bound behind the injectivity
-    argument. Compare with averaged_window_norm, which evaluates the same
-    function on lattice directions.
-    """
-    dirs = _probe_directions(n_directions, symbol.d, np.random.default_rng(seed))
-    vals = np.zeros(dirs.shape[0], dtype=complex)
-    for x, y in symbol.terms:
-        vals += torus_trace(x) * y.evaluate(dirs)
-    return float(np.abs(vals).max())
-
-
-def averaged_window_norm(symbol: Symbol, radius: int) -> float:
-    """Norm of sum_k trace(x_k) pi2(y_k) on the window {|n| <= radius}.
-
-    The operator is diagonal, so the norm is a max over lattice directions;
-    the origin uses the spherical-mean convention.
-    """
-    window = LatticeWindow(symbol.d, radius)
-    total = np.zeros(window.size, dtype=complex)
-    for x, y in symbol.terms:
-        total += torus_trace(x) * _direction_values(y, window)
-    return float(np.abs(total).max())
 
 
 # ---------------------------------------------------------------------------

@@ -170,29 +170,3 @@ def torus_derivation(j: int, x: TorusElement) -> TorusElement:
     if not 1 <= j <= x.d:
         raise ValueError(f"derivation index {j} out of range 1..{x.d}")
     return TorusElement(x.theta, {n: 1j * n[j - 1] * c for n, c in x.coeffs.items()})
-
-
-def torus_laplacian_eigenvalue(n) -> float:
-    """|n|^2, the nonnegative Laplacian eigenvalue attached to mode n."""
-    return float(sum(int(v) ** 2 for v in n))
-
-
-def torus_translate(x: TorusElement, t) -> TorusElement:
-    """Translation automorphism: mode n scaled by exp(i <n, t>)."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (x.d,):
-        raise ValueError(f"translation vector must have length {x.d}")
-    return TorusElement(
-        x.theta,
-        {n: c * complex(np.exp(1j * float(np.dot(n, t)))) for n, c in x.coeffs.items()},
-    )
-
-
-def torus_translate_average(x: TorusElement) -> complex:
-    """Average of translates over the full period box, times its volume.
-
-    Integrating exp(i <n, t>) over [-pi, pi]^d kills every n != 0 exactly, so the
-    value is (2 pi)^d times the zero-mode coefficient. No quadrature involved.
-    """
-    return (2.0 * np.pi) ** x.d * torus_trace(x)
-

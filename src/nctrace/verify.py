@@ -65,8 +65,8 @@ class VerifyConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         for name, tol in self.tolerances.items():
-            if tol <= 0:
-                raise ConfigError(f"tolerance for {name} must be positive")
+            if not 0 < tol < np.inf:
+                raise ConfigError(f"tolerance for {name} must be positive and finite, got {tol}")
 
     def echo(self) -> dict:
         return {

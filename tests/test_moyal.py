@@ -17,10 +17,11 @@ from nctrace.moyal import (
     random_sp_block,
     random_sp_theta,
     riesz_difference_decay,
+    sp_group_membership,
     sp_invariant_functional_check,
     sp_theta_conjugate,
 )
-from nctrace.sphere import SpherePoly, quadrature_rule, sp_group_membership
+from nctrace.sphere import SpherePoly, quadrature_rule
 from nctrace.torus import ThetaMatrix
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -58,7 +59,7 @@ class TestNormalForm:
         nf = antisymmetric_normal_form(a * OMEGA2)
         np.testing.assert_allclose(nf.beta, a**-0.5 * np.eye(2), atol=1e-15)
         assert nf.residual == 0.0
-        np.testing.assert_allclose(nf.gram, np.eye(2) / a, atol=1e-15)
+        np.testing.assert_allclose(nf.beta @ nf.beta.T, np.eye(2) / a, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_random_theta_residual(self, d):
@@ -69,7 +70,6 @@ class TestNormalForm:
             omega = SymplecticForm(d).matrix
             assert np.abs(nf.beta.T @ th @ nf.beta - omega).max() < 1e-10
             assert nf.residual < 1e-10
-            assert np.isfinite(nf.condition_number)
 
     def test_beta_is_real_invertible(self):
         rng = np.random.default_rng(7)
@@ -102,7 +102,7 @@ class TestGroupElements:
         omega = SymplecticForm(d).matrix
         for _ in range(10):
             g = random_sp_block(d, rng)
-            assert sp_group_membership(g, omega, 1e-9)
+            assert sp_group_membership(g, omega)
 
     def test_generator_normalisation_bounds_condition(self):
         # unit-norm symmetric generator caps cond(e^{scale*Omega*S}) at e^{2*scale}

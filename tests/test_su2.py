@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from nctrace import su2
-from nctrace.sphere import semantic_gap, sphere_integrate
+from nctrace.sphere import random_unit_vectors, sphere_integrate
 from nctrace.su2 import (
     PAULI_TRIPLE,
     GenPoly,
@@ -13,12 +13,10 @@ from nctrace.su2 import (
     beta_formula_residual,
     block_commutator_norm,
     block_conditional_expectation,
-    block_norm_vs_symbol,
     block_trace,
     build_block,
     conjugation_covariance_check,
     evaluate_on_block,
-    su2_dixmier_quotient,
     su2_dixmier_ratio,
     su2_symbol,
     su2_to_so3,
@@ -143,7 +141,8 @@ def test_word_parse_and_symbol():
 def test_symbol_of_casimir_word():
     w = GenPoly.word((1, 1)) + GenPoly.word((2, 2)) + GenPoly.word((3, 3))
     one = su2_symbol(GenPoly.one())
-    assert semantic_gap(su2_symbol(w), one) < 1e-12
+    pts = random_unit_vectors(400, 3, np.random.default_rng(0))
+    assert np.abs((su2_symbol(w) - one).evaluate(pts)).max() < 1e-14
 
 
 def test_symbol_kills_commutators():
@@ -233,16 +232,6 @@ def test_beta_quartic_case_decreases():
     assert r200 < r100 < 0.05
 
 
-def test_norm_gap_to_symbol_sup():
-    rows = block_norm_vs_symbol([10, 40], GenPoly.letter(1))
-    gaps = [gap for _, gap in rows]
-    assert gaps[0] == pytest.approx(1 - 10 / np.sqrt(110), abs=1e-6)
-    assert gaps[1] == pytest.approx(1 - 40 / np.sqrt(40 * 41), abs=1e-6)
-    assert gaps[1] < gaps[0]
-    flat = block_norm_vs_symbol([5, 9], GenPoly.one())
-    assert max(gap for _, gap in flat) < 1e-12
-
-
 def test_ratio_exact_for_quadratic_word():
     est, ref = su2_dixmier_ratio(GenPoly.word((1, 1)), 40)
     assert ref == pytest.approx(1 / 3, abs=1e-15)
@@ -265,7 +254,8 @@ def test_quotient_lags_the_slope():
     # single-point quotient carries the O(1/log L) intercept error
     word = GenPoly.word((3, 3, 3, 3))
     est, ref = su2_dixmier_ratio(word, 100)
-    quot = su2_dixmier_quotient(word, 100)
+    (num,), (den,) = su2._ratio_partial_sums(word, [200])
+    quot = num / den
     assert abs(est - ref) < abs(quot - ref)
 
 

@@ -10,12 +10,10 @@ from nctrace.symbols import (
     OperatorWord,
     SphereLetter,
     TorusLetter,
-    averaged_window_norm,
     build_pi1_matrix,
     build_pi2_matrix,
     commutator_tail_norm,
     commutator_tail_norms,
-    injectivity_witness,
     random_word,
     representative_matrix,
     residual_compactness_report,
@@ -82,15 +80,6 @@ def test_word_rejects_theta_mismatch():
     other = unitary_generator(ThetaMatrix.from_upper(2, [0.3]), (1, 0))
     with pytest.raises(ValueError):
         word_of(U10, other)
-
-
-def test_injectivity_witness_positive():
-    x = torus_identity(THETA) + 0.5 * U10
-    s = sym(word_of(x, T1))
-    w = injectivity_witness(s)
-    assert w > 0.5
-    # the averaged window norm the witness certifies from below
-    assert averaged_window_norm(s, 12) >= w - 1e-9
 
 
 def test_pi1_cocycle_on_interior():

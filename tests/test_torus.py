@@ -9,11 +9,8 @@ from nctrace.torus import (
     torus_adjoint,
     torus_derivation,
     torus_identity,
-    torus_laplacian_eigenvalue,
     torus_mul,
     torus_trace,
-    torus_translate,
-    torus_translate_average,
     twist_phase,
     unitary_generator,
 )
@@ -90,36 +87,6 @@ def test_derivation_scales_modes():
     x = unitary_generator(THETA2, (2, -3))
     dx = torus_derivation(2, x)
     assert dx.coeff((2, -3)) == pytest.approx(-3j, abs=TOL)
-
-
-def test_laplacian_eigenvalue():
-    assert torus_laplacian_eigenvalue((3, 4)) == 25.0
-
-
-def test_translate_average_recovers_trace():
-    # Riemann sum of translates over a 16x16 grid of the period box: roots of
-    # unity cancel every mode with 0 < |n_j| < 16, leaving trace times identity
-    rng = np.random.default_rng(7)
-    x = random_element(THETA2, rng)
-    grid = np.linspace(-np.pi, np.pi, 16, endpoint=False)
-    acc = TorusElement(THETA2, {})
-    for t1 in grid:
-        for t2 in grid:
-            acc = acc + torus_translate(x, (t1, t2))
-    cell = (2 * np.pi / 16) ** 2
-    target = torus_translate_average(x) * torus_identity(THETA2)
-    assert (cell * acc - target).l2_norm() < 1e-10
-
-
-def test_translate_average_is_scaled_trace():
-    x = unitary_generator(THETA2, (1, 0)) + 3.0 * torus_identity(THETA2)
-    assert torus_translate_average(x) == pytest.approx(3.0 * (2 * np.pi) ** 2, abs=TOL)
-
-
-def test_translate_is_multiplicative_on_phases():
-    x = unitary_generator(THETA2, (1, 2))
-    shifted = torus_translate(x, (0.3, -0.7))
-    assert shifted.coeff((1, 2)) == pytest.approx(np.exp(1j * (0.3 - 1.4)), abs=TOL)
 
 
 def test_elements_over_different_theta_never_combine():

@@ -46,8 +46,9 @@ class TestConfig:
             VerifyConfig(suite=FAST, format="xml")
 
     def test_nonpositive_tolerance(self):
-        with pytest.raises(ConfigError):
-            VerifyConfig(suite=FAST, tolerances={"x": 0.0})
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                VerifyConfig(suite=FAST, tolerances={"x": tol})
 
     def test_echo_is_report_ready(self):
         echo = VerifyConfig(suite=FAST, theta_upper=(0.5,), tolerances={"b": 1.0, "a": 2.0}).echo()
@@ -139,6 +140,16 @@ class TestMainExitCodes:
         # odd d reaches the suite body, which rejects it
         assert main([FAST, "--d", "3"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["moments", "--max-degree", "-1"], ["symplectic", "--max-degree", "-3"]])
+    def test_negative_degree_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "max_degree must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_config_error(self, value, capsys):
+        assert main([FAST, f"--tol.quadrature_cross_check={value}"]) == EXIT_CONFIG_ERROR
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_non_finite_theta_is_config_error(self, capsys):
         assert main(["torus-trace", "--nmax", "128", "--theta", "nan"]) == EXIT_CONFIG_ERROR
