@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from ._lattice import iter_shell
 from .sphere import _monomial_integrals, _probe_directions, as_evaluator, sphere_moment, vg_action
@@ -68,6 +67,8 @@ def antisymmetric_normal_form(theta) -> NormalForm:
         raise ValueError("antisymmetric normal form needs even d")
     if abs(np.linalg.det(th)) <= 1e-12:
         raise ValueError("theta is numerically singular")
+    from scipy.linalg import schur  # slow to import, and only the symplectic-group code needs it
+
     T, Q = schur(th, output="real")
     scale = np.empty(d)
     for k in range(d // 2):
@@ -92,6 +93,8 @@ def random_sp_block(d: int, rng: np.random.Generator, scale: float = 0.5) -> np.
     independently of d; quadrature error in the invariance checks grows with
     cond(g)^d, so unbounded generators would drown the identity being tested.
     """
+    from scipy.linalg import expm  # slow to import, and only the symplectic-group code needs it
+
     omega = SymplecticForm(d).matrix
     s = rng.normal(size=(d, d))
     s = (s + s.T) / 2.0

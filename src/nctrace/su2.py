@@ -20,7 +20,6 @@ from math import exp, lgamma
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._core import add_maps, coeff_map, convolve_maps, line_fit, real_if_close
 from .sphere import SpherePoly, sphere_integrate
@@ -157,6 +156,8 @@ def conjugation_covariance_check(block: IrrepBlock, j: int, s: float) -> float:
     """
     if not 1 <= j <= 3:
         raise ValueError("generator index is 1..3")
+    from scipy.linalg import expm  # slow to import, and only this check needs it
+
     rot = su2_to_so3(expm(1j * s * PAULI_TRIPLE[j - 1]))
     u = expm(1j * s * block.gens[j - 1])
     uinv = u.conj().T

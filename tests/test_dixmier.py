@@ -117,6 +117,35 @@ def test_import_loads_neither_scipy_integrate_nor_stats():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scipy_linalg_loads_only_for_the_suites_that_call_it():
+    # a module first loaded inside a suite's clock would count as suite time
+    code = (
+        "import sys, nctrace, nctrace.verify as v\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy(), scipy()\n"
+        "clocked = []\n"
+        "def watch(run):\n"
+        "    def timed(cfg):\n"
+        "        before = set(sys.modules)\n"
+        "        records = run(cfg)\n"
+        "        clocked.extend(sorted(set(sys.modules) - before))\n"
+        "        return records\n"
+        "    return timed\n"
+        "v._SUITE_RUNNERS.update({name: watch(run) for name, run in v._SUITE_RUNNERS.items()})\n"
+        "assert v.main(['moments', '--d', '4', '--max-degree', '4']) == 0\n"
+        "assert v.main(['torus-trace', '--nmax', '128']) == 0\n"
+        "assert v.main(['symbol-compactness']) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, scipy()\n"
+        "assert v.main(['symplectic', '--d', '2']) == 0\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "assert not clocked, clocked\n"
+    )
+    src = str(Path(nctrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_radial_check_drift():
     vals2 = [radial_integral_check(2, N) for N in (1e2, 1e3, 1e4)]
     assert max(vals2) - min(vals2) < 1e-3

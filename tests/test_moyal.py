@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from nctrace.moyal import (
-    NormalForm,
-    ShellProfile,
     SymplecticForm,
     UniformGrid,
     antisymmetric_normal_form,

@@ -18,7 +18,6 @@ from nctrace.sphere import (
     quadrature_integrate,
     quadrature_rule,
     random_unit_vectors,
-    sphere_integrate,
     sphere_moment,
     sphere_volume,
     vg_action,

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from nctrace import su2
-from nctrace.sphere import random_unit_vectors, sphere_integrate
+from nctrace.sphere import random_unit_vectors
 from nctrace.su2 import (
     PAULI_TRIPLE,
     GenPoly,

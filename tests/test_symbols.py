@@ -22,7 +22,7 @@ from nctrace.symbols import (
     _remainder_bound,
     _shifted_signatures,
 )
-from nctrace.torus import ThetaMatrix, torus_identity, torus_trace, twist_phase, unitary_generator
+from nctrace.torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
 
 THETA = ThetaMatrix.from_upper(2, [np.pi / 2])
 T1 = SpherePoly.coordinate(2, 1)

@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VerifyConfig(suite=FAST, format="xml")
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_degree(self, suite):
+        with pytest.raises(ConfigError, match="max_degree must be >= 0"):
+            VerifyConfig(suite=suite, max_degree=-1)
+
     def test_nonpositive_tolerance(self):
         for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
@@ -141,7 +146,15 @@ class TestMainExitCodes:
         assert main([FAST, "--d", "3"]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["moments", "--max-degree", "-1"], ["symplectic", "--max-degree", "-3"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--max-degree", "-1"],
+            ["symplectic", "--max-degree", "-3"],
+            ["symplectic", "--d", "6", "--max-degree", "-3"],
+            ["moyal", "--max-degree", "-1"],
+        ],
+    )
     def test_negative_degree_is_config_error(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG_ERROR
         assert "max_degree must be >= 0" in capsys.readouterr().err
