@@ -1,15 +1,17 @@
 """Shared integer-lattice enumeration.
 
 Shell membership is decided on exact integer squared norms, so no point near a
-radius boundary is ever misclassified. Iteration order is fixed (the box in C
-order, cut into blocks along as few leading axes as keep a chunk within
-`target`), which makes every downstream reduction deterministic.
+radius boundary is ever misclassified. Iteration order is fixed
+(lexicographic), which makes every downstream reduction deterministic.
 
-`iter_shell` builds only the points it yields. Per prefix of the leading d-1
-coordinates (itself a ball point, enumerated the same way one axis down) the
-last coordinate of the annulus is the exact pair of integer ranges
-[-b, -a] and [a, b], with a and b integer square roots. The chunks are those
-of the box: the same points, in the same order, cut at the same places.
+Both enumerators run one walk (`_complete`): coordinates are chosen one at a
+time, each as integer ranges per prefix given by a range rule, and the points
+are built at most `target` rows at a time, level by level. The last
+coordinate's ranges are exact, so every point built is yielded.
+
+`iter_shell` walks the whole lattice: each coordinate but the last runs over
+[-b, b], and the last over the exact pair [-b, -a] and [a, b] of the annulus,
+with a and b integer square roots.
 
 `iter_orbits` walks only the fundamental domain n_1 >= ... >= n_d >= 0 of the
 hyperoctahedral group (coordinate permutations and sign changes) and gives each
@@ -21,6 +23,7 @@ the points it would visit exceeds POINT_BUDGET.
 
 from __future__ import annotations
 
+from functools import partial
 from math import exp, factorial, isqrt, lgamma, log, pi
 from typing import Iterator
 
@@ -41,78 +44,39 @@ def _check_budget(d: int, r2_max: int, bound: int | float) -> None:
 
 
 def check_shell_budget(d: int, r2_max: int) -> None:
-    """Refuse, as iter_shell does, a shell whose box of (2 floor(sqrt r2_max) + 1)^d candidates exceeds POINT_BUDGET."""
+    """Refuse, as iter_shell does, a shell whose bounding box of (2 floor(sqrt r2_max) + 1)^d points exceeds POINT_BUDGET."""
     _check_budget(d, r2_max, (2 * isqrt(r2_max) + 1) ** d)
 
 
 def iter_shell(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iterator[np.ndarray]:
     """Yield chunks of integer points n with r2_min < |n|^2 <= r2_max.
 
-    Chunks are int64 arrays of shape (k, d). Points come in the C order of the
-    box [-M, M]^d, M = floor(sqrt r2_max); a chunk holds the shell points of a
-    block of the box of about `target` candidates, for every d, and empty
-    blocks yield nothing. With r2_min = 0 the origin is excluded
-    automatically. A box of more than POINT_BUDGET candidates raises
-    ValueError.
+    Chunks are nonempty int64 arrays of shape (k, d) with k <= `target`, and
+    points come in lexicographic order. With r2_min = 0 the origin is excluded
+    automatically. A bounding box [-M, M]^d, M = floor(sqrt r2_max), of more
+    than POINT_BUDGET points raises ValueError.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if r2_max < 0 or r2_max <= r2_min:
         return
     check_shell_budget(d, r2_max)
-    M = isqrt(r2_max)
-    width = 2 * M + 1
-    # a block is `rows` values of the leading `lead` axes times the whole box of the rest
-    lead = 1
-    while lead < d and width ** (d - lead) > target:
-        lead += 1
-    per_head = width ** (d - lead)
-    heads = width**lead
-    rows = max(1, min(heads, target // per_head))
-    for start in range(0, heads, rows):
-        pts = _last_axis(d, M, r2_min, r2_max, start * per_head, min(start + rows, heads) * per_head)[0]
-        if len(pts):
-            yield pts
+    yield from _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max), target)
 
 
-def _ball_range(d: int, M: int, r2_max: int, start: int, stop: int) -> tuple:
-    """Points of [-M, M]^d with |n|^2 <= r2_max and C-order flat index in [start, stop): (points, |n|^2, flat index)."""
-    if d == 0:
-        # the one empty prefix; callers ask for it with start <= 0 < stop
-        return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    pts, norm2, zero, row, last = _last_axis(d, M, -1, r2_max, start, stop)
-    return pts, norm2[row] + last * last, zero[row] + last
+def _shell_coordinate(r2_min: int, r2_max: int, heads: np.ndarray, norm2: np.ndarray, left: int) -> tuple:
+    """Ranges of the next coordinate of a shell point, `left` coordinates c included still to choose.
 
-
-def _last_axis(d: int, M: int, r2_min: int, r2_max: int, start: int, stop: int) -> tuple:
-    """Points of [-M, M]^d with r2_min < |n|^2 <= r2_max and flat index in [start, stop), in that order.
-
-    Returns (points, |prefix|^2, flat index of prefix + (0,), row, last): point
-    i is prefix row[i] followed by last[i]. Per prefix of d-1 coordinates the
-    last one runs over [-b, -max(a, 1)] and [a, b], a = least c >= 0 with
-    c^2 > r2_min - |prefix|^2 and b = floor(sqrt(r2_max - |prefix|^2)), both
-    clipped to the flat range.
+    With b = floor(sqrt(r2_max - |prefix|^2)) a coordinate before the last runs
+    over [-b, b]; the last one over [-b, -max(a, 1)] and [a, b], a = least
+    c >= 0 with c^2 > r2_min - |prefix|^2.
     """
-    width = 2 * M + 1
-    prefixes, norm2, flat = _ball_range(d - 1, M, r2_max, start // width, -(-stop // width))
-    zero = flat * width + M
     b = _isqrt(r2_max - norm2)
+    if left > 1:
+        return -b[:, None], b[:, None]
     q = r2_min - norm2
     a = np.where(q < 0, 0, _isqrt(np.maximum(q, 0)) + 1)
-    first = np.maximum(start - zero, -M)
-    final = np.minimum(stop - 1 - zero, M)
-    lo = np.column_stack([np.maximum(-b, first), np.maximum(a, first)]).ravel()
-    hi = np.column_stack([np.minimum(-np.maximum(a, 1), final), np.minimum(b, final)]).ravel()
-    total = int(np.sum(np.maximum(hi - lo + 1, 0)))
-    if total == 0:
-        row = last = np.zeros(0, dtype=np.int64)
-    else:
-        idx, last = _expand(lo, hi, 0, total)
-        row = idx >> 1
-    pts = np.empty((total, d), dtype=np.int64)
-    pts[:, :-1] = prefixes[row]
-    pts[:, -1] = last
-    return pts, norm2, zero, row, last
+    return np.column_stack([-b, a]), np.column_stack([-np.maximum(a, 1), b])
 
 
 def _isqrt(a: np.ndarray) -> np.ndarray:
@@ -123,17 +87,19 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _next_coordinate(norm2: np.ndarray, last: np.ndarray, r2_min: int, r2_max: int, left: int) -> tuple:
+def _domain_coordinate(r2_min: int, r2_max: int, heads: np.ndarray, norm2: np.ndarray, left: int) -> tuple:
     """Range [lo, hi] of the next coordinate c <= last of each prefix, `left` coordinates c included still to choose.
 
     hi keeps |n|^2 <= r2_max; lo is the least c whose completion by `left - 1`
     more coordinates, each at most c, can exceed r2_min. For the last
     coordinate (left = 1) the range is exact.
     """
-    hi = np.minimum(last, _isqrt(r2_max - norm2))
+    hi = _isqrt(r2_max - norm2)
+    if heads.shape[1]:
+        hi = np.minimum(hi, heads[:, -1])
     q = r2_min - norm2
     lo = np.where(q < 0, 0, _isqrt(np.maximum(q, 0) // left) + 1)
-    return lo, hi
+    return lo[:, None], hi[:, None]
 
 
 def _orbit_sizes(pts: np.ndarray) -> np.ndarray:
@@ -171,9 +137,7 @@ def iter_orbits(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iter
     Every integer point of the shell lies in the orbit of exactly one yielded
     point under coordinate permutations and sign changes, and orbit_sizes
     (int64) counts that orbit, so the orbit sizes sum to the shell's point
-    count. Coordinates are chosen one at a time, each an integer range per
-    prefix; the last coordinate's range is exact, so every point built is
-    yielded. Points come in lexicographic order, at most `target` rows per
+    count. Points come in lexicographic order, at most `target` rows per
     chunk, and no level of prefixes holds more than `target` rows at once.
     A bound (_orbit_bound) over POINT_BUDGET, or d > ORBIT_MAX_D, raises
     ValueError.
@@ -182,23 +146,35 @@ def iter_orbits(d: int, r2_min: int, r2_max: int, target: int = 1 << 22) -> Iter
         raise ValueError(f"dimension must be in 1..{ORBIT_MAX_D}, got {d}")
     if r2_max < 0 or r2_max <= r2_min:
         return
-    M = isqrt(r2_max)
     _check_budget(d, r2_max, _orbit_bound(d, r2_max))
-    start = (np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, M, dtype=np.int64))
-    yield from _complete(*start, d, r2_min, r2_max, target)
+    for pts in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max), target):
+        yield pts, _orbit_sizes(pts)
 
 
-def _complete(heads, norm2, last, left: int, r2_min: int, r2_max: int, target: int) -> Iterator[tuple]:
-    """Complete each prefix row of `heads` by `left` more coordinates, at most `target` new rows at a time."""
-    lo, hi = _next_coordinate(norm2, last, r2_min, r2_max, left)
+def _root() -> tuple:
+    """The one empty prefix and its squared norm, where every walk starts."""
+    return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+
+def _complete(heads, norm2, left: int, rule, target: int) -> Iterator[np.ndarray]:
+    """Complete each prefix row of `heads` by `left` more coordinates, at most `target` new rows at a time.
+
+    rule(heads, norm2, left) gives the next coordinate's integer ranges
+    [lo, hi] as two (prefixes, k) arrays: k disjoint ranges per prefix, in
+    increasing order, so that points come in lexicographic order.
+    """
+    lo, hi = rule(heads, norm2, left)
+    k = lo.shape[1]
+    lo, hi = lo.ravel(), hi.ravel()
     total = int(np.sum(np.maximum(hi - lo + 1, 0)))
     for start in range(0, total, target):
-        idx, values = _expand(lo, hi, start, min(start + target, total))
-        pts = np.column_stack([heads[idx], values])
+        row, values = _expand(lo, hi, start, min(start + target, total))
+        row //= k  # range index -> prefix row; in place, since a chunk-sized copy is held while the consumer runs
+        pts = np.column_stack([heads[row], values])
         if left == 1:
-            yield pts, _orbit_sizes(pts)
+            yield pts
         else:
-            yield from _complete(pts, norm2[idx] + values * values, values, left - 1, r2_min, r2_max, target)
+            yield from _complete(pts, norm2[row] + values * values, left - 1, rule, target)
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> tuple:

@@ -16,12 +16,16 @@ set whose disagreement with the full rule is reported as the error proxy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, exp
+from math import comb, lgamma, exp
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._core import add_keys, add_maps, coeff_map, convolve_maps
+
+# most multi-indices _multi_indices builds. `moments --d 10` builds 646,646 and
+# peaks near 330 MB; `--d 16` would ask for 30,421,755
+_MULTI_INDEX_BUDGET = 2**20
 
 
 def _validate_multi_index(nvec, d: int) -> tuple:
@@ -38,6 +42,11 @@ def _multi_indices(d: int, max_degree: int) -> list:
     """All d-tuples of nonnegative ints with sum <= max_degree, lexicographic."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    count = comb(d + max_degree, d)
+    if count > _MULTI_INDEX_BUDGET:
+        raise ValueError(
+            f"{count} multi-indices of degree <= {max_degree} in d={d} exceed the budget of {_MULTI_INDEX_BUDGET}"
+        )
     out = [()]
     for _ in range(d):
         out = [prefix + (v,) for prefix in out for v in range(max_degree - sum(prefix) + 1)]

@@ -1,4 +1,6 @@
 import gc
+import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -251,6 +253,18 @@ def test_batch_moments_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_multi_index_table_over_budget_is_refused_at_once(monkeypatch):
+    # moments --d 16 asks for the C(28, 16) = 30,421,755 tuples up to degree 12, several GB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="30421755 multi-indices of degree <= 12 in d=16 exceed the budget of 1048576"):
+        _multi_indices(16, 12)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(sphere, "_MULTI_INDEX_BUDGET", comb(2 + 4, 2))
+    assert len(_multi_indices(2, 4)) == comb(2 + 4, 2)
+    with pytest.raises(ValueError, match="21 multi-indices"):
+        _multi_indices(2, 5)
 
 
 def test_moment_functional_exact_and_uncovered():

@@ -313,6 +313,23 @@ def test_suite_words_equal_per_radius_oracle(seed):
         assert residual_compactness_report(word, radii).tail_norms == expected
 
 
+def test_norms_do_not_depend_on_the_scan_chunk(monkeypatch):
+    # a tail norm is a max over points, so where the scan cuts its chunks cannot change it
+    theta3 = ThetaMatrix.from_upper(3, [0.3, -0.7, 1.1])
+    words = [(random_word(THETA, np.random.default_rng(3), 3), (9.0, 20.0, 13.5)),
+             (random_word(theta3, np.random.default_rng(2), 3), (5.5, 7.0))]
+    x = U10 + (0.5 - 2j) * U01
+    y = SphereFunction(2, lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1], lipschitz=4.0)
+
+    def norms():
+        reports = [residual_compactness_report(word, radii).tail_norms for word, radii in words]
+        return reports, commutator_tail_norms(x, T1 * T2, (12.5, 25.0)), commutator_tail_norms(x, y, (12.5,), 8)
+
+    default = norms()
+    monkeypatch.setattr(symbols_module, "SCAN_CHUNK", 1 << 6)
+    assert norms() == default
+
+
 def test_report_of_normal_ordered_word_is_exactly_zero():
     assert residual_compactness_report(word_of(U10, U01, T1 * T2, T2), (30.0, 9.0, 30.0)).tail_norms == (0.0, 0.0, 0.0)
 

@@ -189,6 +189,13 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=6" in err and "budget" in err
 
+    def test_moment_table_budget_is_config_error(self, capsys):
+        start = time.perf_counter()
+        assert main(["moments", "--d", "16"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert "in d=16" in err and "budget" in err
+
     def test_tail_scan_budget_is_config_error(self, capsys):
         # the commutator tail scan at R = 400 covers the box of radius 1600; it runs first
         start = time.perf_counter()
