@@ -124,6 +124,25 @@ def block_commutator_norm(block: IrrepBlock, j: int, k: int) -> float:
     return float(np.linalg.norm(c, 2))
 
 
+def exp_i_hermitian(h: np.ndarray, s: float) -> np.ndarray:
+    """e^{ish} for a Hermitian matrix h and a real s, as V diag(e^{is lambda}) V*.
+
+    V and lambda come from the spectral decomposition h = V diag(lambda) V*,
+    so the result is unitary to roundoff for every s.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries are not finite")
+    if np.abs(h - h.conj().T).max() > 1e-12 * max(1.0, np.abs(h).max()):
+        raise ValueError("matrix is not Hermitian")
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * s * lam)) @ v.conj().T
+
+
 def su2_to_so3(g: np.ndarray) -> np.ndarray:
     """Image of a special-unitary 2x2 matrix under the 2-to-1 covering map.
 
@@ -134,6 +153,8 @@ def su2_to_so3(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries are not finite")
     if np.abs(g.conj().T @ g - np.eye(2)).max() > 1e-10:
         raise ValueError("matrix is not unitary")
     if abs(np.linalg.det(g) - 1.0) > 1e-10:
@@ -156,10 +177,8 @@ def conjugation_covariance_check(block: IrrepBlock, j: int, s: float) -> float:
     """
     if not 1 <= j <= 3:
         raise ValueError("generator index is 1..3")
-    from scipy.linalg import expm  # slow to import, and only this check needs it
-
-    rot = su2_to_so3(expm(1j * s * PAULI_TRIPLE[j - 1]))
-    u = expm(1j * s * block.gens[j - 1])
+    rot = su2_to_so3(exp_i_hermitian(PAULI_TRIPLE[j - 1], s))
+    u = exp_i_hermitian(block.gens[j - 1], s)
     uinv = u.conj().T
     worst = 0.0
     for k in range(3):

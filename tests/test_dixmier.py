@@ -132,6 +132,11 @@ def test_scipy_linalg_loads_only_for_the_suites_that_call_it():
         "        return records\n"
         "    return timed\n"
         "v._SUITE_RUNNERS.update({name: watch(run) for name, run in v._SUITE_RUNNERS.items()})\n"
+        "assert v._LINALG_SUITES == ('symplectic', 'moyal')\n"
+        "assert v.main(['su2', '--lmax', '8']) == 0\n"
+        "assert v.main(['su2', '--word', 'b1b1b2b2', '--lmax', '8']) == 0\n"
+        "assert not scipy(), scipy()\n"
+        "assert not clocked, clocked\n"
         "assert v.main(['moments', '--d', '4', '--max-degree', '4']) == 0\n"
         "assert v.main(['torus-trace', '--nmax', '128']) == 0\n"
         "assert v.main(['symbol-compactness']) == 0\n"

@@ -17,6 +17,7 @@ from nctrace.su2 import (
     build_block,
     conjugation_covariance_check,
     evaluate_on_block,
+    exp_i_hermitian,
     su2_dixmier_ratio,
     su2_symbol,
     su2_to_so3,
@@ -66,6 +67,37 @@ def test_first_generator_spectrum():
     assert top == pytest.approx(10 / np.sqrt(110), abs=1e-13)
 
 
+def _assert_matches_expm(h, s):
+    got = exp_i_hermitian(h, s)
+    assert np.abs(got - expm(1j * s * h)).max() < 1e-12
+    assert np.abs(got.conj().T @ got - np.eye(len(h))).max() < 1e-13
+
+
+@pytest.mark.parametrize("s", [0.3, 1.1, -2.0])
+def test_exp_i_hermitian_matches_expm_on_pauli_combinations(s):
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        _assert_matches_expm(np.tensordot(rng.normal(size=3), PAULI_TRIPLE, axes=(0, 0)), s)
+
+
+@pytest.mark.parametrize("twice", [1, 2, 4, 7, 20, 40])
+@pytest.mark.parametrize("s", [0.3, 1.1, -2.0])
+def test_exp_i_hermitian_matches_expm_on_block_generators(twice, s):
+    for gen in build_block(HalfInteger(twice)).gens:
+        _assert_matches_expm(gen, s)
+
+
+def test_exp_i_hermitian_refuses_bad_input():
+    with pytest.raises(ValueError, match="not finite"):
+        exp_i_hermitian(PAULI_TRIPLE[0], float("nan"))
+    with pytest.raises(ValueError, match="not finite"):
+        exp_i_hermitian(np.full((2, 2), np.nan), 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        exp_i_hermitian(np.zeros((2, 3)), 1.0)
+
+
 def test_so3_image_of_identity():
     np.testing.assert_allclose(su2_to_so3(np.eye(2)), np.eye(3), atol=1e-14)
 
@@ -98,6 +130,12 @@ def test_so3_rejects_non_unitary():
         su2_to_so3(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_so3_rejects_non_finite_matrix():
+    # NaN fails every comparison, so the unitarity and determinant checks alone let it through
+    with pytest.raises(ValueError, match="not finite"):
+        su2_to_so3(np.full((2, 2), np.nan))
+
+
 def test_so3_matrices_are_orthogonal():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -109,6 +147,12 @@ def test_so3_matrices_are_orthogonal():
 @pytest.mark.parametrize("l,j,s,bound", [(2, 1, 0.3, 1e-10), (HalfInteger(7), 3, 1.1, 1e-9), (1, 2, 0.0, 1e-14)])
 def test_conjugation_covariance(l, j, s, bound):
     assert conjugation_covariance_check(build_block(l), j, s) < bound
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_conjugation_covariance_refuses_non_finite_angle(s):
+    with pytest.raises(ValueError, match="not finite"):
+        conjugation_covariance_check(build_block(2), 1, s)
 
 
 def test_pinching_properties():
