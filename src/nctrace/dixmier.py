@@ -17,10 +17,10 @@ odd, otherwise the orbit size times the mean of u^beta over the distinct
 rearrangements beta of alpha. One walk over the fundamental domain
 n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`) fills a table of these
 orbit-weighted sums per shell, and every partial sum is that table dotted with
-the coefficients. A callable or SphereFunction symbol gives only point values,
-which are not constant on orbits, so it cannot be summed orbit by orbit: such
-diagonals take the direct path, which evaluates `entry` at every lattice
-point and is the oracle the tests check the symmetric path against.
+the coefficients. A SphereFunction symbol gives only point values, which are
+not constant on orbits, so it cannot be summed orbit by orbit: such diagonals
+take the direct path, which evaluates `entry` at every lattice point and is
+the oracle the tests check the symmetric path against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._core import line_fit, real_if_close
 from ._lattice import ORBIT_MAX_D, iter_orbits, iter_shell
-from .sphere import SpherePoly, as_evaluator, sphere_integrate
+from .sphere import SpherePoly, sphere_integrate
 from .torus import TorusElement, torus_trace
 
 
@@ -66,9 +66,9 @@ class LatticeDiagonal:
             raise ValueError("dimension mismatch")
 
     @classmethod
-    def symbol_weighted(cls, y, d: int | None = None) -> "LatticeDiagonal":
-        """Entries y(n/|n|) * (1 + |n|^2)^{-d/2}."""
-        return _symbol_diagonal(y, d if d is not None else y.d)
+    def symbol_weighted(cls, y) -> "LatticeDiagonal":
+        """Entries y(n/|n|) * (1 + |n|^2)^{-d/2} of the sphere function y, d = y.d."""
+        return _symbol_diagonal(y, y.d)
 
 
 def _symbol_diagonal(y, d: int, scale: complex | None = None) -> LatticeDiagonal:
@@ -79,15 +79,14 @@ def _symbol_diagonal(y, d: int, scale: complex | None = None) -> LatticeDiagonal
 
 def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """Entry rule [scale *] y(n/|n|) * (1 + |n|^2)^{-d/2} on nonzero points."""
-    if getattr(y, "d", d) != d:
+    if y.d != d:
         raise ValueError("dimension mismatch")
-    ev = as_evaluator(y)
 
     def entry(chunk: np.ndarray) -> np.ndarray:
         pts = chunk.astype(float)
         norms2 = np.einsum("ij,ij->i", pts, pts)
         dirs = pts / np.sqrt(norms2)[:, None]
-        vals = ev(dirs) * (1.0 + norms2) ** (-d / 2.0)
+        vals = y.evaluate(dirs) * (1.0 + norms2) ** (-d / 2.0)
         return vals if scale is None else scale * vals
 
     return entry

@@ -16,10 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from ._lattice import iter_shell
-from .sphere import _monomial_integrals, _probe_directions, as_evaluator, sphere_moment, vg_action
+from .sphere import _monomial_integrals, _probe_directions, sphere_moment, vg_action
+from .symbols import DENSE_WINDOW_BYTES
 from .torus import ThetaMatrix
 
 MEMBERSHIP_TOL = 1e-9
+# random directions per sampled shell of h_decay_profile and riesz_difference_decay,
+# besides the 2d signed axes
+SHELL_DIRECTIONS = 2000
 
 
 def _theta_entries(theta) -> np.ndarray:
@@ -85,13 +89,13 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     return NormalForm(beta, residual)
 
 
-def random_sp_block(d: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Random element of the group of the block form: e^{Omega S}, S symmetric.
+def random_sp_block(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random element of the group of the block form: e^{Omega S / 2}, S symmetric.
 
     Omega S runs over the full Lie algebra as S runs over symmetric matrices.
-    S is normalised to unit spectral norm so that cond(g) <= e^{2 scale}
-    independently of d; quadrature error in the invariance checks grows with
-    cond(g)^d, so unbounded generators would drown the identity being tested.
+    S is normalised to unit spectral norm so that cond(g) <= e independently
+    of d; quadrature error in the invariance checks grows with cond(g)^d, so
+    unbounded generators would drown the identity being tested.
     """
     from scipy.linalg import expm  # slow to import, and only the symplectic-group code needs it
 
@@ -99,7 +103,7 @@ def random_sp_block(d: int, rng: np.random.Generator, scale: float = 0.5) -> np.
     s = rng.normal(size=(d, d))
     s = (s + s.T) / 2.0
     s /= np.linalg.norm(s, 2)
-    return expm(scale * omega @ s)
+    return expm(0.5 * omega @ s)
 
 
 def sp_group_membership(g: np.ndarray, form: np.ndarray) -> bool:
@@ -128,9 +132,9 @@ def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarra
     return out
 
 
-def random_sp_theta(theta, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
+def random_sp_theta(theta, rng: np.random.Generator) -> np.ndarray:
     nf = antisymmetric_normal_form(theta)
-    return sp_theta_conjugate(random_sp_block(nf.beta.shape[0], rng, scale), nf.beta, theta)
+    return sp_theta_conjugate(random_sp_block(nf.beta.shape[0], rng), nf.beta, theta)
 
 
 @dataclass(frozen=True)
@@ -282,33 +286,37 @@ def ccr_phase_residual(t, s, theta, grid: UniformGrid) -> float:
 # scalar decay profiles
 
 
-def multiplier_identity_residual(g: np.ndarray, b, d: int, samples: int = 10000, seed: int = 0) -> float:
-    """Pointwise residual of the conjugated-multiplier factorization.
+def multiplier_identity_residual(g: np.ndarray, b, d: int, seed: int = 0) -> float:
+    """Pointwise residual of the conjugated-multiplier factorization for the sphere function b.
 
     Checks b(gt/|gt|)(1+|gt|^2)^{-d/2} against
-    (V_g b)(t/|t|) * (|gt|/|t|)^d * (1+|gt|^2)^{-d/2} on sampled t spanning
-    several orders of magnitude; the two sides are equal as scalars, so the
-    residual is pure roundoff.
+    (V_g b)(t/|t|) * (|gt|/|t|)^d * (1+|gt|^2)^{-d/2} on 10000 sampled t
+    spanning several orders of magnitude; the two sides are equal as scalars,
+    so the residual is pure roundoff.
     """
     g = np.asarray(g, dtype=float)
     if abs(np.linalg.det(g)) <= 1e-12:
         raise ValueError("g is numerically singular")
     rng = np.random.default_rng(seed)
-    t = rng.normal(size=(samples, d)) * np.exp(rng.uniform(-3, 3, size=(samples, 1)))
+    t = rng.normal(size=(10000, d)) * np.exp(rng.uniform(-3, 3, size=(10000, 1)))
     norms = np.linalg.norm(t, axis=1)
     keep = norms > 1e-12
     t, norms = t[keep], norms[keep]
     gt = t @ g.T
     gnorms = np.linalg.norm(gt, axis=1)
-    ev = as_evaluator(b)
-    lhs = ev(gt / gnorms[:, None]) * (1.0 + gnorms**2) ** (-d / 2.0)
-    pullback = vg_action(g, b)
-    rhs = pullback(t / norms[:, None]) * (gnorms / norms) ** d * (1.0 + gnorms**2) ** (-d / 2.0)
+    lhs = b.evaluate(gt / gnorms[:, None]) * (1.0 + gnorms**2) ** (-d / 2.0)
+    rhs = vg_action(g, b).evaluate(t / norms[:, None]) * (gnorms / norms) ** d * (1.0 + gnorms**2) ** (-d / 2.0)
     return float(np.abs(lhs - rhs).max())
 
 
-def _shell_points(d: int, R: float, n_random: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = _probe_directions(n_random, d, rng)
+def _shell_points(d: int, R: float, rng: np.random.Generator) -> np.ndarray:
+    """Points on 17 spheres from radius R to 2R along the probe directions; a ValueError over DENSE_WINDOW_BYTES."""
+    nbytes = (2 * d + SHELL_DIRECTIONS) * 17 * d * 8
+    if nbytes > DENSE_WINDOW_BYTES:
+        raise ValueError(
+            f"shell samples in d={d} need {nbytes / 2**30:.1f} GiB, over the {DENSE_WINDOW_BYTES // 2**30} GiB limit"
+        )
+    dirs = _probe_directions(SHELL_DIRECTIONS, d, rng)
     radii = np.geomspace(R, 2.0 * R, 17)
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
 
@@ -339,7 +347,6 @@ def h_decay_profile(
     g: np.ndarray,
     d: int,
     shell_radii: Sequence[float],
-    n_random: int = 2000,
     seed: int = 0,
     cell_radii: Sequence[int] | None = None,
 ) -> ShellProfile:
@@ -356,7 +363,7 @@ def h_decay_profile(
     rng = np.random.default_rng(seed)
     sups = []
     for R in shell_radii:
-        pts = _shell_points(d, float(R), n_random, rng)
+        pts = _shell_points(d, float(R), rng)
         vals = np.abs(_h_weight(g, pts, d)) * np.linalg.norm(pts, axis=1) ** (d + 2)
         sups.append(float(vals.max()))
     cell_sums = []
@@ -378,7 +385,7 @@ def h_decay_profile(
     return ShellProfile(tuple(float(r) for r in shell_radii), tuple(sups), tuple(cell_sums))
 
 
-def riesz_difference_decay(k: int, d: int, radii: Sequence[float], n_random: int = 2000, seed: int = 0) -> ShellProfile:
+def riesz_difference_decay(k: int, d: int, radii: Sequence[float], seed: int = 0) -> ShellProfile:
     """Shell sups of |t_k/|t| - t_k/(1+|t|^2)^{1/2}| * |t|^2.
 
     The weighted difference tends to (1/2)|t_k|/|t| <= 1/2 along rays, so the
@@ -390,7 +397,7 @@ def riesz_difference_decay(k: int, d: int, radii: Sequence[float], n_random: int
     rng = np.random.default_rng(seed)
     sups = []
     for R in radii:
-        pts = _shell_points(d, float(R), n_random, rng)
+        pts = _shell_points(d, float(R), rng)
         norms = np.linalg.norm(pts, axis=1)
         hk = pts[:, k - 1] / norms - pts[:, k - 1] / np.sqrt(1.0 + norms**2)
         sups.append(float((np.abs(hk) * norms**2).max()))

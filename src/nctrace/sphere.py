@@ -7,6 +7,9 @@ Since |t|^2 = 1 identifies distinct coefficient maps, equality of polynomials
 as sphere functions is tested by evaluating the difference, never by comparing
 coefficient maps.
 
+A sphere function is a SpherePoly or a SphereFunction (a black-box evaluator);
+the functions that accept either read only its `d` and `evaluate(points)`.
+
 Quadrature menu: d=2 trapezoid in the angle, d=3 Gauss-Legendre x trapezoid,
 d=4 additionally a uniform product parameterization of S^3, d>=4 scrambled Sobol
 through a measure-preserving polar map. Every rule carries a coarser companion
@@ -174,18 +177,9 @@ class SphereFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     lipschitz: float | None = None
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate at points of shape (..., d)."""
         return np.asarray(self.evaluator(np.asarray(points, dtype=float)))
-
-
-def as_evaluator(f) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, SpherePoly):
-        return f.evaluate
-    if isinstance(f, SphereFunction):
-        return f
-    if callable(f):
-        return f
-    raise TypeError(f"cannot evaluate object of type {type(f)!r} on the sphere")
 
 
 def random_unit_vectors(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -371,16 +365,15 @@ def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> Q
 
 
 def quadrature_integrate(f, rule: QuadratureRule) -> QuadratureResult:
-    """Estimate the sphere integral of f with a two-level error proxy.
+    """Estimate the sphere integral of the sphere function f with a two-level error proxy.
 
     Each level is a pairwise sum of weight * value. A BLAS dot over all nodes
     can lose far more: on the 2^20-node Hopf rule a complex dot missed the
     integral of 1 by 2.6e-12 and real dots on the two parts by 1.5e-12, where
     the pairwise sum misses by 2.8e-14.
     """
-    ev = as_evaluator(f)
-    value = complex(np.sum(rule.weights * ev(rule.points)))
-    coarse = complex(np.sum(rule.coarse_weights * ev(rule.coarse_points)))
+    value = complex(np.sum(rule.weights * f.evaluate(rule.points)))
+    coarse = complex(np.sum(rule.coarse_weights * f.evaluate(rule.coarse_points)))
     return QuadratureResult(value, abs(value - coarse))
 
 
@@ -449,7 +442,7 @@ def _monomial_integrals(points, weights, max_degree: int, g=None) -> dict:
 
 
 def vg_action(g: np.ndarray, b) -> SphereFunction:
-    """Weighted pullback (V_g b)(t) = |gt|^{-d} b(gt / |gt|).
+    """Weighted pullback (V_g b)(t) = |gt|^{-d} b(gt / |gt|) of the sphere function b.
 
     Composition runs contravariantly: V_{g1}(V_{g2} b) = V_{g2 g1} b pointwise.
     """
@@ -459,16 +452,14 @@ def vg_action(g: np.ndarray, b) -> SphereFunction:
         raise ValueError("g must be square")
     if abs(np.linalg.det(g)) <= 1e-12:
         raise ValueError("g is numerically singular")
-    ev = as_evaluator(b)
-    bd = getattr(b, "d", d)
-    if bd != d:
+    if b.d != d:
         raise ValueError("dimension mismatch between g and b")
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         gt = pts @ g.T
         norms = np.linalg.norm(gt, axis=-1)
-        return ev(gt / norms[..., None]) / norms**d
+        return b.evaluate(gt / norms[..., None]) / norms**d
 
     return SphereFunction(d, evaluator)
 
@@ -560,32 +551,25 @@ class RecursionReport:
         )
 
 
-def moment_recursion_check(l: MomentFunctional | None, max_degree: int, d: int | None = None) -> RecursionReport:
-    """Residuals of the three reduction identities on every index up to max_degree.
+def moment_recursion_check(d: int, max_degree: int) -> RecursionReport:
+    """Residuals of the three reduction identities of the exact moment table, on every index up to max_degree.
 
     Identities checked for each nvec:
       odd vanishing      l(b_n) = 0 when some n_j is odd,
       paired reduction   l(b_{n+2e_{2k-1}}) = (n_{2k-1}+1)/(n_{2k}+1) * l(b_{n+2e_{2k}}),
       degree reduction   l(b_{n+2e_k})      = (n_k+1)/(|n|+d)       * l(b_n).
 
-    The pairing identity needs even d. Passing l=None checks the exact moment
-    table (all residuals vanish identically, the closed form satisfies the
-    recursions by construction).
+    The pairing identity needs even d. The closed form satisfies the
+    recursions by construction, so every residual is roundoff.
     """
-    if l is None:
-        if d is None:
-            raise ValueError("need a dimension when no functional is given")
-        l = MomentFunctional.exact(d, max_degree + 2)
-    if l.d % 2:
+    if d % 2:
         raise ValueError("the paired reduction identity requires even d")
-    if l.max_degree < max_degree + 2:
-        raise ValueError("moment table must cover max_degree + 2")
-    dim = l.d
+    l = MomentFunctional.exact(d, max_degree + 2)
     rows = []
-    for nvec in _multi_indices(dim, max_degree):
+    for nvec in _multi_indices(d, max_degree):
         odd_res = abs(l(nvec)) if any(v % 2 for v in nvec) else 0.0
         first_res = 0.0
-        for k in range(dim // 2):
+        for k in range(d // 2):
             i, j = 2 * k, 2 * k + 1
             bumped_i = list(nvec)
             bumped_i[i] += 2
@@ -597,9 +581,9 @@ def moment_recursion_check(l: MomentFunctional | None, max_degree: int, d: int |
             )
         main_res = 0.0
         deg = sum(nvec)
-        for k in range(dim):
+        for k in range(d):
             bumped = list(nvec)
             bumped[k] += 2
-            main_res = max(main_res, abs(l(bumped) - (nvec[k] + 1) / (deg + dim) * l(nvec)))
+            main_res = max(main_res, abs(l(bumped) - (nvec[k] + 1) / (deg + d) * l(nvec)))
         rows.append((nvec, odd_res, first_res, main_res))
-    return RecursionReport(dim, max_degree, rows)
+    return RecursionReport(d, max_degree, rows)

@@ -14,14 +14,13 @@ which is why the block construction can fix D = 2J without loss.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import exp, lgamma
 from typing import Sequence
 
 import numpy as np
 
-from ._core import add_maps, coeff_map, convolve_maps, line_fit, real_if_close
+from ._core import add_maps, coeff_map, line_fit, real_if_close
 from .sphere import SpherePoly, sphere_integrate
 
 # ordered so the diagonal one comes first, matching gens[0]
@@ -53,10 +52,6 @@ class HalfInteger:
     def l_squared(self) -> float:
         """l(l+1), exact: twice(twice+2)/4 is a dyadic rational."""
         return self.twice_value * (self.twice_value + 2) / 4.0
-
-    def __str__(self) -> str:
-        t = self.twice_value
-        return str(t // 2) if t % 2 == 0 else f"{t}/2"
 
 
 def _as_half(l) -> HalfInteger:
@@ -216,7 +211,7 @@ class GenPoly:
     """Formal complex combination of words in the three normalized generators.
 
     Words are tuples of letter indices in {1, 2, 3}; the empty word is the
-    identity. Multiplication concatenates words.
+    identity.
     """
 
     coeffs: dict
@@ -227,10 +222,6 @@ class GenPoly:
     @classmethod
     def one(cls) -> "GenPoly":
         return cls({(): 1.0 + 0j})
-
-    @classmethod
-    def letter(cls, k: int) -> "GenPoly":
-        return cls({(k,): 1.0 + 0j})
 
     @classmethod
     def word(cls, letters: Sequence[int], coeff=1.0) -> "GenPoly":
@@ -253,19 +244,6 @@ class GenPoly:
 
     def __add__(self, other: "GenPoly") -> "GenPoly":
         return GenPoly(add_maps(self.coeffs, other.coeffs))
-
-    def __rmul__(self, scalar) -> "GenPoly":
-        s = complex(scalar)
-        return GenPoly({w: s * c for w, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, GenPoly):
-            return complex(other) * self
-        return GenPoly(convolve_maps(self.coeffs, other.coeffs, operator.add))
-
-    def adjoint(self) -> "GenPoly":
-        """Letters are self-adjoint, so words reverse and coefficients conjugate."""
-        return GenPoly({tuple(reversed(w)): c.conjugate() for w, c in self.coeffs.items()})
 
 
 def su2_symbol(w: GenPoly) -> SpherePoly:
@@ -335,14 +313,14 @@ def _band_trace(left: dict, right: dict, dim: int) -> complex:
     return complex(total)
 
 
-def block_trace(w: GenPoly, block) -> complex:
-    """tr w(b) on the spin-l block, given as an IrrepBlock or a spin.
+def block_trace(w: GenPoly, l) -> complex:
+    """tr w(b) on the block of spin l (a HalfInteger or a plain integer).
 
     Each word is cut in half and traced from the bands of its two halves, in
     O(dim k^2) for k letters; halves are cached, so powers of one letter build
     one half product per block. Only the spin is read: no dense matrix is built.
     """
-    half, gens = _unit_bands(block.l if isinstance(block, IrrepBlock) else block)
+    half, gens = _unit_bands(l)
     dim = half.dim
     cache: dict = {}
 

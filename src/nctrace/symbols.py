@@ -18,7 +18,7 @@ normal-ordered representative produces atoms with identical (coeff, a, M) and
 all s_j = 0, so the difference pairs off atom by atom and its tail norm is a
 sum of terms sup_{|n|>R} |prod y_j(unit(n+s_j)) - prod y_j(unit(n))|.
 
-Each sup is a scan of the shell R < |n| <= hi (hi = 4R by default) plus an
+Each sup is a scan of the shell R < |n| <= hi = SCAN_FACTOR * R plus an
 analytic remainder beyond hi. One request, all the radii of a report or of a
 commutator, scans in one pass: the scan edges cut the lattice into annulus
 pieces (each in PIECE_STEPS geometric steps), walked innermost first, and
@@ -41,9 +41,10 @@ import numpy as np
 
 from ._core import add_keys, line_fit
 from ._lattice import ball_points, check_shell_budget, iter_shell
-from .sphere import SpherePoly, SphereFunction, _probe_directions, as_evaluator, sphere_integrate, sphere_volume
+from .sphere import SpherePoly, SphereFunction, _probe_directions, sphere_integrate, sphere_volume
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, twist_phase
 
+# a tail scan covers R < |n| <= SCAN_FACTOR * R; over 1, so that the remainder edge clears every shift (|s| <= R)
 SCAN_FACTOR = 4
 # shell points per tail-scan chunk, so that each per-chunk complex array (16 bytes
 # a point) stays in cache. `symbol-compactness --d 2 --seed 0`, 10 alternating
@@ -153,13 +154,7 @@ class Symbol:
                 merged.append((x, y))
         return Symbol(self.theta, tuple(merged))
 
-    def __rmul__(self, scalar) -> "Symbol":
-        s = complex(scalar)
-        return Symbol(self.theta, tuple((s * x, y) for x, y in self.terms))
-
-    def __mul__(self, other):
-        if not isinstance(other, Symbol):
-            return complex(other) * self
+    def __mul__(self, other: "Symbol") -> "Symbol":
         if not self.theta.same_as(other.theta):
             raise ValueError("symbols over different theta")
         out = Symbol(self.theta, ())
@@ -179,8 +174,8 @@ class Symbol:
             out = out + complex(y.evaluate(s)) * x
         return out
 
-    def gap(self, other: "Symbol", n_directions: int = 64, seed: int = 0) -> float:
-        """Max l2 distance of direction slices over sampled unit directions.
+    def gap(self, other: "Symbol", seed: int = 0) -> float:
+        """Max l2 distance of direction slices over the 2d signed axes and 64 sampled unit directions.
 
         Slices determine the symbol (polynomials of the tested degrees are
         pinned by finitely many directions with probability one), so this is a
@@ -189,7 +184,7 @@ class Symbol:
         if not self.theta.same_as(other.theta):
             raise ValueError("symbols over different theta")
         worst = 0.0
-        for s in _probe_directions(n_directions, self.d, np.random.default_rng(seed)):
+        for s in _probe_directions(64, self.d, np.random.default_rng(seed)):
             worst = max(worst, (self.direction_slice(s) - other.direction_slice(s)).l2_norm())
         return worst
 
@@ -455,15 +450,15 @@ def _unit(cols: np.ndarray) -> np.ndarray:
     return (cols / np.sqrt(norm2)).T
 
 
-def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
+def _tail_bounds(signatures, d: int, radii) -> list:
     """Per radius R, the sum over signatures of weight * sup_{|n|>R} |prod y(unit(n+s)) - prod y(unit(n))|.
 
     Each sup is the larger of a scan of (R, hi] and the remainder beyond hi,
-    hi = max(scan_factor*R, R + max shift + 1). The edges |n|^2 = int(R*R) and
-    int(hi*hi) of every (signature, radius) range cut the lattice into annulus
-    pieces, and each piece into PIECE_STEPS geometric steps. The budget is
-    checked once at the outermost edge, so an over-budget request is refused
-    before any point is scanned; the pieces are then walked innermost first.
+    hi = SCAN_FACTOR * R. The edges |n|^2 = int(R*R) and int(hi*hi) of every
+    (signature, radius) range cut the lattice into annulus pieces, and each
+    piece into PIECE_STEPS geometric steps. The budget is checked once at the
+    outermost edge, so an over-budget request is refused before any point is
+    scanned; the pieces are then walked innermost first.
     Every range keeps a running value, the max of its remainder and of the
     pieces scanned so far. A piece is scanned only for the signatures whose
     remainder bound at its inner edge, which bounds every point beyond that
@@ -478,8 +473,6 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
             raise ValueError(f"radius {R} is not finite")
         if R < 1:
             raise ValueError(f"radius {R} must be >= 1")
-    if not np.isfinite(scan_factor):
-        raise ValueError(f"scan_factor {scan_factor} is not finite")
     ranges = []  # per signature, per radius: the scanned squared-norm range (lo, top]
     best = []  # per signature, per radius: the max of the remainder beyond top and of the pieces scanned so far
     for factors, _ in signatures:
@@ -488,7 +481,7 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
         ranges.append([])
         best.append([])
         for R in radii:
-            hi = max(scan_factor * R, R + max_shift + 1.0)
+            hi = SCAN_FACTOR * R
             if not np.isfinite(hi * hi):
                 raise ValueError(f"radius {R} puts the scan edge at {hi:.4g}, whose square is not finite")
             if shift2 > int(R * R):
@@ -527,9 +520,9 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
             for i in piece_max:
                 for y, s in signatures[i][0]:
                     if id(y) not in base_vals:
-                        base_vals[id(y)] = as_evaluator(y)(base_dirs)
+                        base_vals[id(y)] = y.evaluate(base_dirs)
                     if any(s) and (id(y), s) not in shifted_vals:
-                        shifted_vals[id(y), s] = as_evaluator(y)(_unit(cols + np.asarray(s, dtype=float)[:, None]))
+                        shifted_vals[id(y), s] = y.evaluate(_unit(cols + np.asarray(s, dtype=float)[:, None]))
             for i in piece_max:
                 shifted = np.ones(len(chunk), dtype=complex)
                 base = np.ones(len(chunk), dtype=complex)
@@ -551,27 +544,27 @@ def _tail_bounds(signatures, d: int, radii, scan_factor: float) -> list:
     return totals
 
 
-def commutator_tail_norms(x: TorusElement, y, radii, scan_factor: float = SCAN_FACTOR) -> list:
+def commutator_tail_norms(x: TorusElement, y, radii) -> list:
     """Certified norms of [pi1(x), pi2(y)] restricted to {|n| > R}, one per R in radii.
 
     Per mode m of x the commutator is the weighted shift
     n -> x_m * phase * (y(unit(n+m)) - y(unit(n))) e_{n+m}; its tail norm is the
     sup of the weight over |n| > R, evaluated by scanning the shell
-    (R, scan_factor*R] and bounding the rest analytically. Modes aggregate by
-    triangle inequality. Enlarging scan_factor never increases the report.
-    All radii share one walk of the lattice.
+    (R, SCAN_FACTOR*R] and bounding the rest analytically. Modes aggregate by
+    triangle inequality. All radii share one walk of the lattice. y is a
+    SpherePoly, or a SphereFunction with a Lipschitz constant.
     """
     d = x.d
-    if getattr(y, "d", d) != d:
+    if y.d != d:
         raise ValueError(f"factor dimension {y.d} does not match the torus dimension {d}")
     # pi1(u_0) is scalar, so the zero mode's commutator vanishes
     signatures = [(((y, m),), abs(c)) for m, c in sorted(x.coeffs.items()) if any(m)]
-    return _tail_bounds(signatures, d, tuple(float(r) for r in radii), scan_factor)
+    return _tail_bounds(signatures, d, tuple(float(r) for r in radii))
 
 
-def commutator_tail_norm(x: TorusElement, y, R: float, scan_factor: float = SCAN_FACTOR) -> float:
+def commutator_tail_norm(x: TorusElement, y, R: float) -> float:
     """Certified norm of [pi1(x), pi2(y)] restricted to {|n| > R}; see commutator_tail_norms."""
-    return commutator_tail_norms(x, y, (R,), scan_factor)[0]
+    return commutator_tail_norms(x, y, (R,))[0]
 
 
 @dataclass(frozen=True)
@@ -590,9 +583,7 @@ def _loglog_slope(radii, values) -> float | None:
     return float(slope)
 
 
-def residual_compactness_report(
-    word: OperatorWord, R_list, scan_factor: float = SCAN_FACTOR
-) -> CompactnessReport:
+def residual_compactness_report(word: OperatorWord, R_list) -> CompactnessReport:
     """Tail norms of (word - normal-ordered representative of sym(word)).
 
     For each R the report is a certified upper bound on the operator norm of
@@ -601,18 +592,15 @@ def residual_compactness_report(
     against R (None when fewer than two positive entries).
     """
     radii = tuple(float(r) for r in R_list)
-    norms = _tail_bounds(_shifted_signatures(word), word.d, radii, scan_factor)
+    norms = _tail_bounds(_shifted_signatures(word), word.d, radii)
     return CompactnessReport(radii, tuple(norms), _loglog_slope(radii, norms))
 
 
-def random_word(
-    theta: ThetaMatrix,
-    rng: np.random.Generator,
-    n_letters: int = 4,
-    max_mode: int = 1,
-    max_degree: int = 2,
-) -> OperatorWord:
+def random_word(theta: ThetaMatrix, rng: np.random.Generator, n_letters: int = 4) -> OperatorWord:
     """Sample a word whose compactness residual is not identically zero.
+
+    Shift letters take 1 or 2 modes with entries in {-1, 0, 1}; sphere letters
+    take 1 or 2 monomials with exponents in {0, 1, 2}.
 
     Words that are already normal-ordered (no diagonal letter ever sees a
     nonzero shift) are rejected and redrawn, since their residual is exactly 0
@@ -628,13 +616,13 @@ def random_word(
             if kind == 0:
                 modes = {}
                 for _ in range(rng.integers(1, 3)):
-                    m = tuple(int(v) for v in rng.integers(-max_mode, max_mode + 1, size=d))
+                    m = tuple(int(v) for v in rng.integers(-1, 2, size=d))
                     modes[m] = complex(rng.normal(), rng.normal())
                 letters.append(TorusLetter(TorusElement(theta, modes)))
             else:
                 terms = {}
                 for _ in range(rng.integers(1, 3)):
-                    nvec = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=d))
+                    nvec = tuple(int(v) for v in rng.integers(0, 3, size=d))
                     terms[nvec] = complex(rng.normal())
                 letters.append(SphereLetter(SpherePoly(d, terms)))
         try:

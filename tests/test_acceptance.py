@@ -131,7 +131,7 @@ def test_criterion_03_moment_recursions():
     start = time.perf_counter()
     worst = 0.0
     for d in (2, 4):
-        rep = moment_recursion_check(None, 10, d=d)
+        rep = moment_recursion_check(d, 10)
         for r in (rep.max_odd_residual, rep.max_first_reduction_residual, rep.max_main_reduction_residual):
             assert r < 1e-12
             worst = max(worst, r)
@@ -314,7 +314,7 @@ def test_criterion_10_property_suites():
     worst_sym = 0.0
     for _ in range(1000):
         a, b = two_letter_word(), two_letter_word()
-        worst_sym = max(worst_sym, sym(a * b).gap(sym(a) * sym(b), n_directions=8))
+        worst_sym = max(worst_sym, sym(a * b).gap(sym(a) * sym(b)))
     assert worst_sym < 1e-12
 
     # pinching: idempotent, trace-preserving, norm-nonincreasing, module map

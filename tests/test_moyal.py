@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nctrace import moyal
 from nctrace.moyal import (
     SymplecticForm,
     UniformGrid,
@@ -103,10 +104,10 @@ class TestGroupElements:
             assert sp_group_membership(g, omega)
 
     def test_generator_normalisation_bounds_condition(self):
-        # unit-norm symmetric generator caps cond(e^{scale*Omega*S}) at e^{2*scale}
+        # unit-norm symmetric generator caps cond(e^{Omega S / 2}) at e
         rng = np.random.default_rng(11)
         for _ in range(25):
-            g = random_sp_block(6, rng, scale=0.5)
+            g = random_sp_block(6, rng)
             assert np.linalg.cond(g) <= np.e + 1e-9
 
     def test_conjugate_identity(self):
@@ -342,3 +343,12 @@ class TestRieszDifference:
         prof = riesz_difference_decay(1, 2, [10.0, 20.0])
         assert prof.radii == (10.0, 20.0)
         assert len(prof.sups) == 2
+
+    def test_oversized_shell_refused_before_sampling(self, monkeypatch):
+        # 12000 directions x 17 radii x 5000 coordinates would be a 7.6 GiB point array
+        def no_sampling(*args):
+            raise AssertionError("sampled directions before refusing")
+
+        monkeypatch.setattr(moyal, "_probe_directions", no_sampling)
+        with pytest.raises(ValueError, match="d=5000 need 7.6 GiB"):
+            riesz_difference_decay(1, 5000, [10.0])

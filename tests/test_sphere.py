@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import time
 from math import comb
@@ -24,6 +25,8 @@ from nctrace.sphere import (
     sphere_volume,
     vg_action,
 )
+from nctrace.symbols import commutator_tail_norms
+from nctrace.torus import ThetaMatrix, unitary_generator
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -281,13 +284,13 @@ def test_moment_functional_from_quadrature():
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_recursions_exact_table(d):
-    rep = moment_recursion_check(None, 8, d=d)
+    rep = moment_recursion_check(d, 8)
     assert rep.max_residual < 1e-12
 
 
 def test_recursion_rejects_odd_dimension():
     with pytest.raises(ValueError):
-        moment_recursion_check(None, 4, d=3)
+        moment_recursion_check(3, 4)
 
 
 def test_lie_action_rotation_generator():
@@ -344,3 +347,35 @@ def test_sphere_function_wraps_callable():
     f = SphereFunction(2, lambda pts: pts[..., 0] ** 2, lipschitz=2.0)
     pts = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(f.evaluator(pts), [0.0, 1.0])
+    np.testing.assert_allclose(f.evaluate(pts), [0.0, 1.0])
+
+
+def test_polynomials_are_evaluated_only_through_their_evaluate(monkeypatch):
+    # a wrapper of SpherePoly.evaluate or of a SphereFunction's evaluator sees every evaluation
+    calls = []
+    original = SpherePoly.evaluate
+
+    def counting(self, points):
+        calls.append(np.shape(points)[:-1])
+        return original(self, points)
+
+    monkeypatch.setattr(SpherePoly, "evaluate", counting)
+    t1 = SpherePoly.coordinate(2, 1)
+    g = np.diag([2.0, 0.5])
+    pts = random_unit_vectors(5, 2, np.random.default_rng(0))
+    rule = quadrature_rule(2, n=64)
+
+    commutator_tail_norms(unitary_generator(ThetaMatrix.from_upper(2, [0.5]), (1, 0)), t1, (10.0,))
+    assert calls
+    calls.clear()
+    pullback = vg_action(g, t1)
+    assert pullback.evaluate(pts).shape == (5,) and calls == [(5,)]
+    calls.clear()
+    quadrature_integrate(t1, rule)
+    quadrature_integrate(pullback, rule)
+    assert calls == [(64,), (32,)] * 2
+
+    seen = []
+    watched = dataclasses.replace(pullback, evaluator=lambda p: seen.append(len(p)) or pullback.evaluator(p))
+    np.testing.assert_array_equal(watched.evaluate(pts), pullback.evaluate(pts))
+    assert seen == [5]

@@ -3,7 +3,7 @@ import pytest
 
 import nctrace.symbols as symbols_module
 from nctrace._lattice import iter_shell
-from nctrace.sphere import SphereFunction, SpherePoly, as_evaluator
+from nctrace.sphere import SphereFunction, SpherePoly
 from nctrace.symbols import (
     SCAN_FACTOR,
     LatticeWindow,
@@ -150,12 +150,6 @@ def test_commutator_tail_monotone():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_scan_enlargement_never_raises_bound():
-    for R in (30.0, 60.0):
-        wide = commutator_tail_norm(U10, T1, R, scan_factor=8)
-        assert wide <= commutator_tail_norm(U10, T1, R, scan_factor=4) + 1e-15
-
-
 def test_black_box_function_needs_lipschitz():
     f_ok = SphereFunction(2, lambda p: p[..., 0], lipschitz=1.0)
     assert commutator_tail_norm(U10, f_ok, 50.0) > 0
@@ -253,53 +247,50 @@ def _scan_product_difference(factors, d, r2_lo, r2_hi):
         shifted = np.ones(len(chunk), dtype=complex)
         base = np.ones(len(chunk), dtype=complex)
         for y, s in factors:
-            ev = as_evaluator(y)
-            base_vals = ev(base_dirs)
+            base_vals = y.evaluate(base_dirs)
             base = base * base_vals
             if any(s):
                 moved = pts + np.asarray(s, dtype=float)
-                shifted = shifted * ev(moved / np.linalg.norm(moved, axis=1, keepdims=True))
+                shifted = shifted * y.evaluate(moved / np.linalg.norm(moved, axis=1, keepdims=True))
             else:
                 shifted = shifted * base_vals
         worst = max(worst, float(np.abs(shifted - base).max()))
     return worst
 
 
-def _tail_bound(signatures, d, R, scan_factor):
+def _tail_bound(signatures, d, R):
     total = 0.0
     for factors, weight in signatures:
-        max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
-        hi = max(scan_factor * R, R + max_shift + 1.0)
+        hi = SCAN_FACTOR * R
         scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
         rem = _remainder_bound(factors, hi)
         total += weight * max(scan, rem)
     return total
 
 
-def _commutator_oracle(x, y, radii, scan_factor):
+def _commutator_oracle(x, y, radii):
     signatures = [(((y, m),), abs(c)) for m, c in sorted(x.coeffs.items()) if any(m)]
-    return [_tail_bound(signatures, x.d, float(R), scan_factor) for R in radii]
+    return [_tail_bound(signatures, x.d, float(R)) for R in radii]
 
 
 @pytest.mark.parametrize(
-    "d, seed, radii, scan_factor",
+    "d, seed, radii",
     [
-        (2, 0, (20.0, 9.0, 20.0, 13.5), 4),
-        (2, 5, (13.5, 9.0, 9.0), 8),
-        (3, 2, (10.0, 7.0, 10.0), 4),
-        (3, 0, (6.0, 12.0), 4),
-        (3, 9, (5.5, 8.0), 4),
+        (2, 0, (20.0, 9.0, 20.0, 13.5)),
+        (3, 2, (10.0, 7.0, 10.0)),
+        (3, 0, (6.0, 12.0)),
+        (3, 9, (5.5, 8.0)),
     ],
 )
-def test_report_equals_per_radius_oracle(d, seed, radii, scan_factor):
+def test_report_equals_per_radius_oracle(d, seed, radii):
     theta = THETA if d == 2 else ThetaMatrix.from_upper(3, [0.3, -0.7, 1.1])
     rng = np.random.default_rng(seed)
     for _ in range(2):
         word = random_word(theta, rng, 3)
         signatures = _shifted_signatures(word)
         assert signatures
-        expected = tuple(_tail_bound(signatures, d, R, scan_factor) for R in radii)
-        assert residual_compactness_report(word, radii, scan_factor).tail_norms == expected
+        expected = tuple(_tail_bound(signatures, d, R) for R in radii)
+        assert residual_compactness_report(word, radii).tail_norms == expected
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -309,7 +300,7 @@ def test_suite_words_equal_per_radius_oracle(seed):
     radii = (25.0, 50.0, 100.0, 200.0)
     for _ in range(3):
         word = random_word(THETA, rng)
-        expected = tuple(_tail_bound(_shifted_signatures(word), 2, R, SCAN_FACTOR) for R in radii)
+        expected = tuple(_tail_bound(_shifted_signatures(word), 2, R) for R in radii)
         assert residual_compactness_report(word, radii).tail_norms == expected
 
 
@@ -323,7 +314,7 @@ def test_norms_do_not_depend_on_the_scan_chunk(monkeypatch):
 
     def norms():
         reports = [residual_compactness_report(word, radii).tail_norms for word, radii in words]
-        return reports, commutator_tail_norms(x, T1 * T2, (12.5, 25.0)), commutator_tail_norms(x, y, (12.5,), 8)
+        return reports, commutator_tail_norms(x, T1 * T2, (12.5, 25.0)), commutator_tail_norms(x, y, (12.5,))
 
     default = norms()
     monkeypatch.setattr(symbols_module, "SCAN_CHUNK", 1 << 6)
@@ -334,21 +325,12 @@ def test_report_of_normal_ordered_word_is_exactly_zero():
     assert residual_compactness_report(word_of(U10, U01, T1 * T2, T2), (30.0, 9.0, 30.0)).tail_norms == (0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("scan_factor", [4, 8])
-def test_commutator_norms_equal_per_radius_oracle(scan_factor):
+def test_commutator_norms_equal_per_radius_oracle():
     lipschitz = SphereFunction(2, lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1], lipschitz=4.0)
     x = U10 + (0.5 - 2j) * U01 + 0.25 * torus_identity(THETA)
     radii = (40.0, 12.5, 40.0, 25.0)
     for y in (T1 * T2, T1 * T1 * T1 + 2.0 * T2, lipschitz):
-        assert commutator_tail_norms(x, y, radii, scan_factor) == _commutator_oracle(x, y, radii, scan_factor)
-
-
-def test_commutator_norms_when_the_shift_sets_the_scan_edge():
-    # R + |s| + 1 = 4.41 is over scan_factor * R = 4
-    x = unitary_generator(THETA, (1, 1))
-    assert 2.0 + np.sqrt(2.0) + 1.0 > 2 * 2.0
-    assert commutator_tail_norms(x, T1 * T2, (2.0,), 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)
-    assert commutator_tail_norm(x, T1 * T2, 2.0, 2) == _commutator_oracle(x, T1 * T2, (2.0,), 2)[0]
+        assert commutator_tail_norms(x, y, radii) == _commutator_oracle(x, y, radii)
 
 
 def test_pruned_commutator_scan_skips_most_of_the_ball(monkeypatch):
@@ -364,7 +346,7 @@ def test_pruned_commutator_scan_skips_most_of_the_ball(monkeypatch):
     ball = sum(len(c) for c in iter_shell(2, 50 * 50, 1600 * 1600))
     assert 8.03e6 < ball < 8.04e6
     monkeypatch.setattr(symbols_module, "iter_shell", counting_iter_shell)
-    assert commutator_tail_norms(U10, T1, radii) == _commutator_oracle(U10, T1, radii, SCAN_FACTOR)
+    assert commutator_tail_norms(U10, T1, radii) == _commutator_oracle(U10, T1, radii)
     assert sum(points) <= 2.1e6
 
 
@@ -400,11 +382,7 @@ def test_non_finite_radius_or_scan_factor_refused(bad):
         residual_compactness_report(word, (25.0, bad))
     with pytest.raises(ValueError, match="radius .* not finite"):
         commutator_tail_norms(U10, T1, (bad,))
-    with pytest.raises(ValueError, match="scan_factor .* not finite"):
-        residual_compactness_report(word, (25.0,), scan_factor=bad)
-    with pytest.raises(ValueError, match="scan_factor .* not finite"):
-        commutator_tail_norm(U10, T1, 25.0, scan_factor=bad)
-    # finite, but the square of the scan edge overflows
+    # finite, but the square of the scan edge SCAN_FACTOR * R overflows
     with pytest.raises(ValueError, match="square is not finite"):
         residual_compactness_report(word, (1e200,))
 

@@ -218,6 +218,12 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=5, radius 6 (42205 points)" in err and "GiB" in err
 
+    def test_oversized_shell_sample_is_config_error(self, capsys):
+        # the Riesz profile at d=5000 would sample a 7.6 GiB point array per shell
+        assert main(["moyal", "--d", "5000"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "d=5000" in err and "GiB" in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("name", ["quadrature_cross_check", "quadrature-cross-check"])
     def test_tolerance_name_spellings(self, source, name, tmp_path, capsys):
