@@ -57,13 +57,49 @@ class NormalForm:
     residual: float
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^a for a real square matrix a, by scaling and squaring a Taylor polynomial.
+
+    a is halved s times until its 1-norm is at most 1/2; the degree-18 Taylor
+    polynomial of the scaled matrix is evaluated by Horner's rule and squared
+    s times. At 1-norm 1/2 the dropped tail is below (1/2)^19 e^{1/2} / 19!
+    < 1e-22, far under roundoff (Moler and Van Loan, SIAM Rev. 45, 2003;
+    Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    """
+    if np.iscomplexobj(a):
+        raise ValueError("expected a real matrix")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries are not finite")
+    s = 0
+    norm = float(np.abs(a).sum(axis=0).max())
+    while norm > 0.5:
+        norm /= 2.0
+        s += 1
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0])
+    out = eye + a / 18.0
+    for k in range(17, 0, -1):
+        out = eye + (a @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def antisymmetric_normal_form(theta) -> NormalForm:
     """Real invertible beta with beta^T theta beta = Omega.
 
-    The real Schur form of an antisymmetric matrix is already the orthogonal
-    2x2 block pairing Q^T theta Q = blockdiag(lam_j [[0,1],[-1,0]]); negative
-    lam_j are cured by swapping the two columns of the pair, and scaling each
-    pair by lam_j^{-1/2} lands on Omega.
+    i theta is Hermitian, and its eigenvalues come in pairs +-lam_j. An
+    eigenvector a + ib of lam_j > 0 has theta a = lam_j b, theta b = -lam_j a,
+    a orthogonal to b and |a| = |b|, and the d/2 such vectors give mutually
+    orthogonal planes. So the unit vectors b/|b|, a/|a| of every pair, scaled
+    by lam_j^{-1/2} with lam_j = (b/|b|)^T theta (a/|a|), are the columns of
+    beta. Each eigenvector's phase is fixed first: its first component of
+    modulus at least half the largest is made positive imaginary, and the
+    pairs are ordered by that component's index. So a theta already in block
+    form comes back as a diagonal scaling.
     """
     th = _theta_entries(theta)
     d = th.shape[0]
@@ -71,19 +107,17 @@ def antisymmetric_normal_form(theta) -> NormalForm:
         raise ValueError("antisymmetric normal form needs even d")
     if abs(np.linalg.det(th)) <= 1e-12:
         raise ValueError("theta is numerically singular")
-    from scipy.linalg import schur  # slow to import, and only the symplectic-group code needs it
-
-    T, Q = schur(th, output="real")
-    scale = np.empty(d)
-    for k in range(d // 2):
-        i = 2 * k
-        lam = T[i, i + 1]
-        if lam < 0:
-            Q = Q.copy()
-            Q[:, [i, i + 1]] = Q[:, [i + 1, i]]
-            lam = -lam
-        scale[i] = scale[i + 1] = lam**-0.5
-    beta = Q * scale
+    v = np.linalg.eigh(1j * th)[1][:, d // 2 :]  # eigenvalues ascend, so these are the positive ones
+    mod = np.abs(v)
+    first = np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0)
+    lead = v[first, np.arange(d // 2)]
+    v = (v * (1j * lead.conj() / np.abs(lead)))[:, np.argsort(first, kind="stable")]
+    q = np.empty((d, d))
+    q[:, 0::2] = v.imag
+    q[:, 1::2] = v.real
+    q /= np.linalg.norm(q, axis=0)
+    lam = np.einsum("ik,ij,jk->k", q[:, 0::2], th, q[:, 1::2])
+    beta = q * np.repeat(lam**-0.5, 2)
     omega = SymplecticForm(d).matrix
     residual = float(np.abs(beta.T @ th @ beta - omega).max())
     return NormalForm(beta, residual)
@@ -97,8 +131,6 @@ def random_sp_block(d: int, rng: np.random.Generator) -> np.ndarray:
     of d; quadrature error in the invariance checks grows with cond(g)^d, so
     unbounded generators would drown the identity being tested.
     """
-    from scipy.linalg import expm  # slow to import, and only the symplectic-group code needs it
-
     omega = SymplecticForm(d).matrix
     s = rng.normal(size=(d, d))
     s = (s + s.T) / 2.0
@@ -286,7 +318,7 @@ def ccr_phase_residual(t, s, theta, grid: UniformGrid) -> float:
 # scalar decay profiles
 
 
-def multiplier_identity_residual(g: np.ndarray, b, d: int, seed: int = 0) -> float:
+def multiplier_identity_residual(g: np.ndarray, b, seed: int = 0) -> float:
     """Pointwise residual of the conjugated-multiplier factorization for the sphere function b.
 
     Checks b(gt/|gt|)(1+|gt|^2)^{-d/2} against
@@ -297,6 +329,7 @@ def multiplier_identity_residual(g: np.ndarray, b, d: int, seed: int = 0) -> flo
     g = np.asarray(g, dtype=float)
     if abs(np.linalg.det(g)) <= 1e-12:
         raise ValueError("g is numerically singular")
+    d = g.shape[0]
     rng = np.random.default_rng(seed)
     t = rng.normal(size=(10000, d)) * np.exp(rng.uniform(-3, 3, size=(10000, 1)))
     norms = np.linalg.norm(t, axis=1)
@@ -345,7 +378,6 @@ class ShellProfile:
 
 def h_decay_profile(
     g: np.ndarray,
-    d: int,
     shell_radii: Sequence[float],
     seed: int = 0,
     cell_radii: Sequence[int] | None = None,
@@ -360,6 +392,7 @@ def h_decay_profile(
     g = np.asarray(g, dtype=float)
     if abs(np.linalg.det(g)) <= 1e-12:
         raise ValueError("g is numerically singular")
+    d = g.shape[0]
     rng = np.random.default_rng(seed)
     sups = []
     for R in shell_radii:

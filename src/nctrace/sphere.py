@@ -420,17 +420,16 @@ def _monomial_integrals(points, weights, max_degree: int, g=None) -> dict:
     for start in range(0, n_nodes, _BLOCK):
         cols = points[start : start + _BLOCK].T
         w = weights[start : start + _BLOCK]
-        if g is None:
-            u = np.ascontiguousarray(cols)
-        else:
+        if g is not None:
             gt = g @ cols
             norms = np.sqrt(np.einsum("kj,kj->j", gt, gt))
-            u = gt / norms
             w = w / norms**d
-        power = np.empty((d, max_degree + 1, u.shape[1]))
+        power = np.empty((d, max_degree + 1, len(w)))
         power[:, 0] = 1.0
-        for e in range(1, max_degree + 1):
-            np.multiply(power[:, e - 1], u, out=power[:, e])
+        if max_degree > 0:  # at degree 0 no power row reads u
+            u = np.ascontiguousarray(cols) if g is None else gt / norms
+            for e in range(1, max_degree + 1):
+                np.multiply(power[:, e - 1], u, out=power[:, e])
         sums = []
         _table_dots(power, w, max_degree, sums)
         totals += np.concatenate(sums)

@@ -271,7 +271,7 @@ def test_criterion_09_symplectic_suite():
 
     # decay profiles stay bounded per their shell invariants
     radii = [10.0, 50.0, 250.0, 1000.0]
-    prof = h_decay_profile(np.diag([2.0, 0.5]), 2, radii)
+    prof = h_decay_profile(np.diag([2.0, 0.5]), radii)
     assert prof.bounded_ratio() <= 1.05
     rz = riesz_difference_decay(1, 2, radii)
     assert rz.bounded_ratio() <= 1.05

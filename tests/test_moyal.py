@@ -1,7 +1,10 @@
 """Tests for the symplectic normal form, grid shift unitaries, and decay profiles."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm, schur
 
 from nctrace import moyal
 from nctrace.moyal import (
@@ -29,6 +32,92 @@ OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def random_antisymmetric(d, rng):
     a = rng.normal(size=(d, d))
     return a - a.T
+
+
+def random_real(d, rng, norm1, hamiltonian):
+    """A random d x d matrix of 1-norm norm1: Omega S with S symmetric, or Gaussian entries."""
+    a = rng.normal(size=(d, d))
+    if hamiltonian:
+        a = SymplecticForm(d).matrix @ (a + a.T)
+    return a * (norm1 / np.abs(a).sum(axis=0).max())
+
+
+def series_expm(a):
+    """sum_k a^k / k! in 90-digit decimal arithmetic, to 1e-40 relative to its largest entry."""
+    n = len(a)
+    with localcontext() as ctx:
+        ctx.prec = 90
+        m = [[Decimal(float(x)) for x in row] for row in a]
+        term = [[Decimal(int(i == j)) for j in range(n)] for i in range(n)]
+        total = [row[:] for row in term]
+        k = 0
+        while True:
+            k += 1
+            term = [[sum(term[i][l] * m[l][j] for l in range(n)) / k for j in range(n)] for i in range(n)]
+            total = [[x + y for x, y in zip(r, t)] for r, t in zip(total, term)]
+            top = max(abs(x) for row in total for x in row)
+            if k > 10 and max(abs(x) for row in term for x in row) < Decimal("1e-40") * top:
+                return np.array([[float(x) for x in row] for row in total])
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+
+
+def schur_beta(th):
+    """The real-Schur construction of the normal form, as an oracle."""
+    T, Q = schur(th, output="real")
+    d = len(th)
+    scale = np.empty(d)
+    for i in range(0, d, 2):
+        lam = T[i, i + 1]
+        if lam < 0:
+            Q = Q.copy()
+            Q[:, [i, i + 1]] = Q[:, [i + 1, i]]
+            lam = -lam
+        scale[i] = scale[i + 1] = lam**-0.5
+    return Q * scale
+
+
+# (d, Hamiltonian or Gaussian entries); a Hamiltonian matrix needs even d
+EXPM_CASES = [(d, False) for d in range(2, 9)] + [(d, True) for d in (2, 4, 6, 8)]
+
+
+class TestExpm:
+    @pytest.mark.parametrize("d, hamiltonian", EXPM_CASES)
+    def test_matches_scipy(self, d, hamiltonian):
+        rng = np.random.default_rng(d)
+        assert np.array_equal(moyal.expm(np.zeros((d, d))), np.eye(d))
+        for norm1 in np.linspace(0.01, 5.0, 40):
+            a = random_real(d, rng, norm1, hamiltonian)
+            assert rel_err(moyal.expm(a), scipy_expm(a)) <= 1e-12
+
+    @pytest.mark.parametrize("d, hamiltonian", EXPM_CASES)
+    def test_matches_exact_series_up_to_norm_50(self, d, hamiltonian):
+        # past 1-norm 5 scipy.linalg.expm is itself off the exact series by up
+        # to 6e-12 on such matrices, so the series is the oracle here
+        rng = np.random.default_rng(100 + d)
+        for norm1 in (5.0, 12.5, 25.0, 50.0):
+            a = random_real(d, rng, norm1, hamiltonian)
+            assert rel_err(moyal.expm(a), series_expm(a)) <= 1e-12
+
+    def test_hamiltonian_exponential_is_symplectic(self):
+        rng = np.random.default_rng(3)
+        for d in (2, 4, 6, 8):
+            omega = SymplecticForm(d).matrix
+            for _ in range(20):
+                g = moyal.expm(random_real(d, rng, rng.uniform(0.0, 4.0), True))
+                assert np.abs(g.T @ omega @ g - omega).max() <= 1e-10
+
+    def test_refuses_bad_input(self):
+        with pytest.raises(ValueError, match="not finite"):
+            moyal.expm(np.array([[0.0, np.inf], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="not finite"):
+            moyal.expm(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="square"):
+            moyal.expm(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="real"):
+            moyal.expm(1j * OMEGA2)
 
 
 class TestSymplecticForm:
@@ -88,6 +177,47 @@ class TestNormalForm:
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             antisymmetric_normal_form(np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_matches_schur_oracle(self, d):
+        # both constructions give beta = Q diag(lam_j^{-1/2}) with Q orthogonal, so beta^T beta has eigenvalues 1/lam_j
+        rng = np.random.default_rng(200 + d)
+        omega = SymplecticForm(d).matrix
+        for _ in range(30):
+            th = random_antisymmetric(d, rng)
+            beta, ref = antisymmetric_normal_form(th).beta, schur_beta(th)
+            assert np.abs(beta.T @ th @ beta - omega).max() <= 1e-10
+            assert np.abs(ref.T @ th @ ref - omega).max() <= 1e-10
+            scales, ref_scales = (np.linalg.eigvalsh(b.T @ b) for b in (beta, ref))
+            np.testing.assert_allclose(scales, ref_scales, rtol=1e-10)
+
+    @pytest.mark.parametrize("lams", [(1.0, 1.0), (0.5, 0.5, 3.0), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_repeated_moduli(self, lams):
+        # a repeated |lam| leaves eigh any orthonormal basis of its eigenspace
+        d = 2 * len(lams)
+        block = np.zeros((d, d))
+        for i, lam in zip(range(0, d, 2), lams):
+            block[i, i + 1], block[i + 1, i] = lam, -lam
+        rng = np.random.default_rng(d)
+        omega = SymplecticForm(d).matrix
+        for _ in range(10):
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            th = q @ block @ q.T
+            nf, ref = antisymmetric_normal_form(th), schur_beta(th)
+            assert nf.residual <= 1e-10
+            assert np.abs(ref.T @ th @ ref - omega).max() <= 1e-10
+            np.testing.assert_allclose(np.linalg.eigvalsh(nf.beta.T @ nf.beta), np.sort(np.repeat(lams, 2) ** -1.0))
+
+    def test_block_form_comes_back_diagonal(self):
+        th = np.zeros((4, 4))
+        th[0, 1], th[1, 0], th[2, 3], th[3, 2] = 3.0, -3.0, 0.5, -0.5
+        beta = antisymmetric_normal_form(th).beta
+        assert np.count_nonzero(beta - np.diag(np.diag(beta))) == 0
+
+    def test_non_finite_theta_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                antisymmetric_normal_form(np.array([[0.0, bad], [-bad, 0.0]]))
 
     def test_accepts_theta_matrix_wrapper(self):
         nf = antisymmetric_normal_form(ThetaMatrix.from_upper(2, [np.pi]))
@@ -279,46 +409,46 @@ class TestCommutationPhase:
 
 class TestMultiplierIdentity:
     def test_identity_transform(self):
-        assert multiplier_identity_residual(np.eye(2), SpherePoly.coordinate(2, 1), 2) < 1e-15
+        assert multiplier_identity_residual(np.eye(2), SpherePoly.coordinate(2, 1)) < 1e-15
 
     def test_diagonal_stretch(self):
-        r = multiplier_identity_residual(np.diag([2.0, 1.0]), SpherePoly.coordinate(2, 1), 2)
+        r = multiplier_identity_residual(np.diag([2.0, 1.0]), SpherePoly.coordinate(2, 1))
         assert r < 1e-14
 
     def test_random_symplectic_d4(self):
         g = random_sp_block(4, np.random.default_rng(8))
         b = SpherePoly(4, {(1, 1, 0, 0): 1.0})
-        assert multiplier_identity_residual(g, b, 4) < 1e-13
+        assert multiplier_identity_residual(g, b) < 1e-13
 
     def test_singular_g_rejected(self):
         with pytest.raises(ValueError):
-            multiplier_identity_residual(np.diag([1.0, 0.0]), SpherePoly.coordinate(2, 1), 2)
+            multiplier_identity_residual(np.diag([1.0, 0.0]), SpherePoly.coordinate(2, 1))
 
 
 class TestDecayProfiles:
     def test_identity_transform_profile_is_zero(self):
-        prof = h_decay_profile(np.eye(2), 2, [10.0, 100.0])
+        prof = h_decay_profile(np.eye(2), [10.0, 100.0])
         assert prof.sups == (0.0, 0.0)
 
     def test_stretch_profile_is_bounded(self):
-        prof = h_decay_profile(np.diag([2.0, 0.5]), 2, [10.0, 50.0, 250.0, 1000.0])
+        prof = h_decay_profile(np.diag([2.0, 0.5]), [10.0, 50.0, 250.0, 1000.0])
         assert prof.bounded_ratio() <= 1.05
         # the last two shells agree to well under the 20% slack
         assert abs(prof.sups[-1] / prof.sups[-2] - 1.0) < 0.2
 
     def test_cell_sums_stabilise(self):
-        prof = h_decay_profile(np.diag([2.0, 0.5]), 2, [10.0, 50.0, 250.0, 1000.0], cell_radii=(200, 400))
+        prof = h_decay_profile(np.diag([2.0, 0.5]), [10.0, 50.0, 250.0, 1000.0], cell_radii=(200, 400))
         sums = prof.cell_sums
         assert sums[1] >= sums[0]  # partial sums of a nonnegative series
         assert abs(sums[1] / sums[0] - 1.0) < 0.01
 
     def test_bounded_ratio_needs_four_radii(self):
         with pytest.raises(ValueError):
-            h_decay_profile(np.diag([2.0, 0.5]), 2, [10.0, 100.0]).bounded_ratio()
+            h_decay_profile(np.diag([2.0, 0.5]), [10.0, 100.0]).bounded_ratio()
 
     def test_singular_g_rejected(self):
         with pytest.raises(ValueError):
-            h_decay_profile(np.diag([1.0, 0.0]), 2, [10.0])
+            h_decay_profile(np.diag([1.0, 0.0]), [10.0])
 
 
 class TestRieszDifference:

@@ -224,6 +224,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=5000" in err and "GiB" in err
 
+    def test_oversized_shell_sample_is_refused_before_other_records(self, monkeypatch):
+        # the d-independent records, the cell sums among them, never start
+        started = []
+        for name in ("ccr_phase_residual", "multiplier_identity_residual", "h_decay_profile"):
+            monkeypatch.setattr(verify.moyal, name, lambda *args, name=name, **kwargs: started.append(name))
+        assert main(["moyal", "--d", "5000"]) == EXIT_CONFIG_ERROR
+        assert started == []
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("name", ["quadrature_cross_check", "quadrature-cross-check"])
     def test_tolerance_name_spellings(self, source, name, tmp_path, capsys):
