@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._lattice import iter_shell
-from .sphere import _monomial_integrals, _probe_directions, sphere_moment, vg_action
+from .sphere import _check_invertible, _monomial_integrals, _probe_directions, sphere_moment, vg_action
 from .symbols import DENSE_WINDOW_BYTES
 from .torus import ThetaMatrix
 
@@ -105,9 +105,12 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     d = th.shape[0]
     if d % 2:
         raise ValueError("antisymmetric normal form needs even d")
-    if abs(np.linalg.det(th)) <= 1e-12:
+    w, v = np.linalg.eigh(1j * th)
+    # eigenvalues ascend: the d/2 positive ones, lam_min to lam_max, come last. Their ratio,
+    # unlike det theta, does not change when theta is scaled; lam_max = 0 is refused too
+    if not w[d // 2] > 1e-12 * w[-1]:
         raise ValueError("theta is numerically singular")
-    v = np.linalg.eigh(1j * th)[1][:, d // 2 :]  # eigenvalues ascend, so these are the positive ones
+    v = v[:, d // 2 :]
     mod = np.abs(v)
     first = np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0)
     lead = v[first, np.arange(d // 2)]
@@ -327,8 +330,7 @@ def multiplier_identity_residual(g: np.ndarray, b, seed: int = 0) -> float:
     so the residual is pure roundoff.
     """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) <= 1e-12:
-        raise ValueError("g is numerically singular")
+    _check_invertible(g)
     d = g.shape[0]
     rng = np.random.default_rng(seed)
     t = rng.normal(size=(10000, d)) * np.exp(rng.uniform(-3, 3, size=(10000, 1)))
@@ -390,8 +392,7 @@ def h_decay_profile(
     stabilization is the summability surrogate.
     """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) <= 1e-12:
-        raise ValueError("g is numerically singular")
+    _check_invertible(g)
     d = g.shape[0]
     rng = np.random.default_rng(seed)
     sups = []

@@ -440,6 +440,19 @@ def _monomial_integrals(points, weights, max_degree: int, g=None) -> dict:
 # linear actions
 
 
+def _check_invertible(g: np.ndarray) -> None:
+    """Refuse a square g that is not finite, or whose least singular value is at most 1e-12 of its largest.
+
+    The ratio does not change when g is scaled, as det g does: 1e-4 times the
+    identity in d = 4 has det 1e-16 and condition number 1.
+    """
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g entries must be finite")
+    s = np.linalg.svd(g, compute_uv=False)  # descending
+    if not s[-1] > 1e-12 * s[0]:  # also refuses g = 0
+        raise ValueError("g is numerically singular")
+
+
 def vg_action(g: np.ndarray, b) -> SphereFunction:
     """Weighted pullback (V_g b)(t) = |gt|^{-d} b(gt / |gt|) of the sphere function b.
 
@@ -449,8 +462,7 @@ def vg_action(g: np.ndarray, b) -> SphereFunction:
     d = g.shape[0]
     if g.shape != (d, d):
         raise ValueError("g must be square")
-    if abs(np.linalg.det(g)) <= 1e-12:
-        raise ValueError("g is numerically singular")
+    _check_invertible(g)
     if b.d != d:
         raise ValueError("dimension mismatch between g and b")
 

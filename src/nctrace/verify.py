@@ -123,8 +123,7 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
 
     fit = dx.log_fit(diag1, dx.doubling_grid(cfg.nmax))
     records.append(_record("slope_constant", abs(fit.slope), vol, 0.02 * vol))
-    est = dx.normalised_trace_estimate(diag1, cfg.nmax)
-    records.append(_record("estimate_constant", abs(est), vol / d, 0.03 * vol / d))
+    records.append(_record("estimate_constant", abs(fit.estimate), vol / d, 0.03 * vol / d))
 
     t1sq = SpherePoly.monomial(d, (2,))
     ref = sphere_moment((2,), d) / d

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from scipy.integrate import quad
 
 import nctrace
-
+from nctrace import dixmier, verify
 from nctrace.dixmier import (
+    SUM_CHUNK,
     LatticeDiagonal,
     _grid_sums,
     connes_trace_torus,
@@ -76,6 +78,45 @@ def test_log_fit_residual_stays_bounded():
     half = log_fit(diag, doubling_grid(512)).max_residual
     full = log_fit(diag, doubling_grid(1024)).max_residual
     assert full <= 2 * half + 1e-12
+
+
+@pytest.mark.parametrize("d, N", [(2, 512), (3, 64)])
+def test_log_fit_estimate_is_normalised_trace_estimate(d, N):
+    diag = LatticeDiagonal.symbol_weighted(SpherePoly.monomial(d, (2,)) + SpherePoly.coordinate(d, 1))
+    fit = log_fit(diag, doubling_grid(N))
+    assert fit.estimate == normalised_trace_estimate(diag, N)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_log_fit_counts_match_brute_force(d):
+    grid = [1, 2, 3, 5, 8, 13, 16]
+    box = np.indices((33,) * d).reshape(d, -1).T - 16
+    norms2 = np.einsum("ij,ij->i", box, box)
+    expected = tuple(int(np.count_nonzero((norms2 > 0) & (norms2 <= n * n))) for n in grid)
+    diag = LatticeDiagonal.symbol_weighted(SpherePoly.constant(d, 1.0))
+    for path in (diag, dataclasses.replace(diag, symbol=None)):
+        assert log_fit(path, grid).counts == expected
+
+
+def test_torus_trace_walks_each_ball_once(monkeypatch):
+    walks = Counter()
+
+    def counted(d, r2_min, r2_max, target):
+        walks[r2_min, r2_max] += 1
+        return walk(d, r2_min, r2_max, target)
+
+    walk = dixmier.iter_orbits
+    monkeypatch.setattr(dixmier, "iter_orbits", counted)
+    assert verify.main(["torus-trace", "--nmax", "256", "--out", os.devnull]) == 0
+
+    def shells(N):
+        radii = [0] + doubling_grid(N)
+        return Counter(zip((r * r for r in radii), (r * r for r in radii[1:])))
+
+    # one walk per summed symbol: the constant symbol's slope and estimate share one up to
+    # radius 256, the t1^2 and odd fits walk up to 64, and the mixed Connes estimate, at
+    # min(nmax, 1024), up to 256 with its own symbol
+    assert walks == shells(256) + shells(64) + shells(64) + shells(256)
 
 
 def test_radial_check_closed_form_d2():
@@ -263,6 +304,38 @@ def test_symmetric_sums_match_direct_path(d, grid):
     sums, counts = _grid_sums(LatticeDiagonal.symbol_weighted(odd), grid)
     assert sums == [0j] * len(grid)
     assert counts == _grid_sums(LatticeDiagonal(d, odd.evaluate), grid)[1]
+
+
+@pytest.mark.parametrize("d, grid", [(2, [3, 40, 200, 360]), (3, [3, 10, 30, 56])])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "direct"])
+def test_chunked_sums_match_one_chunk_walk(d, grid, symmetric, monkeypatch):
+    # the walk in chunks of at most 2^22 points, one per shell here, is the oracle
+    y = _random_poly(d, np.random.default_rng(200 + d))
+    diag = LatticeDiagonal.symbol_weighted(y)
+    if not symmetric:
+        diag = dataclasses.replace(diag, symbol=None)
+    name = "iter_orbits" if symmetric else "iter_shell"
+    walk = getattr(dixmier, name)
+    chunks = []
+
+    def recorded(*args, **kwargs):
+        for chunk in walk(*args, **kwargs):
+            chunks.append(len(chunk[0] if symmetric else chunk))
+            yield chunk
+
+    monkeypatch.setattr(dixmier, name, recorded)
+    monkeypatch.setattr(dixmier, "SUM_CHUNK", 1 << 22)
+    oracle, oracle_counts = _grid_sums(diag, grid)
+    assert len(chunks) == len(grid)
+    for target in (1 << 10, SUM_CHUNK):
+        chunks.clear()
+        monkeypatch.setattr(dixmier, "SUM_CHUNK", target)
+        sums, counts = _grid_sums(diag, grid)
+        # the outer shell alone spans several chunks
+        assert max(chunks) <= target and len(chunks) > len(grid)
+        assert counts == oracle_counts
+        np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.diff(sums), np.diff(oracle), rtol=1e-12, atol=0)
 
 
 def test_symmetric_path_never_calls_entry():

@@ -169,6 +169,26 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             antisymmetric_normal_form(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_small_multiples_accepted(self, s):
+        # the refusal reads the ratio lam_min / lam_max, which scaling keeps; det(s * Omega) = s^4
+        nf = antisymmetric_normal_form(s * SymplecticForm(4).matrix)
+        np.testing.assert_allclose(nf.beta, s**-0.5 * np.eye(4), rtol=1e-15)
+        assert nf.residual <= 1e-15
+        th = s * random_antisymmetric(6, np.random.default_rng(9))
+        assert antisymmetric_normal_form(th).residual <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_rank_deficient_theta_rejected(self, scale):
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+        for small in (0.0, 1e-13):
+            block = np.zeros((4, 4))
+            block[0, 1], block[1, 0], block[2, 3], block[3, 2] = 1.0, -1.0, small, -small
+            with pytest.raises(ValueError, match="singular"):
+                antisymmetric_normal_form(scale * q @ block @ q.T)
+        block[2, 3], block[3, 2] = 1e-11, -1e-11
+        assert antisymmetric_normal_form(scale * block).residual <= 1e-15
+
     def test_odd_dimension_rejected(self):
         th = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
         with pytest.raises(ValueError):
@@ -424,6 +444,21 @@ class TestMultiplierIdentity:
         with pytest.raises(ValueError):
             multiplier_identity_residual(np.diag([1.0, 0.0]), SpherePoly.coordinate(2, 1))
 
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_small_multiples_accepted(self, s):
+        # det(s * g) = s^4 in d = 4; the refusal reads the singular-value ratio, which scaling keeps
+        g = s * random_sp_block(4, np.random.default_rng(8))
+        assert multiplier_identity_residual(g, SpherePoly(4, {(1, 1, 0, 0): 1.0})) < 1e-13
+
+    def test_rank_deficient_g_rejected(self):
+        q = np.linalg.qr(np.random.default_rng(6).normal(size=(4, 4)))[0]
+        b = SpherePoly(4, {(1, 1, 0, 0): 1.0})
+        for g in (q @ np.diag([1.0, 1.0, 1.0, 0.0]), 1e-6 * np.diag([1.0, 1.0, 1.0, 1e-13]), np.zeros((4, 4))):
+            with pytest.raises(ValueError, match="singular"):
+                multiplier_identity_residual(g, b)
+        with pytest.raises(ValueError, match="finite"):
+            multiplier_identity_residual(np.diag([1.0, 1.0, 1.0, np.nan]), b)
+
 
 class TestDecayProfiles:
     def test_identity_transform_profile_is_zero(self):
@@ -449,6 +484,17 @@ class TestDecayProfiles:
     def test_singular_g_rejected(self):
         with pytest.raises(ValueError):
             h_decay_profile(np.diag([1.0, 0.0]), [10.0])
+
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_small_multiples_accepted(self, s):
+        prof = h_decay_profile(s * np.diag([2.0, 0.5]), [10.0, 50.0])
+        assert all(np.isfinite(prof.sups))
+
+    def test_rank_deficient_g_rejected(self):
+        q = np.linalg.qr(np.random.default_rng(7).normal(size=(2, 2)))[0]
+        for g in (q @ np.diag([1.0, 0.0]), 1e-6 * np.diag([1.0, 1e-13]), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="singular"):
+                h_decay_profile(g, [10.0])
 
 
 class TestRieszDifference:

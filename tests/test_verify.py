@@ -164,6 +164,15 @@ class TestMainExitCodes:
         assert main([FAST, f"--tol.quadrature_cross_check={value}"]) == EXIT_CONFIG_ERROR
         assert "must be positive and finite" in capsys.readouterr().err
 
+    def test_small_theta_passes(self, capsys):
+        # det theta = 1e-16, condition number 1: accepted as well conditioned
+        assert main(["symplectic", "--d", "4", "--theta", "1e-4,0,0,0,0,1e-4"]) == EXIT_PASS
+        assert "PASS (5/5 checks" in capsys.readouterr().out
+
+    def test_rank_deficient_theta_is_config_error(self, capsys):
+        assert main(["symplectic", "--d", "4", "--theta", "1,0,0,0,0,0"]) == EXIT_CONFIG_ERROR
+        assert "theta is numerically singular" in capsys.readouterr().err
+
     def test_non_finite_theta_is_config_error(self, capsys):
         assert main(["torus-trace", "--nmax", "128", "--theta", "nan"]) == EXIT_CONFIG_ERROR
         assert "theta entries must be finite" in capsys.readouterr().err
