@@ -24,12 +24,14 @@ commutator, scans in one pass: the scan edges cut the lattice into annulus
 pieces (each in PIECE_STEPS geometric steps), walked innermost first, and
 every signature is reduced to a per-piece max on the shared directions and
 letter values. Each (signature, radius) keeps a running max that starts at
-its remainder. The remainder bound at a piece's inner edge bounds every point
-beyond it, so a piece is scanned only for the signatures where that bound
-reaches a running max of a radius covering the piece; the pieces left out
-cannot change a reported number. A request costs at most the points of the
-ball of radius hi_max minus the ball of radius R_min, and usually the inner
-part of each range only.
+its remainder. A bound at a piece's inner edge bounds every point beyond it,
+so a piece is scanned only for the signatures where that bound reaches a
+running max of a radius covering the piece; the pieces left out cannot change
+a reported number. The bound that skips pieces is the sharper of that
+remainder and _sharp_remainder, a certified first-order bound from a sphere
+grid that is close to the lattice sup; the reported norms keep the looser
+remainder. A request costs at most the points of the ball of radius hi_max
+minus the ball of radius R_min, and usually the inner part of each range only.
 """
 
 from __future__ import annotations
@@ -47,14 +49,21 @@ from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, tor
 # a tail scan covers R < |n| <= SCAN_FACTOR * R; over 1, so that the remainder edge clears every shift (|s| <= R)
 SCAN_FACTOR = 4
 # shell points per tail-scan chunk, so that each per-chunk complex array (16 bytes
-# a point) stays in cache. `symbol-compactness --d 2 --seed 0`, 10 alternating
-# rounds on 2 vCPUs: median 1.056 s at 2^12, 1.020 s at 2^13, 1.029 s at 2^14 and
-# 1.329 s at 2^16
+# a point) stays in cache. The tail requests of `symbol-compactness --d 2` at
+# seeds 0-11, 10 alternating rounds of fresh processes on 2 vCPUs: median 0.72 s
+# at 2^11, 0.63 s at 2^12, 0.51 s at 2^13, 0.62 s at 2^14 and 0.77 s at 2^16
 SCAN_CHUNK = 1 << 13
 # geometric steps per annulus piece of a tail scan, so that pruning can skip the
-# outer part of a piece; at 4 the d=2 suite scans 4.65M points, at 1 6.52M
-PIECE_STEPS = 4
+# outer part of a piece. The d=2 suite at seed 0 scans 2.51M points at 1, 837k at
+# 2, 348k at 4 and 161k at 8; its tail requests at seeds 0-11 (as above) take
+# 1.15 s at 2, 0.63 s at 4, 0.52 s at 8 and 0.63 s at 16, and 8 beat 4 in 15 of
+# 16 further alternating rounds (median 0.54 s against 0.65 s)
+PIECE_STEPS = 8
 DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
+# the sphere grid of _sharp_remainder: the coarsest with m*h <= _GRID_MH, at most
+# about _GRID_POINTS directions (m the degree sampled, h the covering radius)
+_GRID_MH = 0.01
+_GRID_POINTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +445,79 @@ def _remainder_bound(factors, beyond: float) -> float:
     return total
 
 
+class _SharpBound(NamedTuple):
+    """|prod y_j(unit(n+s_j)) - prod y_j(unit(n))| <= a / r + b / (2 (r - smax)^2) for every |n| > r > smax."""
+
+    a: float
+    b: float
+    smax: float
+
+    def at(self, r: float) -> float:
+        return self.a / r + self.b / (2.0 * (r - self.smax) ** 2) if r > self.smax else np.inf
+
+
+def _sharp_remainder(factors, d: int) -> _SharpBound:
+    """A bound on |prod y_j(unit(n+s_j)) - prod y_j(unit(n))| over |n| > r, sharper than _remainder_bound.
+
+    With phi(t) = prod_j y_j(unit(n + t s_j)), the difference is
+    phi'(0) + int_0^1 (1-t) phi''(t) dt. phi'(0) = H(unit(n)) / |n| with
+    H(w) = sum_j [grad y_j(w).s_j - (w.grad y_j(w))(w.s_j)] prod_{i!=j} y_i(w),
+    a polynomial of degree m <= 1 + sum_j deg y_j; a bounds sup|H| on the
+    sphere by its max on a grid of geodesic covering radius h: on a great
+    circle H is a trigonometric polynomial of degree m, so |H'| <= m sup|H|
+    (Bernstein) and sup|H| <= max_grid|H| / (1 - m*h). |phi''| is at most b /
+    (r - max|s_j|)^2 from sup_bound, gradient_sup_bound and the Hessian bound
+    sum |c_n| |n|_2^2, with |grad f| <= |grad y| / |v| and
+    ||hess f|| <= (3|grad y| + ||hess y||) / |v|^2 for f = y(unit(v)).
+    The bound is inf where it does not apply: a factor that is not a
+    SpherePoly, r <= max|s_j|, or m*h >= 1/2 on the largest grid.
+    """
+    unbounded = _SharpBound(np.inf, 0.0, 0.0)
+    if not all(isinstance(y, SpherePoly) for y, _ in factors):
+        return unbounded
+    m = 1 + sum(y.degree() for y, _ in factors)
+    # the mesh of spacing 2/q on the faces of [-1, 1]^d, projected radially (1-Lipschitz
+    # onto the ball), covers the sphere within chord sqrt(d-1)/q, so within arc h_q
+    h_q = 0.5 * np.pi * np.sqrt(d - 1)
+    q_cap = int((_GRID_POINTS / (2 * d)) ** (1.0 / (d - 1))) - 1
+    q = max(1, min(int(np.ceil(m * h_q / _GRID_MH)), q_cap))
+    mh = m * h_q / q
+    if mh >= 0.5:
+        return unbounded
+    ticks = np.linspace(-1.0, 1.0, q + 1)
+    face = ticks[np.indices((q + 1,) * (d - 1)).reshape(d - 1, (q + 1) ** (d - 1))]
+    cube = np.concatenate([np.insert(face, k, sign, axis=0) for k in range(d) for sign in (-1.0, 1.0)], axis=1)
+    grid = _unit(cube)
+
+    vals = [y.evaluate(grid) for y, _ in factors]
+    h_vals = np.zeros(len(grid), dtype=complex)
+    for j, (y, s) in enumerate(factors):
+        if not any(s):
+            continue
+        partials = [y.partial(k + 1).evaluate(grid) for k in range(d)]
+        along = sum(v * p for v, p in zip(s, partials))
+        radial = sum(grid[:, k] * p for k, p in enumerate(partials))
+        term = along - radial * (grid @ np.asarray(s, dtype=float))
+        for i, v in enumerate(vals):
+            if i != j:
+                term = term * v
+        h_vals += term
+    a = float(np.abs(h_vals).max() * (1.0 + 1e-9) / (1.0 - mh))
+
+    sups = [y.sup_bound() for y, _ in factors]
+    grads = [y.gradient_sup_bound() for y, _ in factors]
+    hessians = [sum(abs(c) * sum(e * e for e in n) for n, c in y.coeffs.items()) for y, _ in factors]
+    shifts = [float(np.linalg.norm(s)) for _, s in factors]
+    b = 0.0
+    for j in range(len(factors)):
+        b += (3.0 * grads[j] + hessians[j]) * shifts[j] ** 2 * np.prod([v for i, v in enumerate(sups) if i != j])
+        for k in range(len(factors)):
+            if k != j:
+                rest = np.prod([v for i, v in enumerate(sups) if i not in (j, k)])
+                b += grads[j] * grads[k] * shifts[j] * shifts[k] * rest
+    return _SharpBound(a, float(b), max(shifts))
+
+
 def _unit(cols: np.ndarray) -> np.ndarray:
     """Unit directions, shape (k, d), of the points whose coordinates are the rows of cols (d, k).
 
@@ -459,14 +541,17 @@ def _tail_bounds(signatures, d: int, radii) -> list:
     piece into PIECE_STEPS geometric steps. The budget is checked once at the
     outermost edge, so an over-budget request is refused before any point is
     scanned; the pieces are then walked innermost first.
-    Every range keeps a running value, the max of its remainder and of the
-    pieces scanned so far. A piece is scanned only for the signatures whose
-    remainder bound at its inner edge, which bounds every point beyond that
-    edge, reaches (up to a factor 1 + 1e-9 for rounding) the running value of
-    a range covering it; no other point can raise a range's max, so every
-    norm is the one the full scan gives. Per chunk the directions, each
-    letter's values and each shifted value are computed once and shared by the
-    scanned signatures.
+    Every range keeps a running value, the max of its remainder beyond hi and
+    of the pieces scanned so far. A piece is scanned only for the signatures
+    whose bound at its inner edge, which bounds every point beyond that edge,
+    reaches (up to a factor 1 + 1e-9 for rounding) the running value of a
+    range covering it; no other point can raise a range's max, so every norm
+    is the one the full scan gives. That bound is the smaller of
+    _remainder_bound and _sharp_remainder, computed once per signature; the
+    running values start from _remainder_bound alone, so the reported norms
+    do not depend on the sharp bound. Per chunk the directions, each shifted
+    direction array, each letter's values and each shifted value are computed
+    once and shared by the scanned signatures.
     """
     for R in radii:
         if not np.isfinite(R):
@@ -493,6 +578,7 @@ def _tail_bounds(signatures, d: int, radii) -> list:
     edges = sorted({e for row in ranges for lo_top in row for e in lo_top})
     if edges:
         check_shell_budget(d, edges[-1])
+    sharp = [_sharp_remainder(factors, d) for factors, _ in signatures]
     cuts = set(edges)
     for lo, top in zip(edges, edges[1:]):
         cuts.update(int(lo * (top / lo) ** (k / PIECE_STEPS)) for k in range(1, PIECE_STEPS))
@@ -503,10 +589,12 @@ def _tail_bounds(signatures, d: int, radii) -> list:
             covering = [j for j, (lo, top) in enumerate(row) if lo <= r2_lo and r2_hi <= top]
             if not covering:
                 continue
+            inner = float(np.sqrt(r2_lo))
             try:
-                bound = _remainder_bound(signatures[i][0], float(np.sqrt(r2_lo)))
+                bound = _remainder_bound(signatures[i][0], inner)
             except ValueError:
                 bound = np.inf
+            bound = min(bound, sharp[i].at(inner))
             if any(bound * (1.0 + 1e-9) >= best[i][j] for j in covering):
                 users[i] = covering
         if not users:
@@ -516,13 +604,16 @@ def _tail_bounds(signatures, d: int, radii) -> list:
             cols = chunk.T.astype(float, order="C")
             base_dirs = _unit(cols)
             base_vals: dict = {}
+            shifted_dirs: dict = {}
             shifted_vals: dict = {}
             for i in piece_max:
                 for y, s in signatures[i][0]:
                     if id(y) not in base_vals:
                         base_vals[id(y)] = y.evaluate(base_dirs)
                     if any(s) and (id(y), s) not in shifted_vals:
-                        shifted_vals[id(y), s] = y.evaluate(_unit(cols + np.asarray(s, dtype=float)[:, None]))
+                        if s not in shifted_dirs:
+                            shifted_dirs[s] = _unit(cols + np.asarray(s, dtype=float)[:, None])
+                        shifted_vals[id(y), s] = y.evaluate(shifted_dirs[s])
             for i in piece_max:
                 shifted = np.ones(len(chunk), dtype=complex)
                 base = np.ones(len(chunk), dtype=complex)

@@ -112,9 +112,11 @@ def _record(name: str, measured, reference, tol: float) -> dict:
 
 
 def _suite_torus_trace(cfg: VerifyConfig) -> list:
-    if cfg.nmax < 128:
-        # the t1^2 and odd-slope fits run on the doubling grid at nmax // 4, which needs 32
-        raise ConfigError(f"torus-trace needs --nmax >= 128, got {cfg.nmax}")
+    # the t1^2 and odd-slope fits run on the doubling grid at nmax // 4, which needs 32;
+    # from d=4 on the t1^2 fit on radii 2..32 misses its 5% tolerance (1.1496 against 1.2337)
+    floor = 128 if cfg.d <= 3 else 256
+    if cfg.nmax < floor:
+        raise ConfigError(f"torus-trace at d={cfg.d} needs --nmax >= {floor}, got {cfg.nmax}")
     d = cfg.d
     records = []
     one = SpherePoly.constant(d, 1.0)

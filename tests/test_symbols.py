@@ -3,7 +3,7 @@ import pytest
 
 import nctrace.symbols as symbols_module
 from nctrace._lattice import iter_shell
-from nctrace.sphere import SphereFunction, SpherePoly
+from nctrace.sphere import SphereFunction, SpherePoly, random_unit_vectors
 from nctrace.symbols import (
     SCAN_FACTOR,
     LatticeWindow,
@@ -20,6 +20,7 @@ from nctrace.symbols import (
     sym,
     word_matrix,
     _remainder_bound,
+    _sharp_remainder,
     _shifted_signatures,
 )
 from nctrace.torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
@@ -348,6 +349,100 @@ def test_pruned_commutator_scan_skips_most_of_the_ball(monkeypatch):
     monkeypatch.setattr(symbols_module, "iter_shell", counting_iter_shell)
     assert commutator_tail_norms(U10, T1, radii) == _commutator_oracle(U10, T1, radii)
     assert sum(points) <= 2.1e6
+
+
+def test_pruned_suite_word_scans_skip_most_of_the_ball(monkeypatch):
+    # the three words of symbol-compactness --d 2 --seed 0; pruning by the loose remainder alone walked 4.37M points
+    points = []
+
+    def counting_iter_shell(*args, **kwargs):
+        for chunk in iter_shell(*args, **kwargs):
+            points.append(len(chunk))
+            yield chunk
+
+    rng = np.random.default_rng(0)
+    radii = (25.0, 50.0, 100.0, 200.0)
+    words = [random_word(THETA, rng) for _ in range(3)]
+    expected = [tuple(_tail_bound(_shifted_signatures(word), 2, R) for R in radii) for word in words]
+    monkeypatch.setattr(symbols_module, "iter_shell", counting_iter_shell)
+    assert [residual_compactness_report(word, radii).tail_norms for word in words] == expected
+    assert sum(points) <= 0.5e6
+
+
+def _sharp_cases():
+    theta3 = ThetaMatrix.from_upper(3, [0.3, -0.7, 1.1])
+    for d, theta, seed in [(2, THETA, 0), (2, THETA, 4), (2, THETA, 11), (3, theta3, 1), (3, theta3, 6)]:
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            for factors, _ in _shifted_signatures(random_word(theta, rng, 3 if d == 3 else 4)):
+                yield d, factors
+
+
+def test_sharp_remainder_bounds_the_scanned_shell():
+    for d, factors in _sharp_cases():
+        sharp = _sharp_remainder(factors, d)
+        for r in ((3, 5, 10, 25) if d == 2 else (3, 5, 8)):
+            bound = sharp.at(float(r))
+            if r <= sharp.smax:
+                assert bound == np.inf
+                continue
+            assert np.isfinite(bound)
+            assert bound >= _scan_product_difference(factors, d, r * r, 16 * r * r)
+
+
+def _first_order_poly(factors, d):
+    """H = sum_j [grad y_j . s_j - (t . grad y_j)(t . s_j)] prod_{i != j} y_i, by polynomial algebra."""
+    zero = SpherePoly(d, {})
+    t = [SpherePoly.coordinate(d, k + 1) for k in range(d)]
+    out = zero
+    for j, (y, s) in enumerate(factors):
+        grads = [y.partial(k + 1) for k in range(d)]
+        along = sum((v * g for v, g in zip(s, grads)), zero)
+        radial = sum((tk * g for tk, g in zip(t, grads)), zero)
+        term = along - radial * sum((v * tk for v, tk in zip(s, t)), zero)
+        for i, (other, _) in enumerate(factors):
+            if i != j:
+                term = term * other
+        out = out + term
+    return out
+
+
+def test_sharp_remainder_grid_sup_bounds_a_finer_sample():
+    rng = np.random.default_rng(5)
+    for d, factors in _sharp_cases():
+        sharp = _sharp_remainder(factors, d)
+        poly = _first_order_poly(factors, d)
+        if d == 2:
+            # ten times the largest grid a degree-m polynomial gets at d = 2
+            m = 1 + sum(y.degree() for y, _ in factors)
+            angles = np.linspace(0.0, 2.0 * np.pi, 40 * (160 * m + 1), endpoint=False)
+            fine = float(np.abs(poly.evaluate(np.stack([np.cos(angles), np.sin(angles)], axis=1))).max())
+        else:
+            # ten times the grid budget, in random directions
+            fine = max(
+                float(np.abs(poly.evaluate(random_unit_vectors(1 << 18, d, rng))).max()) for _ in range(10)
+            )
+        assert fine <= sharp.a <= 2.0 * fine
+
+
+def test_sharp_remainder_is_first_order_exact():
+    # |n| * (prod y(unit(n+s)) - prod y(unit(n))) tends to H(unit(n)), so A / r is the leading term
+    rng = np.random.default_rng(3)
+    word = random_word(THETA, rng)
+    for factors, _ in _shifted_signatures(word):
+        poly = _first_order_poly(factors, 2)
+        assert poly.coeffs
+        for n in ([6 * 10**5, 8 * 10**5], [-4 * 10**5, 7 * 10**5], [-5 * 10**5, -9 * 10**5]):
+            v = np.array(n, dtype=float)
+            moved = np.prod([y.evaluate((v + s) / np.linalg.norm(v + s)) for y, s in factors])
+            base = np.prod([y.evaluate(v / np.linalg.norm(v)) for y, _ in factors])
+            assert abs((moved - base) * np.linalg.norm(v) - poly.evaluate(v / np.linalg.norm(v))) <= 1e-4
+
+
+def test_sharp_remainder_leaves_sphere_functions_to_the_lipschitz_bound():
+    f = SphereFunction(2, lambda p: p[..., 0], lipschitz=1.0)
+    assert _sharp_remainder(((f, (1, 0)),), 2).at(100.0) == np.inf
+    assert _sharp_remainder(((T1, (1, 0)), (f, (0, 0))), 2).at(100.0) == np.inf
 
 
 def test_over_budget_scan_is_refused_before_any_chunk(monkeypatch):

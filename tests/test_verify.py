@@ -219,6 +219,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "--nmax" in err and "128" in err
 
+    def test_small_nmax_from_d4_is_config_error(self, capsys):
+        # at d=4 the t1^2 fit on radii 2..32 (nmax 128) misses its tolerance; 256 passes
+        start = time.perf_counter()
+        assert main(["torus-trace", "--d", "4", "--nmax", "128"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "d=4" in err and "--nmax >= 256" in err
+
     def test_oversized_window_matrix_is_config_error(self, capsys):
         # the d=5 window of radius 6 has 42205 points: a 26.5 GiB dense matrix
         start = time.perf_counter()
