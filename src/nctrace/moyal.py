@@ -187,7 +187,8 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
     Symplectic matrices have determinant 1, so the weighted pullback must
     preserve every monomial integral exactly; rows record the quadrature
     residual per (random transform, monomial up to the degree). Each transform
-    takes one batch pass over the fine nodes (sphere._monomial_integrals);
+    takes one batch pass over the rule's fine nodes (sphere._monomial_integrals),
+    which on a HopfRule are streamed from per-angle tables, never stored;
     sphere.invariance_residual is the per-monomial form of the same residual.
     """
     th = _theta_entries(theta)
@@ -200,7 +201,7 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
     for i in range(n_transforms):
         g = sp_theta_conjugate(random_sp_block(d, rng), nf.beta, th)
         det = np.linalg.det(g)
-        values = _monomial_integrals(rule.points, rule.weights, degree, g)
+        values = _monomial_integrals(rule, degree, g)
         rows.extend((i, nvec, abs(v - sphere_moment(nvec, d) / det)) for nvec, v in values.items())
     return InvarianceReport(tuple(rows))
 

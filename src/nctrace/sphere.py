@@ -11,16 +11,20 @@ A sphere function is a SpherePoly or a SphereFunction (a black-box evaluator);
 the functions that accept either read only its `d` and `evaluate(points)`.
 
 Quadrature menu: d=2 trapezoid in the angle, d=3 Gauss-Legendre x trapezoid,
-d=4 additionally a uniform product parameterization of S^3, d>=4 scrambled Sobol
-through a measure-preserving polar map. Every rule carries a coarser companion
-set whose disagreement with the full rule is reported as the error proxy.
+d=4 additionally a uniform product parameterization of S^3 (a HopfRule, kept as
+its latitudes and angle count, its node arrays built on first read), d>=4
+scrambled Sobol through a measure-preserving polar map. Every rule carries a
+coarser companion set whose disagreement with the full rule is reported as the
+error proxy. The batch moments of _monomial_integrals stream a HopfRule's nodes
+from per-angle tables and slice the node array of every other rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, lgamma, exp
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -222,6 +226,71 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
+@dataclass(frozen=True)
+class HopfRule:
+    """The uniform product rule on S^3, kept as its factors.
+
+    t = (sqrt(1-u) cos p1, sqrt(1-u) sin p1, sqrt(u) cos p2, sqrt(u) sin p2)
+    carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2. The rule takes
+    Gauss-Legendre latitudes u in (0, 1) and n_phi trapezoid angles for each of
+    p1 and p2; its n_u * n_phi^2 nodes run over (u, p1, p2) in C order. The
+    node and weight arrays, and the coarse companion at half the counts, are
+    built on first read; _monomial_integrals streams the nodes from the factors
+    and reads none of them.
+    """
+
+    latitudes: np.ndarray
+    latitude_weights: np.ndarray  # Gauss weights of the latitudes on (0, 1)
+    n_phi: int
+    d: ClassVar[int] = 4
+    kind: ClassVar[str] = "hopf"
+
+    @property
+    def size(self) -> int:
+        return self.latitudes.size * self.n_phi**2
+
+    @cached_property
+    def circle(self) -> np.ndarray:
+        """The 2 x n_phi table of (cos p, sin p) on the angles."""
+        phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        return np.stack([np.cos(phi), np.sin(phi)])
+
+    @property
+    def row_weights(self) -> np.ndarray:
+        """The weight of each node, one entry per latitude."""
+        wphi = 2.0 * np.pi / self.n_phi
+        return 0.5 * self.latitude_weights * wphi * wphi
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        # cos and sin are taken on the n_phi angles only and broadcast
+        r1 = np.sqrt(1.0 - self.latitudes)[:, None, None]
+        r2 = np.sqrt(self.latitudes)[:, None, None]
+        cos, sin = self.circle
+        pts = np.empty((self.latitudes.size, self.n_phi, self.n_phi, 4))
+        pts[..., 0] = r1 * cos[:, None]
+        pts[..., 1] = r1 * sin[:, None]
+        pts[..., 2] = r2 * cos
+        pts[..., 3] = r2 * sin
+        return pts.reshape(-1, 4)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.repeat(self.row_weights, self.n_phi * self.n_phi)
+
+    @cached_property
+    def _coarse(self) -> "HopfRule":
+        return _s3_hopf_rule(max(4, self.latitudes.size // 2), max(8, self.n_phi // 2))
+
+    @property
+    def coarse_points(self) -> np.ndarray:
+        return self._coarse.points
+
+    @property
+    def coarse_weights(self) -> np.ndarray:
+        return self._coarse.weights
+
+
 def _circle_points(n: int) -> tuple:
     phi = 2.0 * np.pi * np.arange(n) / n
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
@@ -239,29 +308,9 @@ def _s2_product_points(n_z: int, n_phi: int) -> tuple:
     return pts, (WZ * wphi).ravel()
 
 
-def _s3_hopf_points(n_u: int, n_phi: int) -> tuple:
-    """Uniform product parameterization of S^3.
-
-    t = (sqrt(1-u) cos p1, sqrt(1-u) sin p1, sqrt(u) cos p2, sqrt(u) sin p2)
-    carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2. Nodes run over
-    (u, p1, p2) in C order; cos and sin are taken on the n_phi angles only and
-    broadcast.
-    """
+def _s3_hopf_rule(n_u: int, n_phi: int) -> HopfRule:
     zu, wu = np.polynomial.legendre.leggauss(n_u)
-    u = 0.5 * (zu + 1.0)
-    wu = 0.5 * wu
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    r1 = np.sqrt(1.0 - u)[:, None, None]
-    r2 = np.sqrt(u)[:, None, None]
-    cos, sin = np.cos(phi), np.sin(phi)
-    pts = np.empty((n_u, n_phi, n_phi, 4))
-    pts[..., 0] = r1 * cos[:, None]
-    pts[..., 1] = r1 * sin[:, None]
-    pts[..., 2] = r2 * cos
-    pts[..., 3] = r2 * sin
-    w = np.repeat(0.5 * wu * wphi * wphi, n_phi * n_phi)
-    return pts.reshape(-1, 4), w
+    return HopfRule(0.5 * (zu + 1.0), 0.5 * wu, n_phi)
 
 
 def _cube_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
@@ -311,7 +360,7 @@ def _node_counts(n, parts: int) -> tuple:
     return tuple(int(c) for c in counts)
 
 
-def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> QuadratureRule:
+def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> QuadratureRule | HopfRule:
     """Build a sphere rule. kind defaults to trapezoid (d=2), product (d=3), sobol (d>=4).
 
     d=4 additionally supports kind="hopf", the uniform product rule on S^3,
@@ -350,8 +399,7 @@ def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> Q
             nu, nphi = counts[0], counts[0]
         else:
             nu, nphi = counts
-        pts, w = _s3_hopf_points(nu, nphi)
-        cpts, cw = _s3_hopf_points(max(4, nu // 2), max(8, nphi // 2))
+        return _s3_hopf_rule(nu, nphi)
     elif kind == "sobol":
         if d < 4:
             raise ValueError("use the product rules below d=4")
@@ -396,40 +444,106 @@ def _table_dots(power: np.ndarray, partial: np.ndarray, remaining: int, out: lis
         _table_dots(power, partial if e == 0 else partial * power[k, e], remaining - e, out, k + 1)
 
 
-def _monomial_integrals(points, weights, max_degree: int, g=None) -> dict:
+def _flat_blocks(rule, g, directions: bool):
+    """Blocks of _BLOCK nodes sliced from rule.points, as pairs (u, w).
+
+    u holds the directions gt/|gt| column-wise (None unless asked for) and w
+    the weights times |gt|^{-d}, formed in real arithmetic.
+    """
+    for start in range(0, rule.size, _BLOCK):
+        cols = rule.points[start : start + _BLOCK].T
+        w = rule.weights[start : start + _BLOCK]
+        if g is None:
+            yield (np.ascontiguousarray(cols) if directions else None), w
+            continue
+        gt = g @ cols
+        norms = np.sqrt(np.einsum("kj,kj->j", gt, gt))
+        yield (gt / norms if directions else None), w / norms**rule.d
+
+
+def _hopf_blocks(rule: HopfRule, g, directions: bool):
+    """The blocks of _flat_blocks on a HopfRule, built from its factors.
+
+    A block is the p2 circle of each of max(1, _BLOCK // n_phi) consecutive
+    (u, p1) rows, so it holds _BLOCK nodes when n_phi divides _BLOCK. With
+    r1 = sqrt(1-u), r2 = sqrt(u) and E the circle table,
+    gt = r1 A[:, p1] + r2 B[:, p2] for the 4 x n_phi tables A = g[:, :2] E and
+    B = g[:, 2:] E, and q = |gt|^2 = r1^2 a[p1] + r2^2 b[p2] + 2 r1 r2 C[p1, p2]
+    with a = |A|^2, b = |B|^2 and C = A^T B, all formed once per g. A node's
+    weight is w / q^2 and its direction (r1/sqrt q) A[:, p1] + (r2/sqrt q) B[:, p2].
+    This q loses about cond(g) eps relative against the sum of the squares of gt,
+    which is harmless for Sp(theta). For g = None the tables are E itself, q is
+    not formed, and a block is bitwise the flat block of rule.points.
+    """
+    n_phi = rule.n_phi
+    A = np.zeros((4, n_phi))
+    B = np.zeros((4, n_phi))
+    A[:2] = B[2:] = rule.circle
+    if g is not None:
+        A, B = g @ A, g @ B
+        a, b, C = np.einsum("kj,kj->j", A, A), np.einsum("kj,kj->j", B, B), A.T @ B
+    r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
+    row_w = rule.row_weights
+    n_rows = rule.latitudes.size * n_phi
+    step = max(1, _BLOCK // n_phi)
+    for start in range(0, n_rows, step):
+        lat, p1 = np.divmod(np.arange(start, min(start + step, n_rows)), n_phi)
+        s1, s2 = r1[lat, None], r2[lat, None]
+        if g is None:
+            w = np.repeat(row_w[lat], n_phi)
+        else:
+            q = C[p1]
+            q *= 2.0 * s1 * s2
+            q += (s2 * s2) * b
+            q += (s1 * s1) * a[p1, None]
+            w = (row_w[lat, None] / (q * q)).ravel()
+            if directions:
+                scale = 1.0 / np.sqrt(q)
+                s1, s2 = s1 * scale, s2 * scale
+        u = None
+        if directions:
+            u = np.empty((4, lat.size, n_phi))
+            for k in range(4):
+                np.multiply(s1, A[k, p1, None], out=u[k])
+                u[k] += s2 * B[k]
+            u = u.reshape(4, -1)
+        yield u, w
+
+
+def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
 
     The batch form of quadrature_integrate(vg_action(g, t^n), rule).value for
-    all n at once, on the fine nodes only (no error proxy). Nodes are walked in
-    blocks of _BLOCK, stored column-wise. Per block, u = gt/|gt| and the
-    weight w |gt|^{-d} are formed once in real arithmetic, then the power table
-    u_k^e for e <= max_degree, and each monomial is a weighted dot of table
-    rows. Block sums are added in block order, so the result is deterministic
-    and memory is O(d * max_degree * _BLOCK) whatever the node count. Keys run
-    in the order of _multi_indices.
+    all n at once, on the fine nodes only (no error proxy). One kernel runs
+    over the blocks of a source: _hopf_blocks streams a HopfRule from its
+    factors, and _flat_blocks slices rule.points of every other rule. Per
+    block, the source gives the directions u = gt/|gt| and the weights
+    w |gt|^{-d}; the kernel forms the power table u_k^e for e <= max_degree,
+    and each monomial is a weighted dot of table rows. At degree 0 the only
+    monomial is 1, so it sums the weights and forms neither u nor a table.
+    Block sums are added in block order, so the result is deterministic and
+    memory is O(d * max_degree * _BLOCK) whatever the node count. Keys run in
+    the order of _multi_indices. A g that is not a finite, numerically
+    invertible d x d matrix is a ValueError.
     """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n_nodes, d = points.shape
+    d = rule.d
     if g is not None:
         g = np.asarray(g, dtype=float)
+        if g.shape != (d, d):
+            raise ValueError(f"g must be {d}x{d}, got shape {g.shape}")
+        _check_invertible(g)
     keys = _multi_indices(d, max_degree)
-    if not keys:
-        return {}
+    source = _hopf_blocks if isinstance(rule, HopfRule) else _flat_blocks
     totals = np.zeros(len(keys))
-    for start in range(0, n_nodes, _BLOCK):
-        cols = points[start : start + _BLOCK].T
-        w = weights[start : start + _BLOCK]
-        if g is not None:
-            gt = g @ cols
-            norms = np.sqrt(np.einsum("kj,kj->j", gt, gt))
-            w = w / norms**d
+    for u, w in source(rule, g, max_degree > 0):
+        if u is None:
+            totals += w.sum()
+            continue
         power = np.empty((d, max_degree + 1, len(w)))
         power[:, 0] = 1.0
-        if max_degree > 0:  # at degree 0 no power row reads u
-            u = np.ascontiguousarray(cols) if g is None else gt / norms
-            for e in range(1, max_degree + 1):
-                np.multiply(power[:, e - 1], u, out=power[:, e])
+        power[:, 1] = u
+        for e in range(2, max_degree + 1):
+            np.multiply(power[:, e - 1], u, out=power[:, e])
         sums = []
         _table_dots(power, w, max_degree, sums)
         totals += np.concatenate(sums)
@@ -526,7 +640,7 @@ class MomentFunctional:
     def from_quadrature(cls, d: int, max_degree: int, rule: QuadratureRule) -> "MomentFunctional":
         if rule.d != d:
             raise ValueError(f"quadrature rule is for d={rule.d}, not {d}")
-        return cls(d, _monomial_integrals(rule.points, rule.weights, max_degree), max_degree)
+        return cls(d, _monomial_integrals(rule, max_degree), max_degree)
 
     def __call__(self, nvec) -> complex:
         key = _validate_multi_index(nvec, self.d)

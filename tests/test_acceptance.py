@@ -173,7 +173,7 @@ def _worst_invariance_residual(g, rule, degree=4):
     against the per-monomial invariance_residual path.
     """
     det = np.linalg.det(g)
-    values = _monomial_integrals(rule.points, rule.weights, degree, g)
+    values = _monomial_integrals(rule, degree, g)
     return max(abs(v - sphere_moment(nvec, rule.d) / det) for nvec, v in values.items())
 
 

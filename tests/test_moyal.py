@@ -1,5 +1,6 @@
 """Tests for the symplectic normal form, grid shift unitaries, and decay profiles."""
 
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -314,6 +315,21 @@ class TestInvarianceCheck:
     def test_rule_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sp_invariant_functional_check(OMEGA2, 2, quadrature_rule(3, (8, 16)))
+
+    def test_million_node_hopf_check_streams_its_nodes(self):
+        # the 2^20 node array alone is 32 MB and its weights 8 MB; the Hopf
+        # source forms each block from per-angle tables instead
+        theta = ThetaMatrix.from_upper(4, [np.pi / (2 + k) for k in range(6)])
+        tracemalloc.start()
+        try:
+            rule = quadrature_rule(4, n=(64, 128), kind="hopf")
+            rep = sp_invariant_functional_check(theta, 0, rule, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.size == 2**20
+        assert len(rep.rows) == 3 and rep.max_residual < 1e-12
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestUniformGrid:

@@ -10,6 +10,7 @@ from nctrace import sphere
 from nctrace.moyal import random_sp_block, sp_group_membership
 from nctrace.sphere import (
     MomentFunctional,
+    QuadratureRule,
     SphereFunction,
     SpherePoly,
     _BLOCK,
@@ -144,7 +145,7 @@ def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
     def never(*args):
         raise AssertionError("a rule was built before its node counts were checked")
 
-    for builder in ("_circle_points", "_s2_product_points", "_s3_hopf_points", "_sobol_points"):
+    for builder in ("_circle_points", "_s2_product_points", "_s3_hopf_rule", "_sobol_points"):
         monkeypatch.setattr(sphere, builder, never)
     with pytest.raises(ValueError, match="node count"):
         quadrature_rule(d, n=n, kind=kind)
@@ -170,10 +171,16 @@ def _meshgrid_hopf_points(n_u, n_phi):
 
 @pytest.mark.parametrize("n_u,n_phi", [(48, 64), (64, 128), (24, 32), (4, 8), (7, 13)])
 def test_hopf_points_bitwise_equal_to_meshgrid_construction(n_u, n_phi):
-    pts, w = sphere._s3_hopf_points(n_u, n_phi)
-    ref_pts, ref_w = _meshgrid_hopf_points(n_u, n_phi)
-    assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
-    assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+    rule = quadrature_rule(4, n=(n_u, n_phi), kind="hopf")
+    assert rule.size == n_u * n_phi**2
+    assert not {"points", "weights", "_coarse"} & set(vars(rule)), "size built node arrays"
+    for (pts, w), counts in (
+        ((rule.points, rule.weights), (n_u, n_phi)),
+        ((rule.coarse_points, rule.coarse_weights), (max(4, n_u // 2), max(8, n_phi // 2))),
+    ):
+        ref_pts, ref_w = _meshgrid_hopf_points(*counts)
+        assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
+        assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
 
 
 def _oracle_moments(rule, max_degree, g):
@@ -214,7 +221,7 @@ def _transform(kind, d, seed):
 def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
     rule = quadrature_rule(d, n=n, kind=kind)
     g = _transform(g_kind, d, seed=d)
-    got = _monomial_integrals(rule.points, rule.weights, 4, g)
+    got = _monomial_integrals(rule, 4, g)
     want = _oracle_moments(rule, 4, g)
     assert list(got) == list(want)
     for nvec, value in got.items():
@@ -227,32 +234,76 @@ def test_batch_moments_on_a_million_nodes_match_exact_moments():
     # 4e-13 relative on t^0; blockwise sums, and the pairwise sums of
     # quadrature_integrate, do not.
     rule = quadrature_rule(4, n=(64, 128), kind="hopf")
-    for nvec, value in _monomial_integrals(rule.points, rule.weights, 4).items():
+    for nvec, value in _monomial_integrals(rule, 4).items():
         exact = sphere_moment(nvec, 4)
         assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact)), nvec
 
 
 def test_batch_moments_with_a_partial_last_block_are_deterministic():
     rule = quadrature_rule(4, n=(50, 40), kind="hopf")
-    assert rule.size > _BLOCK and rule.size % _BLOCK
+    assert rule.size > _BLOCK and rule.size % _BLOCK and _BLOCK % rule.n_phi
     g = _transform("sp", 4, seed=11)
-    first = _monomial_integrals(rule.points, rule.weights, 4, g)
-    assert first == _monomial_integrals(rule.points, rule.weights, 4, g)
     want = _oracle_moments(rule, 4, g)
-    for nvec, value in first.items():
-        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    for source in (rule, _flat(rule)):
+        first = _monomial_integrals(source, 4, g)
+        assert first == _monomial_integrals(source, 4, g)
+        for nvec, value in first.items():
+            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
     table = MomentFunctional.from_quadrature(4, 4, rule).values
-    assert table == _monomial_integrals(rule.points, rule.weights, 4)
+    assert table == _monomial_integrals(rule, 4)
+
+
+def _flat(rule):
+    """The same nodes as a plain QuadratureRule, so _monomial_integrals slices its points."""
+    return QuadratureRule(rule.d, rule.kind, rule.points, rule.weights, rule.coarse_points, rule.coarse_weights)
+
+
+@pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300), (64, 128)])
+@pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
+def test_hopf_source_matches_flat_kernel(n, g_kind):
+    # the Hopf source forms |gt|^2 from per-angle tables; the flat source from the nodes
+    rule = quadrature_rule(4, n=n, kind="hopf")
+    g = _transform(g_kind, 4, seed=sum(n))
+    flat = _flat(rule)
+    # a Hopf block is whole p2 circles, so it is a flat block only when n_phi divides _BLOCK
+    bitwise = g is None and _BLOCK % rule.n_phi == 0
+    for degree in range(5):
+        got = _monomial_integrals(rule, degree, g)
+        want = _monomial_integrals(flat, degree, g)
+        assert list(got) == list(want)
+        if bitwise:
+            assert got == want, degree
+        for nvec, value in got.items():
+            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+
+
+@pytest.mark.parametrize(
+    "g,match",
+    [
+        (np.where(np.eye(4) > 0, np.nan, 0.3), "finite"),
+        (np.outer([1.0, 2.0, 0.5, -1.0], [0.3, 1.0, -2.0, 0.7]), "singular"),
+        (np.eye(3), "4x4"),
+    ],
+    ids=["nan", "rank1", "shape"],
+)
+@pytest.mark.parametrize("kind", ["hopf", "flat"])
+def test_batch_moments_refuse_a_bad_g(g, match, kind):
+    # unchecked, a NaN entry gave a table of NaN and the rank-1 g gave 2.6e67
+    rule = quadrature_rule(4, n=(8, 16), kind="hopf")
+    with pytest.raises(ValueError, match=match):
+        _monomial_integrals(rule if kind == "hopf" else _flat(rule), 2, g)
 
 
 def test_batch_moments_leave_no_reference_cycles():
     # a cycle through a block's power table would hold it until the cyclic
     # collector runs, and peak memory would grow with the number of calls
     rule = quadrature_rule(4, n=(16, 32), kind="hopf")
+    flat = _flat(rule)
     gc.collect()
     gc.disable()
     try:
-        _monomial_integrals(rule.points, rule.weights, 4, _transform("sp", 4, seed=3))
+        for source in (rule, flat):
+            _monomial_integrals(source, 4, _transform("sp", 4, seed=3))
         assert gc.collect() == 0
     finally:
         gc.enable()
