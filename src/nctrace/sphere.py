@@ -10,20 +10,23 @@ coefficient maps.
 A sphere function is a SpherePoly or a SphereFunction (a black-box evaluator);
 the functions that accept either read only its `d` and `evaluate(points)`.
 
-Quadrature menu: d=2 trapezoid in the angle, d=3 Gauss-Legendre x trapezoid,
-d=4 additionally a uniform product parameterization of S^3 (a HopfRule, kept as
-its latitudes and angle count, its node arrays built on first read), d>=4
-scrambled Sobol through a measure-preserving polar map. Every rule carries a
-coarser companion set whose disagreement with the full rule is reported as the
-error proxy. The batch moments of _monomial_integrals stream a HopfRule's nodes
-from per-angle tables and slice the node array of every other rule.
+Quadrature menu: one nested product rule builds every flat rule. It starts
+from the trapezoid rule in the angle on S^1 and lifts S^{k-2} to S^{k-1} by
+Gauss-Gegenbauer latitudes for k = 3..d, so d=2 is the trapezoid rule and
+d>=3 the product rule, exact on polynomials of degree < 2q with q latitudes and
+2q angles. d=4 also has, and defaults to, a uniform product parameterization
+of S^3 (a HopfRule, kept as its latitudes and angle count, its node arrays
+built on first read). Every rule carries a coarser companion set whose
+disagreement with the full rule is reported as the error proxy. The batch
+moments of _monomial_integrals stream a HopfRule's nodes from per-angle tables
+and slice the node array of every other rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, lgamma, exp
+from math import comb, exp, lgamma, log, pi
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -33,6 +36,9 @@ from ._core import add_keys, add_maps, coeff_map, convolve_maps
 # most multi-indices _multi_indices builds. `moments --d 10` builds 646,646 and
 # peaks near 330 MB; `--d 16` would ask for 30,421,755
 _MULTI_INDEX_BUDGET = 2**20
+# most nodes quadrature_rule builds: `moments --d 10` takes 524,288 product
+# nodes, and `--d 12 --max-degree 4` would take 8,388,608
+_NODE_BUDGET = 2**22
 
 
 def _validate_multi_index(nvec, d: int) -> tuple:
@@ -291,62 +297,49 @@ class HopfRule:
         return self._coarse.weights
 
 
-def _circle_points(n: int) -> tuple:
-    phi = 2.0 * np.pi * np.arange(n) / n
-    pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    return pts, np.full(n, 2.0 * np.pi / n)
+def _gauss_gegenbauer(q: int, k: int) -> tuple:
+    """q Gauss nodes and weights on (-1, 1) for the weight (1 - z^2)^alpha, alpha = (k-3)/2.
+
+    Golub and Welsch ("Calculation of Gauss quadrature rules", Math. Comp. 23,
+    1969): the nodes are the eigenvalues of the Jacobi matrix of the monic
+    Gegenbauer polynomials, lambda = alpha + 1/2. It has zero diagonal and
+    off-diagonal sqrt(beta_n), beta_n = n (n + 2 lambda - 1) / (4 (n + lambda)(n + lambda - 1)).
+    The weights are mu0 v_0^2 over its unit eigenvectors v, with the total
+    weight mu0 = sqrt(pi) Gamma(alpha + 1) / Gamma(alpha + 3/2).
+    """
+    alpha = (k - 3) / 2.0
+    lam = alpha + 0.5
+    n = np.arange(1.0, q)
+    off = np.sqrt(n * (n + 2.0 * lam - 1.0) / (4.0 * (n + lam) * (n + lam - 1.0)))
+    z, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = exp(0.5 * log(pi) + lgamma(alpha + 1.0) - lgamma(alpha + 1.5))
+    return z, mu0 * v[0] ** 2
 
 
-def _s2_product_points(n_z: int, n_phi: int) -> tuple:
-    z, wz = np.polynomial.legendre.leggauss(n_z)
+def _product_points(d: int, n_lat: int, n_phi: int) -> tuple:
+    """The nested product rule on S^{d-1}, as (points, weights).
+
+    It starts from the n_phi-point trapezoid rule on S^1 and, for k = 3..d,
+    lifts S^{k-2} to S^{k-1} by t = (sqrt(1 - z^2) x, z), where z, the last
+    coordinate on S^{k-1}, has density (1 - z^2)^{(k-3)/2} and takes its n_lat
+    Gauss nodes. The rule is exact on polynomials of degree < min(2 n_lat, n_phi),
+    and its nodes run over (z_d, ..., z_3, angle) in C order.
+    """
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    Z, P = np.meshgrid(z, phi, indexing="ij")
-    WZ, _ = np.meshgrid(wz, phi, indexing="ij")
-    r = np.sqrt(1.0 - Z**2)
-    pts = np.stack([(r * np.cos(P)).ravel(), (r * np.sin(P)).ravel(), Z.ravel()], axis=1)
-    return pts, (WZ * wphi).ravel()
+    pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    w = np.full(n_phi, 2.0 * np.pi / n_phi)
+    for k in range(3, d + 1):
+        z, wz = _gauss_gegenbauer(n_lat, k)
+        lifted = np.empty((n_lat, len(w), k))
+        np.multiply(np.sqrt(1.0 - z**2)[:, None, None], pts, out=lifted[..., :-1])
+        lifted[..., -1] = z[:, None]
+        pts, w = lifted.reshape(-1, k), (wz[:, None] * w).ravel()
+    return pts, w
 
 
 def _s3_hopf_rule(n_u: int, n_phi: int) -> HopfRule:
     zu, wu = np.polynomial.legendre.leggauss(n_u)
     return HopfRule(0.5 * (zu + 1.0), 0.5 * wu, n_phi)
-
-
-def _cube_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
-    """Measure-preserving map [0,1]^{d-1} -> S^{d-1} (polar recursion).
-
-    Latitude j (from d down to 3) is drawn with density proportional to
-    (1 - s^2)^{(j-3)/2} via the inverse regularized incomplete Beta; the last
-    two coordinates come from an angle. Smooth except at coordinate poles.
-    """
-    from scipy.special import betaincinv  # only the Sobol rule needs it
-
-    n = u.shape[0]
-    out = np.empty((n, d))
-    radial = np.ones(n)
-    col = 0
-    for j in range(d, 2, -1):
-        a = (j - 1) / 2.0
-        s = 2.0 * betaincinv(a, a, u[:, col]) - 1.0
-        out[:, j - 1] = radial * s
-        radial = radial * np.sqrt(np.maximum(0.0, 1.0 - s * s))
-        col += 1
-    phi = 2.0 * np.pi * u[:, col]
-    out[:, 0] = radial * np.cos(phi)
-    out[:, 1] = radial * np.sin(phi)
-    return out
-
-
-def _sobol_points(d: int, n: int, seed: int) -> tuple:
-    from scipy.stats import qmc  # slow to import, and only this rule uses it
-
-    m = max(4, int(round(np.log2(n))))
-    eng = qmc.Sobol(d=d - 1, scramble=True, seed=seed)
-    u = eng.random_base2(m=m)
-    pts = _cube_to_sphere(u, d)
-    w = np.full(pts.shape[0], sphere_volume(d) / pts.shape[0])
-    return pts, w
 
 
 def _node_counts(n, parts: int) -> tuple:
@@ -360,55 +353,47 @@ def _node_counts(n, parts: int) -> tuple:
     return tuple(int(c) for c in counts)
 
 
-def quadrature_rule(d: int, n=None, kind: str | None = None, seed: int = 0) -> QuadratureRule | HopfRule:
-    """Build a sphere rule. kind defaults to trapezoid (d=2), product (d=3), sobol (d>=4).
+def quadrature_rule(d: int, n=None, kind: str | None = None) -> QuadratureRule | HopfRule:
+    """Build a sphere rule. kind defaults to trapezoid (d=2), hopf (d=4), product (d=3 and d>=5).
 
-    d=4 additionally supports kind="hopf", the uniform product rule on S^3,
-    whose accuracy on smooth integrands is limited only by roundoff. n is a
-    positive node count, or for the product and Hopf rules a pair of them
-    (latitudes, angles); a non-positive or non-integer count is a ValueError.
+    The trapezoid rule takes n angles (default 2048). The product rule, on any
+    d >= 3, takes n = (latitudes, angles), or a single q meaning (q, 2q), and
+    is then exact on polynomials of degree < 2q; q defaults to 96 at d=3 and
+    to 4 above, which covers the moments suite's degree 6 at 2q^{d-1} nodes.
+    The Hopf rule, on d=4 only, is the uniform product rule on S^3, whose
+    accuracy on smooth integrands is limited only by roundoff; it takes
+    n = (latitudes, angles) or a single count for both (default (48, 64)).
+    A non-positive or non-integer count, or a rule of more than _NODE_BUDGET
+    nodes, is a ValueError raised before any node is built.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if kind is None:
-        kind = "trapezoid" if d == 2 else ("product" if d == 3 else "sobol")
+        kind = {2: "trapezoid", 4: "hopf"}.get(d, "product")
     counts = None if n is None else _node_counts(n, 2 if kind in ("product", "hopf") else 1)
     if kind == "trapezoid":
         if d != 2:
             raise ValueError("trapezoid rule is the d=2 product rule")
-        n = counts[0] if counts else 2048
-        pts, w = _circle_points(n)
-        cpts, cw = _circle_points(max(8, n // 2))
+        n_lat, n_phi = 1, counts[0] if counts else 2048
     elif kind == "product":
-        if d != 3:
-            raise ValueError(f"product Gauss rule unsupported for d={d}")
-        if counts is None:
-            nz, nphi = 96, 192
-        elif len(counts) == 1:
-            nz, nphi = counts[0], 2 * counts[0]
-        else:
-            nz, nphi = counts
-        pts, w = _s2_product_points(nz, nphi)
-        cpts, cw = _s2_product_points(max(4, nz // 2), max(8, nphi // 2))
+        if d < 3:
+            raise ValueError("the product rule needs d >= 3; use the trapezoid rule at d=2")
+        counts = counts or (96 if d == 3 else 4,)
+        n_lat, n_phi = counts if len(counts) == 2 else (counts[0], 2 * counts[0])
     elif kind == "hopf":
         if d != 4:
             raise ValueError("hopf product rule exists only for d=4")
-        if counts is None:
-            nu, nphi = 48, 64
-        elif len(counts) == 1:
-            nu, nphi = counts[0], counts[0]
-        else:
-            nu, nphi = counts
-        return _s3_hopf_rule(nu, nphi)
-    elif kind == "sobol":
-        if d < 4:
-            raise ValueError("use the product rules below d=4")
-        n = counts[0] if counts else 1 << 20
-        pts, w = _sobol_points(d, n, seed)
-        half = pts.shape[0] // 2
-        cpts, cw = pts[:half], np.full(half, sphere_volume(d) / half)
+        counts = counts or (48, 64)
+        n_lat, n_phi = counts if len(counts) == 2 else (counts[0], counts[0])
     else:
         raise ValueError(f"unknown quadrature kind {kind!r}")
+    size = n_lat * n_phi**2 if kind == "hopf" else n_phi * n_lat ** (d - 2)
+    if size > _NODE_BUDGET:
+        raise ValueError(f"node count {size} of the {kind} rule on S^{d - 1} exceeds the budget of {_NODE_BUDGET}")
+    if kind == "hopf":
+        return _s3_hopf_rule(n_lat, n_phi)
+    pts, w = _product_points(d, n_lat, n_phi)
+    cpts, cw = _product_points(d, max(1, n_lat // 2), max(8, n_phi // 2))
     return QuadratureRule(d, kind, pts, w, cpts, cw)
 
 

@@ -161,12 +161,9 @@ def _suite_moments(cfg: VerifyConfig) -> list:
         _record("first_reduction_residual", rep.max_first_reduction_residual, 0.0, 1e-12),
         _record("main_reduction_residual", rep.max_main_reduction_residual, 0.0, 1e-12),
     ]
-    kind = None if cfg.d != 4 else "hopf"
-    rule = quadrature_rule(cfg.d, kind=kind, seed=cfg.seed)
-    table = MomentFunctional.from_quadrature(cfg.d, min(6, cfg.max_degree), rule).values
+    table = MomentFunctional.from_quadrature(cfg.d, min(6, cfg.max_degree), quadrature_rule(cfg.d)).values
     worst = max((abs(got - sphere_moment(nvec, cfg.d)) for nvec, got in table.items()), default=0.0)
-    tol = 1e-8 if rule.kind in ("trapezoid", "product", "hopf") else 1e-4
-    records.append(_record("quadrature_cross_check", worst, 0.0, tol))
+    records.append(_record("quadrature_cross_check", worst, 0.0, 1e-8))
     return records
 
 

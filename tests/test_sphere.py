@@ -103,9 +103,9 @@ def test_gradient_bound_dominates_differences():
     assert (lhs <= rhs + 1e-12).all()
 
 
-@pytest.mark.parametrize("d,kind,tol", [(2, None, 1e-10), (3, None, 1e-10), (4, "hopf", 1e-10), (4, "sobol", 1e-3)])
+@pytest.mark.parametrize("d,kind,tol", [(2, None, 1e-10), (3, None, 1e-10), (4, "hopf", 1e-10), (5, "product", 1e-10)])
 def test_quadrature_reproduces_moments(d, kind, tol):
-    n = {2: 512, 3: (24, 48), 4: (12, 16) if kind == "hopf" else 2**14}[d]
+    n = {2: 512, 3: (24, 48), 4: (12, 16), 5: (8, 32)}[d]
     rule = quadrature_rule(d, n=n, kind=kind)
     for nvec in [(0,) * d, (2,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2), (2, 2) + (0,) * (d - 2)]:
         got = quadrature_integrate(SpherePoly.monomial(d, nvec), rule).value
@@ -137,18 +137,47 @@ def test_hopf_rule_rejected_off_s3():
         (4, (3, -2), "hopf"),
         (4, (3.0, 8), "hopf"),
         (4, (True, 8), "hopf"),
-        (5, 0, "sobol"),
-        (5, -(2**10), "sobol"),
+        (5, 0, "product"),
+        (5, -(2**10), "product"),
+        (12, 4, "product"),  # 8 * 4^10 = 8,388,608 nodes, over the budget of 2^22
     ],
 )
 def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
     def never(*args):
         raise AssertionError("a rule was built before its node counts were checked")
 
-    for builder in ("_circle_points", "_s2_product_points", "_s3_hopf_rule", "_sobol_points"):
+    for builder in ("_product_points", "_s3_hopf_rule"):
         monkeypatch.setattr(sphere, builder, never)
     with pytest.raises(ValueError, match="node count"):
         quadrature_rule(d, n=n, kind=kind)
+
+
+def test_trapezoid_rule_is_bitwise_the_circle_construction():
+    n = 2048
+    phi = 2.0 * np.pi * np.arange(n) / n
+    rule = quadrature_rule(2)
+    assert rule.kind == "trapezoid"
+    assert np.array_equal(rule.points, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+    assert np.array_equal(rule.weights, np.full(n, 2.0 * np.pi / n))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.5])
+@pytest.mark.parametrize("q", [4, 16, 64])
+def test_golub_welsch_matches_scipy_gauss_jacobi(alpha, q):
+    from scipy.special import roots_jacobi
+
+    z, w = sphere._gauss_gegenbauer(q, int(2 * alpha) + 3)
+    ref_z, ref_w = roots_jacobi(q, alpha, alpha)
+    assert np.abs(z - ref_z).max() <= 2e-15
+    assert np.abs(w - ref_w).max() <= 1e-13 * ref_w.max()
+
+
+@pytest.mark.parametrize("d,q", [(3, 6), (4, 6), (5, 4), (6, 4), (7, 4), (8, 3), (9, 3), (10, 3)])
+def test_product_rule_is_exact_up_to_its_design_degree(d, q):
+    rule = quadrature_rule(d, n=q, kind="product")
+    assert rule.size == 2 * q ** (d - 1)
+    for nvec, value in _monomial_integrals(rule, 2 * q - 1).items():
+        assert abs(value - sphere_moment(nvec, d)) <= 1e-12, nvec
 
 
 def _meshgrid_hopf_points(n_u, n_phi):
@@ -184,11 +213,23 @@ def test_hopf_points_bitwise_equal_to_meshgrid_construction(n_u, n_phi):
 
 
 def _oracle_moments(rule, max_degree, g):
-    """Per-monomial path: quadrature_integrate of t^n, or of vg_action(g, t^n), one index at a time."""
+    """Per-monomial path from the d + 1 public pullbacks rho = V_g 1 and c_k = V_g t_k.
+
+    V_g t^n = rho prod_k (c_k / rho)^{n_k}, so each monomial is one pairwise
+    sum over the nodes of weight * rho * prod (c_k / rho)^{n_k}; for g = None,
+    rho = 1 and c_k = t_k.
+    """
+    d = rule.d
+    basis = [SpherePoly.constant(d)] + [SpherePoly.coordinate(d, k) for k in range(1, d + 1)]
+    rho, *c = ((b if g is None else vg_action(g, b)).evaluate(rule.points).real for b in basis)
+    weighted, u = rule.weights * rho, [ck / rho for ck in c]
     out = {}
-    for nvec in _multi_indices(rule.d, max_degree):
-        b = SpherePoly.monomial(rule.d, nvec)
-        out[nvec] = quadrature_integrate(b if g is None else vg_action(g, b), rule).value
+    for nvec in _multi_indices(d, max_degree):
+        term = weighted
+        for k, e in enumerate(nvec):
+            if e:
+                term = term * u[k] ** e
+        out[nvec] = complex(np.sum(term))
     return out
 
 
@@ -213,8 +254,8 @@ def _transform(kind, d, seed):
         (4, None, "hopf", "sp"),
         (4, None, "hopf", "gl"),
         (4, (64, 128), "hopf", "sp"),
-        (5, 2**14, "sobol", "identity"),
-        (5, 2**14, "sobol", "gl"),
+        (5, (8, 32), "product", "identity"),
+        (5, (8, 32), "product", "gl"),
         (4, (64, 128), "hopf", "identity"),
     ],
 )
