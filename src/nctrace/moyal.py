@@ -187,9 +187,10 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
     Symplectic matrices have determinant 1, so the weighted pullback must
     preserve every monomial integral exactly; rows record the quadrature
     residual per (random transform, monomial up to the degree). Each transform
-    takes one batch pass over the rule's fine nodes (sphere._monomial_integrals),
-    which on a HopfRule are streamed from per-angle tables, never stored;
-    sphere.invariance_residual is the per-monomial form of the same residual.
+    takes one batch pass over the rule's nodes (sphere._monomial_integrals),
+    which on a HopfRule are streamed from per-angle tables, never stored; the
+    per-monomial form of the same values is
+    sphere.quadrature_integrate(sphere.vg_action(g, t^n), rule).
     """
     th = _theta_entries(theta)
     d = th.shape[0]

@@ -10,16 +10,15 @@ coefficient maps.
 A sphere function is a SpherePoly or a SphereFunction (a black-box evaluator);
 the functions that accept either read only its `d` and `evaluate(points)`.
 
-Quadrature menu: one nested product rule builds every flat rule. It starts
-from the trapezoid rule in the angle on S^1 and lifts S^{k-2} to S^{k-1} by
-Gauss-Gegenbauer latitudes for k = 3..d, so d=2 is the trapezoid rule and
-d>=3 the product rule, exact on polynomials of degree < 2q with q latitudes and
-2q angles. d=4 also has, and defaults to, a uniform product parameterization
-of S^3 (a HopfRule, kept as its latitudes and angle count, its node arrays
-built on first read). Every rule carries a coarser companion set whose
-disagreement with the full rule is reported as the error proxy. The batch
-moments of _monomial_integrals stream a HopfRule's nodes from per-angle tables
-and slice the node array of every other rule.
+Quadrature: the dimension picks the rule. At d=4 it is a uniform product
+parameterization of S^3 (a HopfRule, kept as its latitudes and angle count,
+its node arrays built on first read). Every other d takes one nested product
+rule: it starts from the trapezoid rule in the angle on S^1 and lifts S^{k-2}
+to S^{k-1} by Gauss-Gegenbauer latitudes for k = 3..d, so it is exact on
+polynomials of degree < 2q with q latitudes and 2q angles, and at d=2 it is the
+trapezoid rule in 2q angles. The batch moments of _monomial_integrals stream a
+HopfRule's nodes from per-angle tables and slice the node array of every other
+rule.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, exp, lgamma, log, pi
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -39,6 +38,10 @@ _MULTI_INDEX_BUDGET = 2**20
 # most nodes quadrature_rule builds: `moments --d 10` takes 524,288 product
 # nodes, and `--d 12 --max-degree 4` would take 8,388,608
 _NODE_BUDGET = 2**22
+# most bytes of the dense q x q Jacobi matrix behind q latitudes: q <= 2048,
+# whose eigh took 2.5 s. q = 2^21 latitudes fit the node budget at d=3 and
+# d=4, and would ask eigh or leggauss for 32 TiB
+_JACOBI_BUDGET = 2**25
 
 
 def _validate_multi_index(nvec, d: int) -> tuple:
@@ -213,19 +216,11 @@ def sphere_integrate(b: SpherePoly) -> complex:
 # quadrature rules
 
 
-class QuadratureResult(NamedTuple):
-    value: complex
-    error: float
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     d: int
-    kind: str
     points: np.ndarray
     weights: np.ndarray
-    coarse_points: np.ndarray
-    coarse_weights: np.ndarray
 
     @property
     def size(self) -> int:
@@ -240,16 +235,14 @@ class HopfRule:
     carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2. The rule takes
     Gauss-Legendre latitudes u in (0, 1) and n_phi trapezoid angles for each of
     p1 and p2; its n_u * n_phi^2 nodes run over (u, p1, p2) in C order. The
-    node and weight arrays, and the coarse companion at half the counts, are
-    built on first read; _monomial_integrals streams the nodes from the factors
-    and reads none of them.
+    node and weight arrays are built on first read; _monomial_integrals
+    streams the nodes from the factors and reads neither.
     """
 
     latitudes: np.ndarray
     latitude_weights: np.ndarray  # Gauss weights of the latitudes on (0, 1)
     n_phi: int
     d: ClassVar[int] = 4
-    kind: ClassVar[str] = "hopf"
 
     @property
     def size(self) -> int:
@@ -283,18 +276,6 @@ class HopfRule:
     @cached_property
     def weights(self) -> np.ndarray:
         return np.repeat(self.row_weights, self.n_phi * self.n_phi)
-
-    @cached_property
-    def _coarse(self) -> "HopfRule":
-        return _s3_hopf_rule(max(4, self.latitudes.size // 2), max(8, self.n_phi // 2))
-
-    @property
-    def coarse_points(self) -> np.ndarray:
-        return self._coarse.points
-
-    @property
-    def coarse_weights(self) -> np.ndarray:
-        return self._coarse.weights
 
 
 def _gauss_gegenbauer(q: int, k: int) -> tuple:
@@ -353,61 +334,51 @@ def _node_counts(n, parts: int) -> tuple:
     return tuple(int(c) for c in counts)
 
 
-def quadrature_rule(d: int, n=None, kind: str | None = None) -> QuadratureRule | HopfRule:
-    """Build a sphere rule. kind defaults to trapezoid (d=2), hopf (d=4), product (d=3 and d>=5).
+def quadrature_rule(d: int, n=None) -> QuadratureRule | HopfRule:
+    """The sphere rule of S^{d-1}: the Hopf rule at d=4, the product rule at every other d.
 
-    The trapezoid rule takes n angles (default 2048). The product rule, on any
-    d >= 3, takes n = (latitudes, angles), or a single q meaning (q, 2q), and
-    is then exact on polynomials of degree < 2q; q defaults to 96 at d=3 and
-    to 4 above, which covers the moments suite's degree 6 at 2q^{d-1} nodes.
-    The Hopf rule, on d=4 only, is the uniform product rule on S^3, whose
-    accuracy on smooth integrands is limited only by roundoff; it takes
-    n = (latitudes, angles) or a single count for both (default (48, 64)).
-    A non-positive or non-integer count, or a rule of more than _NODE_BUDGET
-    nodes, is a ValueError raised before any node is built.
+    The product rule takes n = (latitudes, angles), or a single q meaning
+    (q, 2q), and is then exact on polynomials of degree < 2q. At d=2 it has
+    no latitudes: it takes a single q and is the trapezoid rule in 2q angles.
+    q defaults to 1024 at d=2, to 96 at d=3 and to 4 above, which covers the
+    moments suite's degree 6 at 2q^{d-1} nodes. The Hopf rule is the uniform
+    product rule on S^3, whose accuracy on smooth integrands is limited only
+    by roundoff; it takes n = (latitudes, angles) or a single count for both
+    (default (48, 64)). A non-positive or non-integer count, a rule of more
+    than _NODE_BUDGET nodes, or a Jacobi matrix of the latitudes over
+    _JACOBI_BUDGET bytes is a ValueError raised before any node is built.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if kind is None:
-        kind = {2: "trapezoid", 4: "hopf"}.get(d, "product")
-    counts = None if n is None else _node_counts(n, 2 if kind in ("product", "hopf") else 1)
-    if kind == "trapezoid":
-        if d != 2:
-            raise ValueError("trapezoid rule is the d=2 product rule")
-        n_lat, n_phi = 1, counts[0] if counts else 2048
-    elif kind == "product":
-        if d < 3:
-            raise ValueError("the product rule needs d >= 3; use the trapezoid rule at d=2")
-        counts = counts or (96 if d == 3 else 4,)
-        n_lat, n_phi = counts if len(counts) == 2 else (counts[0], 2 * counts[0])
-    elif kind == "hopf":
-        if d != 4:
-            raise ValueError("hopf product rule exists only for d=4")
-        counts = counts or (48, 64)
-        n_lat, n_phi = counts if len(counts) == 2 else (counts[0], counts[0])
-    else:
-        raise ValueError(f"unknown quadrature kind {kind!r}")
-    size = n_lat * n_phi**2 if kind == "hopf" else n_phi * n_lat ** (d - 2)
+    hopf = d == 4
+    counts = (48, 64) if hopf else ({2: 1024, 3: 96}.get(d, 4),)
+    if n is not None:
+        counts = _node_counts(n, 1 if d == 2 else 2)
+    if len(counts) == 1:
+        counts = (counts[0], counts[0] if hopf else 2 * counts[0])
+    n_lat, n_phi = counts
+    name, size = ("Hopf", n_lat * n_phi**2) if hopf else ("product", n_phi * n_lat ** (d - 2))
     if size > _NODE_BUDGET:
-        raise ValueError(f"node count {size} of the {kind} rule on S^{d - 1} exceeds the budget of {_NODE_BUDGET}")
-    if kind == "hopf":
+        raise ValueError(f"node count {size} of the {name} rule on S^{d - 1} exceeds the budget of {_NODE_BUDGET}")
+    if d > 2 and 8 * n_lat**2 > _JACOBI_BUDGET:
+        raise ValueError(
+            f"latitude node count {n_lat} of the {name} rule on S^{d - 1} needs a Jacobi matrix of "
+            f"{8 * n_lat**2} bytes, over the budget of {_JACOBI_BUDGET}"
+        )
+    if hopf:
         return _s3_hopf_rule(n_lat, n_phi)
-    pts, w = _product_points(d, n_lat, n_phi)
-    cpts, cw = _product_points(d, max(1, n_lat // 2), max(8, n_phi // 2))
-    return QuadratureRule(d, kind, pts, w, cpts, cw)
+    return QuadratureRule(d, *_product_points(d, n_lat, n_phi))
 
 
-def quadrature_integrate(f, rule: QuadratureRule) -> QuadratureResult:
-    """Estimate the sphere integral of the sphere function f with a two-level error proxy.
+def quadrature_integrate(f, rule) -> complex:
+    """The rule's estimate of the sphere integral of the sphere function f.
 
-    Each level is a pairwise sum of weight * value. A BLAS dot over all nodes
-    can lose far more: on the 2^20-node Hopf rule a complex dot missed the
-    integral of 1 by 2.6e-12 and real dots on the two parts by 1.5e-12, where
-    the pairwise sum misses by 2.8e-14.
+    A pairwise sum of weight * value. A BLAS dot over all nodes can lose far
+    more: on the 2^20-node Hopf rule a complex dot missed the integral of 1 by
+    2.6e-12 and real dots on the two parts by 1.5e-12, where the pairwise sum
+    misses by 2.8e-14.
     """
-    value = complex(np.sum(rule.weights * f.evaluate(rule.points)))
-    coarse = complex(np.sum(rule.coarse_weights * f.evaluate(rule.coarse_points)))
-    return QuadratureResult(value, abs(value - coarse))
+    return complex(np.sum(rule.weights * f.evaluate(rule.points)))
 
 
 _BLOCK = 1 << 16  # nodes per block of _monomial_integrals
@@ -498,8 +469,8 @@ def _hopf_blocks(rule: HopfRule, g, directions: bool):
 def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
 
-    The batch form of quadrature_integrate(vg_action(g, t^n), rule).value for
-    all n at once, on the fine nodes only (no error proxy). One kernel runs
+    The batch form of quadrature_integrate(vg_action(g, t^n), rule) for all n
+    at once. One kernel runs
     over the blocks of a source: _hopf_blocks streams a HopfRule from its
     factors, and _flat_blocks slices rule.points of every other rule. Per
     block, the source gives the directions u = gt/|gt| and the weights
@@ -574,13 +545,6 @@ def vg_action(g: np.ndarray, b) -> SphereFunction:
     return SphereFunction(d, evaluator)
 
 
-def invariance_residual(g: np.ndarray, b: SpherePoly, rule: QuadratureRule) -> float:
-    """|quadrature of V_g b  -  det(g)^{-1} * exact integral of b|."""
-    est = quadrature_integrate(vg_action(g, b), rule).value
-    ref = sphere_integrate(b) / np.linalg.det(np.asarray(g, dtype=float))
-    return abs(est - ref)
-
-
 def lie_action(A: np.ndarray, b: SpherePoly) -> SpherePoly:
     """Generator of the weighted pullback along e^{sA}, as a raw polynomial.
 
@@ -605,33 +569,7 @@ def lie_action(A: np.ndarray, b: SpherePoly) -> SpherePoly:
 
 
 # ---------------------------------------------------------------------------
-# moment functionals and the reduction identities
-
-
-@dataclass(frozen=True)
-class MomentFunctional:
-    """Finite table nvec -> value, standing in for an integration functional."""
-
-    d: int
-    values: dict
-    max_degree: int
-
-    @classmethod
-    def exact(cls, d: int, max_degree: int) -> "MomentFunctional":
-        table = {n: complex(sphere_moment(n, d)) for n in _multi_indices(d, max_degree)}
-        return cls(d, table, max_degree)
-
-    @classmethod
-    def from_quadrature(cls, d: int, max_degree: int, rule: QuadratureRule) -> "MomentFunctional":
-        if rule.d != d:
-            raise ValueError(f"quadrature rule is for d={rule.d}, not {d}")
-        return cls(d, _monomial_integrals(rule, max_degree), max_degree)
-
-    def __call__(self, nvec) -> complex:
-        key = _validate_multi_index(nvec, self.d)
-        if key not in self.values:
-            raise ValueError(f"moment table does not cover {key}")
-        return self.values[key]
+# the reduction identities
 
 
 @dataclass(frozen=True)
@@ -674,26 +612,21 @@ def moment_recursion_check(d: int, max_degree: int) -> RecursionReport:
     """
     if d % 2:
         raise ValueError("the paired reduction identity requires even d")
-    l = MomentFunctional.exact(d, max_degree + 2)
+    l = {n: sphere_moment(n, d) for n in _multi_indices(d, max_degree + 2)}
+
+    def bumped(nvec: tuple, k: int) -> tuple:
+        return nvec[:k] + (nvec[k] + 2,) + nvec[k + 1 :]
+
     rows = []
     for nvec in _multi_indices(d, max_degree):
-        odd_res = abs(l(nvec)) if any(v % 2 for v in nvec) else 0.0
+        odd_res = abs(l[nvec]) if any(v % 2 for v in nvec) else 0.0
         first_res = 0.0
-        for k in range(d // 2):
-            i, j = 2 * k, 2 * k + 1
-            bumped_i = list(nvec)
-            bumped_i[i] += 2
-            bumped_j = list(nvec)
-            bumped_j[j] += 2
-            first_res = max(
-                first_res,
-                abs(l(bumped_i) - (nvec[i] + 1) / (nvec[j] + 1) * l(bumped_j)),
-            )
+        for i in range(0, d, 2):
+            j = i + 1
+            first_res = max(first_res, abs(l[bumped(nvec, i)] - (nvec[i] + 1) / (nvec[j] + 1) * l[bumped(nvec, j)]))
         main_res = 0.0
         deg = sum(nvec)
         for k in range(d):
-            bumped = list(nvec)
-            bumped[k] += 2
-            main_res = max(main_res, abs(l(bumped) - (nvec[k] + 1) / (deg + d) * l(nvec)))
+            main_res = max(main_res, abs(l[bumped(nvec, k)] - (nvec[k] + 1) / (deg + d) * l[nvec]))
         rows.append((nvec, odd_res, first_res, main_res))
     return RecursionReport(d, max_degree, rows)

@@ -251,17 +251,6 @@ def su2_symbol(w: GenPoly) -> SpherePoly:
     return SpherePoly(3, coeff_map(w.coeffs.items(), lambda word: tuple(word.count(k) for k in (1, 2, 3))))
 
 
-def evaluate_on_block(w: GenPoly, block: IrrepBlock) -> np.ndarray:
-    b = block.unit_gens
-    out = np.zeros((block.dim, block.dim), dtype=complex)
-    for word, c in sorted(w.coeffs.items()):
-        m = np.eye(block.dim, dtype=complex)
-        for k in word:
-            m = m @ b[k - 1]
-        out += c * m
-    return out
-
-
 # A word of k letters is a band matrix of width 2k+1 in the weight basis: b1 is
 # diagonal, b2 and b3 sit on the two first off-diagonals. A band matrix M is kept
 # as a map offset a -> vector v with v[j] = M[j+a, j] (zero where row j+a leaves

@@ -29,7 +29,7 @@ import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 from . import dixmier as dx, moyal, su2, symbols as sy
-from .sphere import MomentFunctional, SpherePoly, moment_recursion_check, quadrature_rule, sphere_moment, sphere_volume
+from .sphere import SpherePoly, _monomial_integrals, moment_recursion_check, quadrature_rule, sphere_moment, sphere_volume
 from .torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
 
 EXIT_PASS = 0
@@ -161,7 +161,7 @@ def _suite_moments(cfg: VerifyConfig) -> list:
         _record("first_reduction_residual", rep.max_first_reduction_residual, 0.0, 1e-12),
         _record("main_reduction_residual", rep.max_main_reduction_residual, 0.0, 1e-12),
     ]
-    table = MomentFunctional.from_quadrature(cfg.d, min(6, cfg.max_degree), quadrature_rule(cfg.d)).values
+    table = _monomial_integrals(quadrature_rule(cfg.d), min(6, cfg.max_degree))
     worst = max((abs(got - sphere_moment(nvec, cfg.d)) for nvec, got in table.items()), default=0.0)
     records.append(_record("quadrature_cross_check", worst, 0.0, 1e-8))
     return records
@@ -248,12 +248,10 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
             rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(2), 20, cfg.seed)
             records.append(_record("invariance_product", rep.max_residual, 0.0, 1e-8))
         elif cfg.d == 4:
-            rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4, kind="hopf"), 20, cfg.seed)
+            rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4), 20, cfg.seed)
             records.append(_record("invariance_hopf", rep.max_residual, 0.0, 1e-6))
             # the (64,128) product rule has 2^20 nodes, the million-sample check
-            rep2 = moyal.sp_invariant_functional_check(
-                theta, degree, quadrature_rule(4, n=(64, 128), kind="hopf"), 3, cfg.seed + 1
-            )
+            rep2 = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4, n=(64, 128)), 3, cfg.seed + 1)
             records.append(_record("invariance_samples_1m", rep2.max_residual, 0.0, 1e-5))
         # d >= 6: no quadrature in the library resolves the pullback integrand
         # well enough to certify the identity, so only the algebraic records run

@@ -170,7 +170,7 @@ def _worst_invariance_residual(g, rule, degree=4):
     """max over monomials up to degree of |quadrature of V_g t^n - det(g)^{-1} * exact moment|.
 
     One batch pass over the rule; tests/test_sphere.py checks the batch values
-    against the per-monomial invariance_residual path.
+    against the per-monomial quadrature_integrate path.
     """
     det = np.linalg.det(g)
     values = _monomial_integrals(rule, degree, g)
@@ -185,7 +185,7 @@ def test_criterion_05_invariance_residuals():
     assert worst2 < 1e-8
 
     # d = 4 with the million-node product rule: 64 * 128^2 = 2^20 points
-    rule4 = quadrature_rule(4, (64, 128), kind="hopf")
+    rule4 = quadrature_rule(4, (64, 128))
     assert rule4.points.shape[0] == 2**20
     worst4 = max(_worst_invariance_residual(random_sp_block(4, rng), rule4) for _ in range(3))
     assert worst4 < 1e-5
@@ -256,7 +256,7 @@ def test_criterion_09_symplectic_suite():
 
     # invariance of the integration functional under 20 random Sp(theta, 4)
     theta4 = ThetaMatrix.from_upper(4, [np.pi / (2.0 + k) for k in range(6)])
-    report = sp_invariant_functional_check(theta4, 4, quadrature_rule(4, (48, 64), kind="hopf"), n_transforms=20)
+    report = sp_invariant_functional_check(theta4, 4, quadrature_rule(4, (48, 64)), n_transforms=20)
     assert report.max_residual < 1e-6
 
     # commutation phase law on the grid

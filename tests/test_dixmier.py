@@ -150,9 +150,8 @@ def test_import_loads_neither_scipy_integrate_nor_stats():
         "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not scipy(), scipy()\n"
         "for d in range(2, 11):\n"
-        "    for kind in {2: ['trapezoid'], 4: ['hopf', 'product']}.get(d, ['product']):\n"
-        "        rule = nctrace.quadrature_rule(d, kind=kind)\n"
-        "        assert rule.kind == kind and rule.points.shape[1] == d and len(rule.coarse_points)\n"
+        "    rule = nctrace.quadrature_rule(d)\n"
+        "    assert rule.points.shape == (rule.size, d) and rule.weights.shape == (rule.size,)\n"
         "assert not scipy(), scipy()\n"
     )
     src = str(Path(nctrace.__file__).resolve().parents[1])

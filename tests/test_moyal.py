@@ -308,7 +308,7 @@ class TestGroupElements:
 
 class TestInvarianceCheck:
     def test_block_form_plane(self):
-        rep = sp_invariant_functional_check(OMEGA2, 3, quadrature_rule(2, 512), n_transforms=4, seed=1)
+        rep = sp_invariant_functional_check(OMEGA2, 3, quadrature_rule(2, 256), n_transforms=4, seed=1)
         assert len(rep.rows) == 4 * 10  # ten monomials up to degree 3 in d=2
         assert rep.max_residual < 1e-9
 
@@ -322,7 +322,7 @@ class TestInvarianceCheck:
         theta = ThetaMatrix.from_upper(4, [np.pi / (2 + k) for k in range(6)])
         tracemalloc.start()
         try:
-            rule = quadrature_rule(4, n=(64, 128), kind="hopf")
+            rule = quadrature_rule(4, n=(64, 128))
             rep = sp_invariant_functional_check(theta, 0, rule, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

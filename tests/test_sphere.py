@@ -9,19 +9,20 @@ import pytest
 from nctrace import sphere
 from nctrace.moyal import random_sp_block, sp_group_membership
 from nctrace.sphere import (
-    MomentFunctional,
+    HopfRule,
     QuadratureRule,
     SphereFunction,
     SpherePoly,
     _BLOCK,
     _monomial_integrals,
     _multi_indices,
-    invariance_residual,
+    _product_points,
     lie_action,
     moment_recursion_check,
     quadrature_integrate,
     quadrature_rule,
     random_unit_vectors,
+    sphere_integrate,
     sphere_moment,
     sphere_volume,
     vg_action,
@@ -103,24 +104,20 @@ def test_gradient_bound_dominates_differences():
     assert (lhs <= rhs + 1e-12).all()
 
 
+def _check_kind(rule, kind):
+    """kind, where a case names it, is the rule the dimension picks: "hopf" at d=4, "product" elsewhere."""
+    assert kind in (None, "hopf" if isinstance(rule, HopfRule) else "product")
+    assert isinstance(rule, HopfRule) == (rule.d == 4)
+
+
 @pytest.mark.parametrize("d,kind,tol", [(2, None, 1e-10), (3, None, 1e-10), (4, "hopf", 1e-10), (5, "product", 1e-10)])
 def test_quadrature_reproduces_moments(d, kind, tol):
-    n = {2: 512, 3: (24, 48), 4: (12, 16), 5: (8, 32)}[d]
-    rule = quadrature_rule(d, n=n, kind=kind)
+    n = {2: 256, 3: (24, 48), 4: (12, 16), 5: (8, 32)}[d]
+    rule = quadrature_rule(d, n=n)
+    _check_kind(rule, kind)
     for nvec in [(0,) * d, (2,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2), (2, 2) + (0,) * (d - 2)]:
-        got = quadrature_integrate(SpherePoly.monomial(d, nvec), rule).value
+        got = quadrature_integrate(SpherePoly.monomial(d, nvec), rule)
         assert got == pytest.approx(sphere_moment(nvec, d), abs=tol)
-
-
-def test_quadrature_error_proxy_present():
-    rule = quadrature_rule(2, n=128)
-    res = quadrature_integrate(SpherePoly.monomial(2, (2, 0)), rule)
-    assert res.error >= 0.0
-
-
-def test_hopf_rule_rejected_off_s3():
-    with pytest.raises(ValueError):
-        quadrature_rule(3, kind="hopf")
 
 
 @pytest.mark.parametrize(
@@ -140,6 +137,9 @@ def test_hopf_rule_rejected_off_s3():
         (5, 0, "product"),
         (5, -(2**10), "product"),
         (12, 4, "product"),  # 8 * 4^10 = 8,388,608 nodes, over the budget of 2^22
+        # 2^22 nodes fit the budget, but eigh or leggauss would take a 2^21 x 2^21 matrix, 32 TiB
+        (3, (2**21, 2), "product"),
+        (4, (2**21, 1), "hopf"),
     ],
 )
 def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
@@ -148,17 +148,26 @@ def test_quadrature_rule_refuses_bad_node_counts(d, n, kind, monkeypatch):
 
     for builder in ("_product_points", "_s3_hopf_rule"):
         monkeypatch.setattr(sphere, builder, never)
+    assert kind in (None, "hopf" if d == 4 else "product")
     with pytest.raises(ValueError, match="node count"):
-        quadrature_rule(d, n=n, kind=kind)
+        quadrature_rule(d, n=n)
 
 
 def test_trapezoid_rule_is_bitwise_the_circle_construction():
     n = 2048
     phi = 2.0 * np.pi * np.arange(n) / n
     rule = quadrature_rule(2)
-    assert rule.kind == "trapezoid"
     assert np.array_equal(rule.points, np.stack([np.cos(phi), np.sin(phi)], axis=1))
     assert np.array_equal(rule.weights, np.full(n, 2.0 * np.pi / n))
+
+
+@pytest.mark.parametrize("d,q", [(2, 1024), (3, 96), (5, 4), (6, 4), (7, 4), (8, 4), (9, 4), (10, 4)])
+def test_default_rule_off_s3_is_bitwise_the_product_rule(d, q):
+    # q latitudes and 2q angles; at d=2 the latitudes are unused
+    rule = quadrature_rule(d)
+    pts, w = _product_points(d, q, 2 * q)
+    assert isinstance(rule, QuadratureRule) and rule.d == d
+    assert np.array_equal(rule.points, pts) and np.array_equal(rule.weights, w)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.5])
@@ -174,7 +183,8 @@ def test_golub_welsch_matches_scipy_gauss_jacobi(alpha, q):
 
 @pytest.mark.parametrize("d,q", [(3, 6), (4, 6), (5, 4), (6, 4), (7, 4), (8, 3), (9, 3), (10, 3)])
 def test_product_rule_is_exact_up_to_its_design_degree(d, q):
-    rule = quadrature_rule(d, n=q, kind="product")
+    # at d=4 quadrature_rule picks the Hopf rule, so the product rule is built directly
+    rule = QuadratureRule(d, *_product_points(d, q, 2 * q)) if d == 4 else quadrature_rule(d, n=q)
     assert rule.size == 2 * q ** (d - 1)
     for nvec, value in _monomial_integrals(rule, 2 * q - 1).items():
         assert abs(value - sphere_moment(nvec, d)) <= 1e-12, nvec
@@ -200,16 +210,12 @@ def _meshgrid_hopf_points(n_u, n_phi):
 
 @pytest.mark.parametrize("n_u,n_phi", [(48, 64), (64, 128), (24, 32), (4, 8), (7, 13)])
 def test_hopf_points_bitwise_equal_to_meshgrid_construction(n_u, n_phi):
-    rule = quadrature_rule(4, n=(n_u, n_phi), kind="hopf")
+    rule = quadrature_rule(4, n=(n_u, n_phi))
     assert rule.size == n_u * n_phi**2
-    assert not {"points", "weights", "_coarse"} & set(vars(rule)), "size built node arrays"
-    for (pts, w), counts in (
-        ((rule.points, rule.weights), (n_u, n_phi)),
-        ((rule.coarse_points, rule.coarse_weights), (max(4, n_u // 2), max(8, n_phi // 2))),
-    ):
-        ref_pts, ref_w = _meshgrid_hopf_points(*counts)
-        assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
-        assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+    assert not {"points", "weights"} & set(vars(rule)), "size built node arrays"
+    ref_pts, ref_w = _meshgrid_hopf_points(n_u, n_phi)
+    assert rule.points.shape == ref_pts.shape and rule.weights.shape == ref_w.shape
+    assert np.array_equal(rule.points, ref_pts) and np.array_equal(rule.weights, ref_w)
 
 
 def _oracle_moments(rule, max_degree, g):
@@ -260,7 +266,8 @@ def _transform(kind, d, seed):
     ],
 )
 def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
-    rule = quadrature_rule(d, n=n, kind=kind)
+    rule = quadrature_rule(d, n=n)
+    _check_kind(rule, kind)
     g = _transform(g_kind, d, seed=d)
     got = _monomial_integrals(rule, 4, g)
     want = _oracle_moments(rule, 4, g)
@@ -274,14 +281,14 @@ def test_batch_moments_on_a_million_nodes_match_exact_moments():
     # the reference. One complex dot over all 2^20 equal-sign terms loses about
     # 4e-13 relative on t^0; blockwise sums, and the pairwise sums of
     # quadrature_integrate, do not.
-    rule = quadrature_rule(4, n=(64, 128), kind="hopf")
+    rule = quadrature_rule(4, n=(64, 128))
     for nvec, value in _monomial_integrals(rule, 4).items():
         exact = sphere_moment(nvec, 4)
         assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact)), nvec
 
 
 def test_batch_moments_with_a_partial_last_block_are_deterministic():
-    rule = quadrature_rule(4, n=(50, 40), kind="hopf")
+    rule = quadrature_rule(4, n=(50, 40))
     assert rule.size > _BLOCK and rule.size % _BLOCK and _BLOCK % rule.n_phi
     g = _transform("sp", 4, seed=11)
     want = _oracle_moments(rule, 4, g)
@@ -290,20 +297,18 @@ def test_batch_moments_with_a_partial_last_block_are_deterministic():
         assert first == _monomial_integrals(source, 4, g)
         for nvec, value in first.items():
             assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
-    table = MomentFunctional.from_quadrature(4, 4, rule).values
-    assert table == _monomial_integrals(rule, 4)
 
 
 def _flat(rule):
     """The same nodes as a plain QuadratureRule, so _monomial_integrals slices its points."""
-    return QuadratureRule(rule.d, rule.kind, rule.points, rule.weights, rule.coarse_points, rule.coarse_weights)
+    return QuadratureRule(rule.d, rule.points, rule.weights)
 
 
 @pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300), (64, 128)])
 @pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
 def test_hopf_source_matches_flat_kernel(n, g_kind):
     # the Hopf source forms |gt|^2 from per-angle tables; the flat source from the nodes
-    rule = quadrature_rule(4, n=n, kind="hopf")
+    rule = quadrature_rule(4, n=n)
     g = _transform(g_kind, 4, seed=sum(n))
     flat = _flat(rule)
     # a Hopf block is whole p2 circles, so it is a flat block only when n_phi divides _BLOCK
@@ -330,7 +335,7 @@ def test_hopf_source_matches_flat_kernel(n, g_kind):
 @pytest.mark.parametrize("kind", ["hopf", "flat"])
 def test_batch_moments_refuse_a_bad_g(g, match, kind):
     # unchecked, a NaN entry gave a table of NaN and the rank-1 g gave 2.6e67
-    rule = quadrature_rule(4, n=(8, 16), kind="hopf")
+    rule = quadrature_rule(4, n=(8, 16))
     with pytest.raises(ValueError, match=match):
         _monomial_integrals(rule if kind == "hopf" else _flat(rule), 2, g)
 
@@ -338,7 +343,7 @@ def test_batch_moments_refuse_a_bad_g(g, match, kind):
 def test_batch_moments_leave_no_reference_cycles():
     # a cycle through a block's power table would hold it until the cyclic
     # collector runs, and peak memory would grow with the number of calls
-    rule = quadrature_rule(4, n=(16, 32), kind="hopf")
+    rule = quadrature_rule(4, n=(16, 32))
     flat = _flat(rule)
     gc.collect()
     gc.disable()
@@ -362,22 +367,60 @@ def test_multi_index_table_over_budget_is_refused_at_once(monkeypatch):
         _multi_indices(2, 5)
 
 
-def test_moment_functional_exact_and_uncovered():
-    m = MomentFunctional.exact(2, 4)
-    assert m((2, 2)) == pytest.approx(np.pi / 4, abs=1e-14)
-    with pytest.raises(ValueError):
-        m((4, 2))
-
-
-def test_moment_functional_from_quadrature():
-    m = MomentFunctional.from_quadrature(2, 4, quadrature_rule(2, n=1024))
-    assert m((2, 0)) == pytest.approx(np.pi, abs=1e-12)
+def test_batch_moments_on_the_circle_rule():
+    values = _monomial_integrals(quadrature_rule(2, n=512), 4)
+    assert values[(2, 0)] == pytest.approx(np.pi, abs=1e-12)
+    assert values[(2, 2)] == pytest.approx(np.pi / 4, abs=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_recursions_exact_table(d):
     rep = moment_recursion_check(d, 8)
     assert rep.max_residual < 1e-12
+
+
+def _validated_recursion_rows(d, max_degree):
+    """The recursion rows read through a callable moment table that validates every key: the oracle of the dict lookup."""
+    table = {n: complex(sphere_moment(n, d)) for n in _multi_indices(d, max_degree + 2)}
+
+    def l(nvec):
+        key = sphere._validate_multi_index(nvec, d)
+        if key not in table:
+            raise ValueError(f"moment table does not cover {key}")
+        return table[key]
+
+    rows = []
+    for nvec in _multi_indices(d, max_degree):
+        odd_res = abs(l(nvec)) if any(v % 2 for v in nvec) else 0.0
+        first_res = 0.0
+        for k in range(d // 2):
+            i, j = 2 * k, 2 * k + 1
+            bumped_i = list(nvec)
+            bumped_i[i] += 2
+            bumped_j = list(nvec)
+            bumped_j[j] += 2
+            first_res = max(
+                first_res,
+                abs(l(bumped_i) - (nvec[i] + 1) / (nvec[j] + 1) * l(bumped_j)),
+            )
+        main_res = 0.0
+        deg = sum(nvec)
+        for k in range(d):
+            bumped = list(nvec)
+            bumped[k] += 2
+            main_res = max(main_res, abs(l(bumped) - (nvec[k] + 1) / (deg + d) * l(nvec)))
+        rows.append((nvec, odd_res, first_res, main_res))
+    return rows
+
+
+@pytest.mark.parametrize("d,degree", [(2, 8), (4, 8), (6, 6)])
+def test_recursion_rows_equal_the_validated_table_oracle(d, degree):
+    rows = moment_recursion_check(d, degree).rows
+    want = _validated_recursion_rows(d, degree)
+    assert [r[0] for r in rows] == [r[0] for r in want]
+    for got, ref in zip(rows, want):
+        assert got[1:] == ref[1:], got[0]
+        assert all(type(v) is float for v in got[1:] + ref[1:])
 
 
 def test_recursion_rejects_odd_dimension():
@@ -404,6 +447,12 @@ def test_lie_action_finite_difference():
     for step, bound in [(1e-4, 1e-3), (1e-6, 1e-5)]:
         fd = (vg_action(expm(step * a), b).evaluator(pts) - b.evaluate(pts)) / step
         assert np.abs(fd - gen.evaluate(pts)).max() < bound
+
+
+def invariance_residual(g, b, rule):
+    """|quadrature of V_g b  -  det(g)^{-1} * exact integral of b|: the per-monomial oracle of the batch residuals."""
+    est = quadrature_integrate(vg_action(g, b), rule)
+    return abs(est - sphere_integrate(b) / np.linalg.det(np.asarray(g, dtype=float)))
 
 
 def test_vg_rotation_preserves_integral():
@@ -455,7 +504,7 @@ def test_polynomials_are_evaluated_only_through_their_evaluate(monkeypatch):
     t1 = SpherePoly.coordinate(2, 1)
     g = np.diag([2.0, 0.5])
     pts = random_unit_vectors(5, 2, np.random.default_rng(0))
-    rule = quadrature_rule(2, n=64)
+    rule = quadrature_rule(2, n=32)
 
     commutator_tail_norms(unitary_generator(ThetaMatrix.from_upper(2, [0.5]), (1, 0)), t1, (10.0,))
     assert calls
@@ -465,7 +514,7 @@ def test_polynomials_are_evaluated_only_through_their_evaluate(monkeypatch):
     calls.clear()
     quadrature_integrate(t1, rule)
     quadrature_integrate(pullback, rule)
-    assert calls == [(64,), (32,)] * 2
+    assert calls == [(64,)] * 2
 
     seen = []
     watched = dataclasses.replace(pullback, evaluator=lambda p: seen.append(len(p)) or pullback.evaluator(p))

@@ -16,12 +16,22 @@ from nctrace.su2 import (
     block_trace,
     build_block,
     conjugation_covariance_check,
-    evaluate_on_block,
     exp_i_hermitian,
     su2_dixmier_ratio,
     su2_symbol,
     su2_to_so3,
 )
+
+
+def evaluate_on_block(w, block):
+    """The dense matrix of the word polynomial w on a spin block: the oracle of the band path."""
+    out = np.zeros((block.dim, block.dim), dtype=complex)
+    for word, c in sorted(w.coeffs.items()):
+        m = np.eye(block.dim, dtype=complex)
+        for k in word:
+            m = m @ block.unit_gens[k - 1]
+        out += c * m
+    return out
 
 
 def random_su2(rng):
