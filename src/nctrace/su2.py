@@ -38,8 +38,10 @@ class HalfInteger:
     twice_value: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_value, int) or self.twice_value < 0:
+        t = self.twice_value
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
             raise ValueError("twice_value must be a nonnegative integer")
+        object.__setattr__(self, "twice_value", int(t))
 
     @property
     def value(self) -> float:
@@ -57,8 +59,8 @@ class HalfInteger:
 def _as_half(l) -> HalfInteger:
     if isinstance(l, HalfInteger):
         return l
-    if isinstance(l, int):
-        return HalfInteger(2 * l)
+    if isinstance(l, (int, np.integer)) and not isinstance(l, bool):
+        return HalfInteger(2 * int(l))
     raise TypeError("spin must be a HalfInteger or a plain integer")
 
 
@@ -82,16 +84,6 @@ class IrrepBlock:
         return self.gens / np.sqrt(self.casimir_scalar)
 
 
-def _ladder(l) -> tuple:
-    """(spin, weights m ascending, l(l+1), raising coefficients sqrt(l(l+1) - m(m+1)) for m < l)."""
-    half = _as_half(l)
-    if half.twice_value < 1:
-        raise ValueError("need l >= 1/2")
-    m = (np.arange(half.dim) - half.value).astype(float)
-    ll = half.l_squared()
-    return half, m, ll, np.sqrt(ll - m[:-1] * (m[:-1] + 1.0))
-
-
 def build_block(l) -> IrrepBlock:
     """Ladder construction of the spin-l block, first generator diagonal.
 
@@ -99,7 +91,11 @@ def build_block(l) -> IrrepBlock:
     ascending weight m; D = (2 Jz, 2 Jx, 2 Jy) gives [D1, D2] = 2i D3 cyclic
     with D1 = diag(-2l ... 2l).
     """
-    half, m, ll, raise_ = _ladder(l)
+    half = _as_half(l)
+    if half.twice_value < 1:
+        raise ValueError("need l >= 1/2")
+    m = (np.arange(half.dim) - half.value).astype(float)
+    raise_ = np.sqrt(half.l_squared() - m[:-1] * (m[:-1] + 1.0))
     dim = half.dim
     jz = np.diag(m).astype(complex)
     jp = np.zeros((dim, dim), dtype=complex)
@@ -119,48 +115,53 @@ def block_commutator_norm(block: IrrepBlock, j: int, k: int) -> float:
     return float(np.linalg.norm(c, 2))
 
 
-def exp_i_hermitian(h: np.ndarray, s: float) -> np.ndarray:
-    """e^{ish} for a Hermitian matrix h and a real s, as V diag(e^{is lambda}) V*.
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
-    V and lambda come from the spectral decomposition h = V diag(lambda) V*,
-    so the result is unitary to roundoff for every s.
+
+def exp_i_hermitian(h: np.ndarray, s: float) -> np.ndarray:
+    """e^{ish} for a Hermitian matrix h, or each of a stack of shape (..., n, n), and a real s.
+
+    The result has h's shape and is V diag(e^{is lambda}) V* for each member,
+    with V and lambda from its spectral decomposition h = V diag(lambda) V*, so
+    it is unitary to roundoff for every s. Every member must be finite and
+    Hermitian.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
     if not np.isfinite(s):
         raise ValueError(f"s = {s} is not finite")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries are not finite")
-    if np.abs(h - h.conj().T).max() > 1e-12 * max(1.0, np.abs(h).max()):
+    skew = np.abs(h - _adjoint(h)).max(axis=(-2, -1))
+    if np.any(skew > 1e-12 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("matrix is not Hermitian")
     lam, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * s * lam)) @ v.conj().T
+    return (v * np.exp(1j * s * lam)[..., None, :]) @ _adjoint(v)
 
 
 def su2_to_so3(g: np.ndarray) -> np.ndarray:
-    """Image of a special-unitary 2x2 matrix under the 2-to-1 covering map.
+    """Image of a special-unitary 2x2 matrix, or of each of a stack of shape (..., 2, 2), under the 2-to-1 covering map.
 
-    Entry (k, j) is (1/2) tr(g P_k g* P_j) over the Pauli triple; row k then
-    expands g P_k g* in the triple. Composition reverses order:
-    su2_to_so3(gh) = su2_to_so3(h) @ su2_to_so3(g).
+    The result has shape (..., 3, 3). Entry (k, j) is (1/2) tr(g P_k g* P_j)
+    over the Pauli triple; row k then expands g P_k g* in the triple.
+    Composition reverses order: su2_to_so3(gh) = su2_to_so3(h) @ su2_to_so3(g).
+    Every member must be finite, unitary and of determinant 1.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
+    if g.ndim < 2 or g.shape[-2:] != (2, 2):
+        raise ValueError("expected a 2x2 matrix or a stack of them")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries are not finite")
-    if np.abs(g.conj().T @ g - np.eye(2)).max() > 1e-10:
+    g_adj = _adjoint(g)
+    if np.any(np.abs(g_adj @ g - np.eye(2)).max(axis=(-2, -1)) > 1e-10):
         raise ValueError("matrix is not unitary")
-    if abs(np.linalg.det(g) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.det(g) - 1.0) > 1e-10):
         raise ValueError("matrix must have determinant 1")
-    out = np.empty((3, 3))
-    for k, pk in enumerate(PAULI_TRIPLE):
-        conj = g @ pk @ g.conj().T
-        for j, pj in enumerate(PAULI_TRIPLE):
-            val = 0.5 * np.trace(conj @ pj)
-            out[k, j] = val.real
-    return out
+    pauli = np.stack(PAULI_TRIPLE)
+    conj = (g[..., None, :, :] @ pauli) @ g_adj[..., None, :, :]  # g P_k g*, shape (..., 3, 2, 2)
+    return (0.5 * np.trace(conj[..., :, None, :, :] @ pauli, axis1=-2, axis2=-1)).real
 
 
 def conjugation_covariance_check(block: IrrepBlock, j: int, s: float) -> float:
@@ -252,77 +253,118 @@ def su2_symbol(w: GenPoly) -> SpherePoly:
 
 
 # A word of k letters is a band matrix of width 2k+1 in the weight basis: b1 is
-# diagonal, b2 and b3 sit on the two first off-diagonals. A band matrix M is kept
-# as a map offset a -> vector v with v[j] = M[j+a, j] (zero where row j+a leaves
-# the block), so a product or a trace costs O(dim) per pair of offsets.
+# diagonal, b2 and b3 sit on the two first off-diagonals. The blocks of a run of
+# spins are laid end to end in one flat index, and a band matrix M is kept as a
+# map offset a -> flat vector v with v[j] = M[j+a, j], zero wherever row j+a
+# leaves column j's block. A shift by a over the whole flat vector then never
+# mixes two blocks, so each product is exact block by block, and a product or a
+# trace of every block at once costs O(total dim) per pair of offsets.
+
+# Flat entries per block_trace call of _ratio_partial_sums. Sweep of
+# `su2 --lmax 200` + `su2 --word b1b1b2b2 --lmax 150`, one process each (2 vCPUs,
+# one BLAS thread, median of 9), suite time and peak RSS:
+#   2^11: 41.9 ms, 39.4 MB    2^12: 44.4 ms, 39.4 MB    2^13: 44.8 ms, 39.8 MB
+#   2^14: 48.7 ms, 39.7 MB    2^15: 55.1 ms, 41.3 MB    all spins: 55.6 ms, 49.3 MB
+# against 219 ms and 39.3 MB for one call per spin. At L = 2000 the b1b1 ratio
+# takes 1.3x the time of 2^12 at 2^11 (every spin past l = 1023 is its own
+# call) and 1.6x at 2^13, where each 128 KiB complex band comes back fresh
+# from the OS (6x the page faults).
+SPIN_CHUNK = 1 << 12
+# Flat entries of the spin range 1/2 ... L, L(2L+3), that a ratio or a beta
+# residual may reach: L <= 2895. The README table's L = 2000 lays 8.0M entries,
+# and a four-letter ratio there takes 0.5-1.0 s; at L = 2895 it takes 1.1-1.8 s
+# (2 vCPUs, one BLAS thread). Time grows like L^2 with no end, so a larger L is
+# refused.
+SPIN_BUDGET = 1 << 24
 
 
-def _unit_bands(l) -> tuple:
-    """(spin, bands of b1, b2, b3) straight from the ladder coefficients."""
-    half, m, ll, raise_ = _ladder(l)
-    scale = np.sqrt(4.0 * ll)
-    up = np.zeros(half.dim)
-    up[:-1] = raise_ / scale  # b2[j+1, j]
-    down = np.roll(up, 1)  # b2[j-1, j]
-    return half, ({0: (2.0 * m / scale).astype(complex)}, {1: up + 0j, -1: down + 0j}, {1: -1j * up, -1: 1j * down})
+def _check_spin_budget(twice_max: int) -> None:
+    entries = twice_max * (twice_max + 3) // 2  # sum of 2l+1 over the spins 1/2 ... twice_max/2
+    if entries > SPIN_BUDGET:
+        raise ValueError(
+            f"spins up to l = {twice_max / 2:g} lay {entries} band entries, over the budget of {SPIN_BUDGET}"
+        )
 
 
-def _window(a: int, dim: int) -> tuple:
-    """Columns j with row j+a inside the block, and those rows."""
-    return (slice(0, dim - a), slice(a, dim)) if a >= 0 else (slice(-a, dim), slice(0, dim + a))
+def _unit_bands(spins: Sequence) -> tuple:
+    """(start of each block, bands of b1, b2, b3) over the blocks of spins laid end to end."""
+    twice = np.array([_as_half(l).twice_value for l in spins], dtype=np.int64)
+    if twice.size == 0 or twice.min() < 1:
+        raise ValueError("need l >= 1/2")
+    dims = twice + 1
+    starts = np.cumsum(dims) - dims
+    m = np.arange(starts[-1] + dims[-1]) - np.repeat(starts + twice / 2.0, dims)  # weights, ascending in each block
+    ll = twice * (twice + 2) / 4.0
+    scale = np.repeat(np.sqrt(4.0 * ll), dims)
+    up = np.sqrt(np.repeat(ll, dims) - m * (m + 1.0)) / scale  # b2[j+1, j]
+    up[starts + twice] = 0.0  # each block's top weight raises out of the block
+    down = np.roll(up, 1)  # b2[j-1, j]; the roll moves those zeros onto each block's first column
+    return starts, ({0: (2.0 * m / scale).astype(complex)}, {1: up + 0j, -1: down + 0j}, {1: -1j * up, -1: 1j * down})
 
 
-def _band_mul(left: dict, right: dict, dim: int) -> dict:
-    """Bands of LR: (LR)[j+a+b, j] = L[j+a+b, j+b] R[j+b, j]."""
+def _window(a: int, n: int) -> tuple:
+    """Columns j with row j+a inside the flat index, and those rows."""
+    return (slice(0, n - a), slice(a, n)) if a >= 0 else (slice(-a, n), slice(0, n + a))
+
+
+def _band_mul(left: dict, right: dict, width: int) -> dict:
+    """Bands of LR: (LR)[j+a+b, j] = L[j+a+b, j+b] R[j+b, j]; offsets past the widest block are dropped."""
     out: dict = {}
     for a, u in left.items():
         for b, v in right.items():
-            if abs(a + b) >= dim:
+            if abs(a + b) >= width:
                 continue
-            cols, rows = _window(b, dim)
-            out.setdefault(a + b, np.zeros(dim, dtype=complex))[cols] += u[rows] * v[cols]
+            cols, rows = _window(b, len(v))
+            out.setdefault(a + b, np.zeros(len(v), dtype=complex))[cols] += u[rows] * v[cols]
     return out
 
 
-def _word_bands(word: tuple, gens: tuple, dim: int) -> dict:
-    """Bands of the product of unit generators along word; the empty word is I."""
-    out = {0: np.ones(dim, dtype=complex)}
-    for k in word:
-        out = _band_mul(out, gens[k - 1], dim)
+def _word_bands(word: tuple, gens: tuple, width: int) -> dict:
+    """Bands of the product of unit generators along word, on blocks at most width wide; the empty word is I."""
+    if not word:
+        return {0: np.ones(len(gens[0][0]), dtype=complex)}
+    out = gens[word[0] - 1]
+    for k in word[1:]:
+        out = _band_mul(out, gens[k - 1], width)
     return out
 
 
-def _band_trace(left: dict, right: dict, dim: int) -> complex:
-    """tr(LR) as the sum over offsets a of the aligned dot products of L's band a and R's band -a."""
-    total = 0j
+def _band_trace(left: dict, right: dict, starts: np.ndarray) -> np.ndarray:
+    """tr(LR) of each block: L's band a times R's band -a, aligned and summed per column, then per block."""
+    n = len(next(iter(left.values())))
+    per_column = np.zeros(n, dtype=complex)
     for a in sorted(left):
         if -a in right:
-            cols, rows = _window(a, dim)
-            total += np.dot(left[a][cols], right[-a][rows])
-    return complex(total)
+            cols, rows = _window(a, n)
+            per_column[cols] += left[a][cols] * right[-a][rows]
+    return np.add.reduceat(per_column, starts)
 
 
-def block_trace(w: GenPoly, l) -> complex:
-    """tr w(b) on the block of spin l (a HalfInteger or a plain integer).
+def block_trace(w: GenPoly, l):
+    """tr w(b) on the block of spin l, or on each block of a sequence of spins.
 
-    Each word is cut in half and traced from the bands of its two halves, in
-    O(dim k^2) for k letters; halves are cached, so powers of one letter build
-    one half product per block. Only the spin is read: no dense matrix is built.
+    A spin is a HalfInteger or a plain or numpy integer. One spin gives a
+    complex; a sequence of n spins gives a complex array of shape (n,), from
+    one pass over their blocks laid end to end. Each word is cut in half and
+    traced from the bands of its two halves, in O(dim k^2) per block for k
+    letters; halves are cached, so powers of one letter build one half product
+    per call. Only the spins are read: no dense matrix is built.
     """
-    half, gens = _unit_bands(l)
-    dim = half.dim
+    single = np.ndim(l) == 0
+    starts, gens = _unit_bands([l] if single else l)
+    width = int(np.diff(starts, append=len(gens[0][0])).max())
     cache: dict = {}
 
     def half_bands(word: tuple) -> dict:
         if word not in cache:
-            cache[word] = _word_bands(word, gens, dim)
+            cache[word] = _word_bands(word, gens, width)
         return cache[word]
 
-    total = 0j
+    total = np.zeros(len(starts), dtype=complex)
     for word, c in sorted(w.coeffs.items()):
         cut = len(word) // 2
-        total += c * _band_trace(half_bands(word[:cut]), half_bands(word[cut:]), dim)
-    return total
+        total += c * _band_trace(half_bands(word[:cut]), half_bands(word[cut:]), starts)
+    return complex(total[0]) if single else total
 
 
 def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
@@ -333,11 +375,13 @@ def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
     of b1, with c = Beta((n2+1)/2, (n3+1)/2) / pi for n2, n3 both even and
     c = 0 when either is odd. The skew part of the diagonal is pure commutator
     residue of size O(1/l), pinned separately by tests. The pinching is band 0
-    of the word, so no dense block is built.
+    of the word, so no dense block is built. A spin past SPIN_BUDGET is refused.
     """
     if min(n1, n2, n3) < 0:
         raise ValueError("exponents must be nonnegative")
-    half, gens = _unit_bands(l)
+    half = _as_half(l)
+    _check_spin_budget(half.twice_value)
+    _, gens = _unit_bands([half])
     bands = _word_bands((1,) * n1 + (2,) * n2 + (3,) * n3, gens, half.dim)
     x = np.real(gens[0][0])  # eigenvalues of b1: m / sqrt(l(l+1))
     diag = np.real(bands[0]) if 0 in bands else np.zeros_like(x)  # diagonal of the Hermitian part (W + W*)/2
@@ -354,36 +398,38 @@ def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
 # trace ratio estimation
 
 
-def _spin_range(twice_max: int):
-    for twice in range(1, twice_max + 1):
-        yield HalfInteger(twice)
+def _spin_chunks(twice: np.ndarray) -> list:
+    """twice cut into consecutive runs of at most SPIN_CHUNK flat entries; a wider block runs alone."""
+    ends = np.cumsum(twice + 1)
+    chunks = []
+    lo = 0
+    while lo < twice.size:
+        limit = ends[lo] - (twice[lo] + 1) + SPIN_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        chunks.append(twice[lo:hi])
+        lo = hi
+    return chunks
 
 
 def _ratio_partial_sums(w: GenPoly, twice_grid: Sequence[int]) -> tuple:
-    """Weighted numerator/denominator partial sums at each grid point.
+    """Weighted numerator/denominator partial sums at each grid point, as two arrays.
 
     Numerator adds (2l+1) * tr(w(b)) * (1 + l(l+1))^{-3/2} per spin (the word
     acts identically on the (2l+1) copies of the block); denominator adds
     (2l+1)^2 * (1 + l(l+1))^{-3/2}. Spin 0 is excluded: a single bounded term
-    absorbed by the fit intercept, mirroring the lattice-sum convention.
+    absorbed by the fit intercept, mirroring the lattice-sum convention. The
+    traces come from one block_trace call per chunk of spins (_spin_chunks),
+    and the terms are summed in spin order.
     """
     grid = [int(t) for t in twice_grid]
     if grid != sorted(grid) or grid[0] < 1:
         raise ValueError("twice grid must be increasing with positive entries")
-    nums, dens = [], []
-    num = 0j
-    den = 0.0
-    it = iter(grid)
-    nxt = next(it)
-    for half in _spin_range(grid[-1]):
-        weight = (1.0 + half.l_squared()) ** -1.5
-        num += half.dim * block_trace(w, half) * weight
-        den += half.dim**2 * weight
-        while nxt is not None and half.twice_value == nxt:
-            nums.append(num)
-            dens.append(den)
-            nxt = next(it, None)
-    return nums, dens
+    twice = np.arange(1, grid[-1] + 1)
+    traces = np.concatenate([block_trace(w, [HalfInteger(t) for t in chunk]) for chunk in _spin_chunks(twice)])
+    weight = (1.0 + twice * (twice + 2) / 4.0) ** -1.5
+    dim = twice + 1
+    at = np.array(grid) - 1
+    return np.cumsum(dim * traces * weight)[at], np.cumsum(dim**2 * weight)[at]
 
 
 def su2_dixmier_ratio(w: GenPoly, L_max: int) -> tuple:
@@ -393,11 +439,13 @@ def su2_dixmier_ratio(w: GenPoly, L_max: int) -> tuple:
     denominator partial sums over the doubling grid of spins ending at L_max.
     Both sums diverge logarithmically with the same weights, so the slope
     strips the shared O(1) intercept that a single quotient would keep as an
-    O(1/log L) error.
+    O(1/log L) error. An L_max past SPIN_BUDGET is refused before any block is
+    laid out.
     """
     if L_max < 4:
         raise ValueError("L_max must be >= 4")
     tmax = 2 * int(L_max)
+    _check_spin_budget(tmax)
     grid = [tmax >> 3, tmax >> 2, tmax >> 1, tmax]
     nums, dens = _ratio_partial_sums(w, grid)
     slope, _, _ = line_fit(dens, nums)

@@ -247,17 +247,25 @@ def test_band_trace_of_odd_off_diagonal_word_is_zero():
 
 
 def test_band_diagonal_matches_dense_pinching():
-    for l in (HalfInteger(1), 3, 20):
-        block = build_block(l)
-        half, gens = su2._unit_bands(l)
-        for n1, n2, n3 in itertools.product(range(7), repeat=3):
-            if n1 + n2 + n3 > 6:
-                continue
-            word = (1,) * n1 + (2,) * n2 + (3,) * n3
-            bands = su2._word_bands(word, gens, half.dim)
-            band0 = bands.get(0, np.zeros(half.dim))
+    spins = (HalfInteger(1), 3, 20)
+    blocks = [build_block(l) for l in spins]
+    flat_starts, flat_gens = su2._unit_bands(spins)
+    width = max(block.dim for block in blocks)
+    for n1, n2, n3 in itertools.product(range(7), repeat=3):
+        if n1 + n2 + n3 > 6:
+            continue
+        word = (1,) * n1 + (2,) * n2 + (3,) * n3
+        flat = su2._word_bands(word, flat_gens, width)
+        for l, block, start in zip(spins, blocks, flat_starts):
+            starts, gens = su2._unit_bands([l])
+            assert list(starts) == [0]
+            bands = su2._word_bands(word, gens, block.dim)
+            band0 = bands.get(0, np.zeros(block.dim))
             dense = np.diag(evaluate_on_block(GenPoly.word(word), block))
             assert np.abs(band0 - dense).max() < 1e-14, (l, word)
+            # the same band, laid out beside the other blocks
+            flat0 = flat.get(0, np.zeros(len(flat_gens[0][0])))[start : start + block.dim]
+            assert np.abs(flat0 - dense).max() < 1e-14, (l, word)
 
 
 def test_spin_traces_build_no_dense_block(monkeypatch):
@@ -316,3 +324,209 @@ def test_b1b1_quotient_is_a_third_at_every_spin():
     nums, dens = su2._ratio_partial_sums(GenPoly.word((1, 1)), list(range(1, 17)))
     for num, den in zip(nums, dens):
         assert num / den == pytest.approx(1 / 3, abs=1e-12)
+
+
+# The per-block band path that the flat multi-block pass replaced, kept as its oracle:
+# one spin at a time, one dict of dim-long bands per block.
+
+
+def per_block_bands(half):
+    m = (np.arange(half.dim) - half.value).astype(float)
+    ll = half.l_squared()
+    scale = np.sqrt(4.0 * ll)
+    up = np.zeros(half.dim)
+    up[:-1] = np.sqrt(ll - m[:-1] * (m[:-1] + 1.0)) / scale
+    down = np.roll(up, 1)
+    return ({0: (2.0 * m / scale).astype(complex)}, {1: up + 0j, -1: down + 0j}, {1: -1j * up, -1: 1j * down})
+
+
+def per_block_window(a, dim):
+    return (slice(0, dim - a), slice(a, dim)) if a >= 0 else (slice(-a, dim), slice(0, dim + a))
+
+
+def per_block_mul(left, right, dim):
+    out = {}
+    for a, u in left.items():
+        for b, v in right.items():
+            if abs(a + b) >= dim:
+                continue
+            cols, rows = per_block_window(b, dim)
+            out.setdefault(a + b, np.zeros(dim, dtype=complex))[cols] += u[rows] * v[cols]
+    return out
+
+
+def per_block_word(word, gens, dim):
+    out = {0: np.ones(dim, dtype=complex)}
+    for k in word:
+        out = per_block_mul(out, gens[k - 1], dim)
+    return out
+
+
+def per_block_trace(w, half):
+    gens = per_block_bands(half)
+    total = 0j
+    for word, c in sorted(w.coeffs.items()):
+        cut = len(word) // 2
+        left, right = per_block_word(word[:cut], gens, half.dim), per_block_word(word[cut:], gens, half.dim)
+        for a in sorted(left):
+            if -a in right:
+                cols, rows = per_block_window(a, half.dim)
+                total += c * np.dot(left[a][cols], right[-a][rows])
+    return complex(total)
+
+
+def per_spin_partial_sums(w, twice_grid):
+    """The per-spin loop of _ratio_partial_sums: one block trace per spin, summed in spin order."""
+    nums, dens = [], []
+    num, den = 0j, 0.0
+    for twice in range(1, twice_grid[-1] + 1):
+        half = HalfInteger(twice)
+        weight = (1.0 + half.l_squared()) ** -1.5
+        num += half.dim * per_block_trace(w, half) * weight
+        den += half.dim**2 * weight
+        if twice in twice_grid:
+            nums.append(num)
+            dens.append(den)
+    return nums, dens
+
+
+ORACLE_WORDS = {
+    "b1b1": GenPoly.parse("b1b1"),
+    "b3b3b3b3": GenPoly.parse("b3b3b3b3"),
+    "b1b1b2b2": GenPoly.parse("b1b1b2b2"),
+    "b1b2b3": GenPoly.parse("b1b2b3"),
+    "sum": GenPoly.word((1, 1), 0.5) + GenPoly.word((2, 3, 2, 3), -2.0 + 1j) + GenPoly.word((3,), 3.0) + GenPoly.one(),
+}
+
+
+def _close(got, want):
+    return np.all(np.abs(np.asarray(got) - np.asarray(want)) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WORDS))
+def test_flat_traces_match_the_per_block_oracle(name):
+    w = ORACLE_WORDS[name]
+    spins = [HalfInteger(twice) for twice in range(1, 81)]  # l = 1/2 ... 40
+    want = [per_block_trace(w, half) for half in spins]
+    got = block_trace(w, spins)
+    assert got.shape == (80,) and got.dtype == complex
+    assert _close(got, want), name
+    # any run of the same blocks gives the same traces
+    assert _close(block_trace(w, spins[37:41]), want[37:41])
+    assert _close(block_trace(w, spins[::-1]), want[::-1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, 1 << 12])
+@pytest.mark.parametrize("name", sorted(ORACLE_WORDS))
+def test_chunked_partial_sums_match_the_per_spin_loop(monkeypatch, name, chunk):
+    monkeypatch.setattr(su2, "SPIN_CHUNK", chunk)
+    w = ORACLE_WORDS[name]
+    grid = [10, 20, 40, 80]
+    nums, dens = su2._ratio_partial_sums(w, grid)
+    want_nums, want_dens = per_spin_partial_sums(w, grid)
+    assert _close(nums, want_nums), (name, chunk)
+    assert _close(dens, want_dens), (name, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, 300, 1 << 12])
+def test_spin_chunks_cover_every_spin_once_within_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(su2, "SPIN_CHUNK", chunk)
+    twice = np.arange(1, 401)
+    chunks = su2._spin_chunks(twice)
+    assert np.array_equal(np.concatenate(chunks), twice)
+    for run in chunks:
+        assert len(run) == 1 or int(np.sum(run + 1)) <= chunk
+    # each run is as long as the chunk allows
+    for run, nxt in zip(chunks, chunks[1:]):
+        assert int(np.sum(run + 1)) + int(nxt[0]) + 1 > chunk
+    if chunk == 50:
+        assert max(len(run) for run in chunks) > 1  # chunks split between many spins
+
+
+def test_block_trace_shapes_and_spin_types():
+    w = GenPoly.parse("b1b1b2b2")
+    one = block_trace(w, 3)
+    assert isinstance(one, complex)
+    assert block_trace(w, np.int64(3)) == one
+    assert block_trace(w, HalfInteger(np.int64(6))) == one
+    assert HalfInteger(np.int64(6)) == HalfInteger(6) and type(HalfInteger(np.int64(6)).twice_value) is int
+    many = block_trace(w, np.arange(1, 4))
+    assert many.shape == (3,) and many[2] == one
+    for bad in (True, np.bool_(True), 1.5, "3"):
+        with pytest.raises(TypeError):
+            block_trace(w, bad)
+    with pytest.raises(ValueError):
+        HalfInteger(True)
+    with pytest.raises(ValueError):
+        block_trace(w, [])
+
+
+def test_spin_budget_refuses_before_any_block(monkeypatch):
+    def refuse(spins):
+        raise AssertionError("bands laid out")
+
+    w = GenPoly.parse("b1b1")
+    largest = 2895  # L(2L+3) <= SPIN_BUDGET
+    assert largest * (2 * largest + 3) <= su2.SPIN_BUDGET < (largest + 1) * (2 * largest + 5)
+    assert beta_formula_residual(largest, 0, 4, 0) < 0.05
+    monkeypatch.setattr(su2, "_unit_bands", refuse)
+    for L in (largest + 1, 10**9):
+        with pytest.raises(ValueError, match="budget"):
+            su2_dixmier_ratio(w, L)
+        with pytest.raises(ValueError, match="budget"):
+            beta_formula_residual(L, 0, 4, 0)
+
+
+def _random_su2_stack(rng, n):
+    return expm(1j * np.tensordot(rng.normal(size=(n, 3)), PAULI_TRIPLE, axes=(-1, 0)))
+
+
+def test_stacked_covering_map_is_bitwise_the_per_matrix_map():
+    rng = np.random.default_rng(23)
+    g = _random_su2_stack(rng, 500)
+    stacked = su2_to_so3(g)
+    assert stacked.shape == (500, 3, 3)
+    assert all(np.array_equal(stacked[i], su2_to_so3(g[i])) for i in range(500))
+    nested = su2_to_so3(g.reshape(5, 100, 2, 2))
+    assert nested.shape == (5, 100, 3, 3) and np.array_equal(nested.reshape(500, 3, 3), stacked)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, -2.0])
+def test_stacked_exp_is_bitwise_the_per_matrix_exp(s):
+    rng = np.random.default_rng(29)
+    h = np.tensordot(rng.normal(size=(100, 2, 3)), PAULI_TRIPLE, axes=(-1, 0))
+    stacked = exp_i_hermitian(h, s)
+    assert stacked.shape == (100, 2, 2, 2)
+    assert all(np.array_equal(stacked[i, j], exp_i_hermitian(h[i, j], s)) for i in range(100) for j in range(2))
+    gen = build_block(HalfInteger(7)).gens
+    assert all(np.array_equal(e, exp_i_hermitian(m, s)) for e, m in zip(exp_i_hermitian(gen, s), gen))
+
+
+def test_stacks_with_one_bad_member_are_refused():
+    rng = np.random.default_rng(31)
+    g = _random_su2_stack(rng, 20)
+    h = np.tensordot(rng.normal(size=(20, 3)), PAULI_TRIPLE, axes=(-1, 0))
+    bad = g.copy()
+    bad[13] = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        su2_to_so3(bad)
+    bad = g.copy()
+    bad[4] = 1j * np.eye(2)  # unitary, determinant -1
+    with pytest.raises(ValueError, match="determinant"):
+        su2_to_so3(bad)
+    bad = g.copy()
+    bad[19, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        su2_to_so3(bad)
+    with pytest.raises(ValueError, match="2x2"):
+        su2_to_so3(np.zeros((4, 3, 3)))
+    bad = h.copy()
+    bad[7, 0, 1] += 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        exp_i_hermitian(bad, 1.0)
+    bad = h.copy()
+    bad[0, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        exp_i_hermitian(bad, 1.0)
+    with pytest.raises(ValueError, match="square"):
+        exp_i_hermitian(np.zeros((3, 2, 3)), 1.0)
