@@ -18,7 +18,10 @@ to S^{k-1} by Gauss-Gegenbauer latitudes for k = 3..d, so it is exact on
 polynomials of degree < 2q with q latitudes and 2q angles, and at d=2 it is the
 trapezoid rule in 2q angles. The batch moments of _monomial_integrals stream a
 HopfRule's nodes from per-angle tables and slice the node array of every other
-rule.
+rule. A HopfRule with an even angle count holds the antipode -t of each node t
+at the same weight, so its batch pass sums one node of each antipodal pair at
+twice the weight and sets every monomial of odd degree to its exact integral,
+0; with an odd angle count it sums every node.
 """
 
 from __future__ import annotations
@@ -236,7 +239,12 @@ class HopfRule:
     Gauss-Legendre latitudes u in (0, 1) and n_phi trapezoid angles for each of
     p1 and p2; its n_u * n_phi^2 nodes run over (u, p1, p2) in C order. The
     node and weight arrays are built on first read; _monomial_integrals
-    streams the nodes from the factors and reads neither.
+    streams the nodes from the factors and reads neither. When n_phi is even
+    the rule is antipodal: the antipode (u, p1 + pi, p2 + pi) of a node is a
+    node of the same weight, and the rows p1 < pi are a fundamental domain.
+    _monomial_integrals sums only those, at twice the weight, and gives every
+    monomial of odd degree its exact integral 0. With n_phi odd the rule is
+    not antipodal, and every row is summed.
     """
 
     latitudes: np.ndarray
@@ -253,6 +261,11 @@ class HopfRule:
         """The 2 x n_phi table of (cos p, sin p) on the angles."""
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         return np.stack([np.cos(phi), np.sin(phi)])
+
+    @property
+    def antipodal(self) -> bool:
+        """Whether the antipode of every node is a node: n_phi even, p -> p + pi on both angles."""
+        return self.n_phi % 2 == 0
 
     @property
     def row_weights(self) -> np.ndarray:
@@ -418,10 +431,16 @@ def _flat_blocks(rule, g, directions: bool):
 
 
 def _hopf_blocks(rule: HopfRule, g, directions: bool):
-    """The blocks of _flat_blocks on a HopfRule, built from its factors.
+    """The blocks of _flat_blocks on one node of each antipodal pair of a HopfRule, built from its factors.
 
-    A block is the p2 circle of each of max(1, _BLOCK // n_phi) consecutive
-    (u, p1) rows, so it holds _BLOCK nodes when n_phi divides _BLOCK. With
+    The antipode of the node (u, p1, p2) is (u, p1 + pi, p2 + pi). When n_phi
+    is even that is again a node, of the same weight, so the rows with
+    p1 < pi, each with its whole p2 circle, are a fundamental domain: only
+    those are streamed, with the row weights doubled (exact in floating
+    point), and _monomial_integrals sets each monomial of odd degree, whose
+    two nodes cancel, to exactly 0. With an odd n_phi every row is streamed at
+    its own weight. A block is the p2 circle of each of max(1, _BLOCK // n_phi)
+    consecutive (u, p1) rows, so it holds _BLOCK nodes when n_phi divides _BLOCK. With
     r1 = sqrt(1-u), r2 = sqrt(u) and E the circle table,
     gt = r1 A[:, p1] + r2 B[:, p2] for the 4 x n_phi tables A = g[:, :2] E and
     B = g[:, 2:] E, and q = |gt|^2 = r1^2 a[p1] + r2^2 b[p2] + 2 r1 r2 C[p1, p2]
@@ -429,7 +448,8 @@ def _hopf_blocks(rule: HopfRule, g, directions: bool):
     weight is w / q^2 and its direction (r1/sqrt q) A[:, p1] + (r2/sqrt q) B[:, p2].
     This q loses about cond(g) eps relative against the sum of the squares of gt,
     which is harmless for Sp(theta). For g = None the tables are E itself, q is
-    not formed, and a block is bitwise the flat block of rule.points.
+    not formed, and a block is bitwise the flat block of the streamed rows of
+    rule.points at the streamed weights.
     """
     n_phi = rule.n_phi
     A = np.zeros((4, n_phi))
@@ -439,11 +459,12 @@ def _hopf_blocks(rule: HopfRule, g, directions: bool):
         A, B = g @ A, g @ B
         a, b, C = np.einsum("kj,kj->j", A, A), np.einsum("kj,kj->j", B, B), A.T @ B
     r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
-    row_w = rule.row_weights
-    n_rows = rule.latitudes.size * n_phi
+    n_p1 = n_phi // 2 if rule.antipodal else n_phi
+    row_w = rule.row_weights * (2.0 if rule.antipodal else 1.0)
+    n_rows = rule.latitudes.size * n_p1
     step = max(1, _BLOCK // n_phi)
     for start in range(0, n_rows, step):
-        lat, p1 = np.divmod(np.arange(start, min(start + step, n_rows)), n_phi)
+        lat, p1 = np.divmod(np.arange(start, min(start + step, n_rows)), n_p1)
         s1, s2 = r1[lat, None], r2[lat, None]
         if g is None:
             w = np.repeat(row_w[lat], n_phi)
@@ -472,7 +493,12 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     The batch form of quadrature_integrate(vg_action(g, t^n), rule) for all n
     at once. One kernel runs
     over the blocks of a source: _hopf_blocks streams a HopfRule from its
-    factors, and _flat_blocks slices rule.points of every other rule. Per
+    factors, and _flat_blocks slices rule.points of every other rule. On an
+    antipodal HopfRule (n_phi even) the source holds one node of each pair
+    t, -t at twice the weight; V_g t^n is odd under t -> -t when |n| is odd, so
+    those keys are set to exactly 0, the full rule's value in exact arithmetic
+    and the exact moment, and the even keys differ from the full rule's sums
+    at roundoff. With n_phi odd every node is summed. Per
     block, the source gives the directions u = gt/|gt| and the weights
     w |gt|^{-d}; the kernel forms the power table u_k^e for e <= max_degree,
     and each monomial is a weighted dot of table rows. At degree 0 the only
@@ -503,6 +529,8 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
         sums = []
         _table_dots(power, w, max_degree, sums)
         totals += np.concatenate(sums)
+    if isinstance(rule, HopfRule) and rule.antipodal:
+        totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
     return {n: complex(v) for n, v in zip(keys, totals)}
 
 

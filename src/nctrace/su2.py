@@ -286,8 +286,12 @@ def _check_spin_budget(twice_max: int) -> None:
         )
 
 
-def _unit_bands(spins: Sequence) -> tuple:
-    """(start of each block, bands of b1, b2, b3) over the blocks of spins laid end to end."""
+def _unit_bands(spins: Sequence, letters) -> tuple:
+    """(start of each block, bands by letter) over the blocks of spins laid end to end.
+
+    The bands map 0 to the identity and each of letters to the unit generator
+    b1, b2 or b3; a letter not asked for is not built.
+    """
     twice = np.array([_as_half(l).twice_value for l in spins], dtype=np.int64)
     if twice.size == 0 or twice.min() < 1:
         raise ValueError("need l >= 1/2")
@@ -296,10 +300,18 @@ def _unit_bands(spins: Sequence) -> tuple:
     m = np.arange(starts[-1] + dims[-1]) - np.repeat(starts + twice / 2.0, dims)  # weights, ascending in each block
     ll = twice * (twice + 2) / 4.0
     scale = np.repeat(np.sqrt(4.0 * ll), dims)
-    up = np.sqrt(np.repeat(ll, dims) - m * (m + 1.0)) / scale  # b2[j+1, j]
-    up[starts + twice] = 0.0  # each block's top weight raises out of the block
-    down = np.roll(up, 1)  # b2[j-1, j]; the roll moves those zeros onto each block's first column
-    return starts, ({0: (2.0 * m / scale).astype(complex)}, {1: up + 0j, -1: down + 0j}, {1: -1j * up, -1: 1j * down})
+    gens = {0: {0: np.ones(len(m))}}
+    if 1 in letters:
+        gens[1] = {0: (2.0 * m / scale).astype(complex)}
+    if 2 in letters or 3 in letters:
+        up = np.sqrt(np.repeat(ll, dims) - m * (m + 1.0)) / scale  # b2[j+1, j]
+        up[starts + twice] = 0.0  # each block's top weight raises out of the block
+        down = np.roll(up, 1)  # b2[j-1, j]; the roll moves those zeros onto each block's first column
+        if 2 in letters:
+            gens[2] = {1: up + 0j, -1: down + 0j}
+        if 3 in letters:
+            gens[3] = {1: -1j * up, -1: 1j * down}
+    return starts, gens
 
 
 def _window(a: int, n: int) -> tuple:
@@ -319,13 +331,11 @@ def _band_mul(left: dict, right: dict, width: int) -> dict:
     return out
 
 
-def _word_bands(word: tuple, gens: tuple, width: int) -> dict:
+def _word_bands(word: tuple, gens: dict, width: int) -> dict:
     """Bands of the product of unit generators along word, on blocks at most width wide; the empty word is I."""
-    if not word:
-        return {0: np.ones(len(gens[0][0]), dtype=complex)}
-    out = gens[word[0] - 1]
+    out = gens[word[0] if word else 0]
     for k in word[1:]:
-        out = _band_mul(out, gens[k - 1], width)
+        out = _band_mul(out, gens[k], width)
     return out
 
 
@@ -348,10 +358,11 @@ def block_trace(w: GenPoly, l):
     one pass over their blocks laid end to end. Each word is cut in half and
     traced from the bands of its two halves, in O(dim k^2) per block for k
     letters; halves are cached, so powers of one letter build one half product
-    per call. Only the spins are read: no dense matrix is built.
+    per call, and only the generators the word reads are laid out. Only the
+    spins are read: no dense matrix is built.
     """
     single = np.ndim(l) == 0
-    starts, gens = _unit_bands([l] if single else l)
+    starts, gens = _unit_bands([l] if single else l, {k for word in w.coeffs for k in word})
     width = int(np.diff(starts, append=len(gens[0][0])).max())
     cache: dict = {}
 
@@ -381,9 +392,10 @@ def beta_formula_residual(l, n1: int, n2: int, n3: int) -> float:
         raise ValueError("exponents must be nonnegative")
     half = _as_half(l)
     _check_spin_budget(half.twice_value)
-    _, gens = _unit_bands([half])
-    bands = _word_bands((1,) * n1 + (2,) * n2 + (3,) * n3, gens, half.dim)
-    x = np.real(gens[0][0])  # eigenvalues of b1: m / sqrt(l(l+1))
+    word = (1,) * n1 + (2,) * n2 + (3,) * n3
+    _, gens = _unit_bands([half], {1, *word})
+    bands = _word_bands(word, gens, half.dim)
+    x = np.real(gens[1][0])  # eigenvalues of b1: m / sqrt(l(l+1))
     diag = np.real(bands[0]) if 0 in bands else np.zeros_like(x)  # diagonal of the Hermitian part (W + W*)/2
     if n2 % 2 or n3 % 2:
         closed = np.zeros_like(x)

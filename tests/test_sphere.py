@@ -304,6 +304,21 @@ def _flat(rule):
     return QuadratureRule(rule.d, rule.points, rule.weights)
 
 
+def _flat_half(rule):
+    """The rows p1 < pi of an even-n_phi HopfRule at doubled weights, as a plain QuadratureRule.
+
+    One node of each antipodal pair: the nodes the Hopf source streams.
+    """
+    assert rule.n_phi % 2 == 0
+    shape = (rule.latitudes.size, rule.n_phi, rule.n_phi)
+    half = np.arange(rule.size).reshape(shape)[:, : rule.n_phi // 2].ravel()
+    return QuadratureRule(rule.d, rule.points[half], 2.0 * rule.weights[half])
+
+
+def _zero_odd(values):
+    return {n: 0j if sum(n) % 2 else v for n, v in values.items()}
+
+
 @pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300), (64, 128)])
 @pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
 def test_hopf_source_matches_flat_kernel(n, g_kind):
@@ -311,16 +326,64 @@ def test_hopf_source_matches_flat_kernel(n, g_kind):
     rule = quadrature_rule(4, n=n)
     g = _transform(g_kind, 4, seed=sum(n))
     flat = _flat(rule)
-    # a Hopf block is whole p2 circles, so it is a flat block only when n_phi divides _BLOCK
+    # a Hopf block is whole p2 circles of the rows p1 < pi, so it is a flat
+    # block of those rows only when n_phi divides _BLOCK
     bitwise = g is None and _BLOCK % rule.n_phi == 0
     for degree in range(5):
         got = _monomial_integrals(rule, degree, g)
         want = _monomial_integrals(flat, degree, g)
         assert list(got) == list(want)
         if bitwise:
-            assert got == want, degree
+            assert got == _zero_odd(_monomial_integrals(_flat_half(rule), degree, g)), degree
         for nvec, value in got.items():
             assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+
+
+@pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300)])
+@pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
+def test_odd_keys_are_exact_zeros_on_an_even_angle_count(n, g_kind):
+    # V_g t^n is odd under t -> -t when |n| is odd, and the half pass sums one
+    # node of each antipodal pair, so those keys are the exact moment 0
+    rule = quadrature_rule(4, n=n)
+    g = _transform(g_kind, 4, seed=sum(n))
+    got = _monomial_integrals(rule, 4, g)
+    odd = [nvec for nvec in got if sum(nvec) % 2]
+    assert len(odd) == 24
+    for nvec in odd:
+        assert got[nvec] == 0j and not np.signbit(got[nvec].real), nvec
+    want = _oracle_moments(rule, 4, g)
+    for nvec, value in got.items():
+        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+
+
+@pytest.mark.parametrize("n", [(7, 13), (12, 15)])
+@pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
+def test_odd_angle_count_streams_every_row(n, g_kind):
+    # with n_phi odd, p1 + pi is no node: the full rule is summed and odd keys are roundoff
+    rule = quadrature_rule(4, n=n)
+    assert not rule.antipodal
+    g = _transform(g_kind, 4, seed=sum(n))
+    got = _monomial_integrals(rule, 4, g)
+    want = _oracle_moments(rule, 4, g)
+    assert list(got) == list(want)
+    for nvec, value in got.items():
+        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    assert any(got[nvec] != 0 for nvec in got if sum(nvec) % 2)
+
+
+@pytest.mark.parametrize("n", [(50, 40), (100, 40)])
+def test_half_pass_with_a_partial_last_block_is_deterministic(n):
+    # (50, 40) streams 1,000 rows of 40 nodes in one block short of _BLOCK;
+    # (100, 40) streams 2,000 rows, a full block of 1,638 rows and a partial one
+    rule = quadrature_rule(4, n=n)
+    rows = rule.latitudes.size * rule.n_phi // 2
+    assert rule.antipodal and _BLOCK % rule.n_phi and rows % (_BLOCK // rule.n_phi)
+    g = _transform("sp", 4, seed=11)
+    first = _monomial_integrals(rule, 4, g)
+    assert first == _monomial_integrals(rule, 4, g)
+    want = _zero_odd(_monomial_integrals(_flat_half(rule), 4, g))
+    for nvec, value in first.items():
+        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
 
 
 @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ def test_band_trace_of_odd_off_diagonal_word_is_zero():
 def test_band_diagonal_matches_dense_pinching():
     spins = (HalfInteger(1), 3, 20)
     blocks = [build_block(l) for l in spins]
-    flat_starts, flat_gens = su2._unit_bands(spins)
+    flat_starts, flat_gens = su2._unit_bands(spins, (1, 2, 3))
     width = max(block.dim for block in blocks)
     for n1, n2, n3 in itertools.product(range(7), repeat=3):
         if n1 + n2 + n3 > 6:
@@ -257,7 +257,7 @@ def test_band_diagonal_matches_dense_pinching():
         word = (1,) * n1 + (2,) * n2 + (3,) * n3
         flat = su2._word_bands(word, flat_gens, width)
         for l, block, start in zip(spins, blocks, flat_starts):
-            starts, gens = su2._unit_bands([l])
+            starts, gens = su2._unit_bands([l], (1, 2, 3))
             assert list(starts) == [0]
             bands = su2._word_bands(word, gens, block.dim)
             band0 = bands.get(0, np.zeros(block.dim))
@@ -414,6 +414,35 @@ def test_flat_traces_match_the_per_block_oracle(name):
     # any run of the same blocks gives the same traces
     assert _close(block_trace(w, spins[37:41]), want[37:41])
     assert _close(block_trace(w, spins[::-1]), want[::-1])
+
+
+LETTER_WORDS = {**ORACLE_WORDS, "1": GenPoly.one(), "b2": GenPoly.parse("b2"), "b3b3": GenPoly.parse("b3b3")}
+
+
+def _every_letter(monkeypatch):
+    """Make every _unit_bands call build all three generators: the oracle of the letter-only build."""
+    build = su2._unit_bands
+    monkeypatch.setattr(su2, "_unit_bands", lambda spins, letters: build(spins, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_WORDS))
+def test_letter_only_bands_trace_bitwise_as_every_letter(monkeypatch, name):
+    w = LETTER_WORDS[name]
+    spins = [HalfInteger(twice) for twice in range(1, 81)]
+    used = {k for word in w.coeffs for k in word}
+    assert set(su2._unit_bands(spins, used)[1]) == {0} | used
+    got, ratio = block_trace(w, spins), su2_dixmier_ratio(w, 40)
+    _every_letter(monkeypatch)
+    assert got.tobytes() == block_trace(w, spins).tobytes(), name
+    assert np.array(ratio).tobytes() == np.array(su2_dixmier_ratio(w, 40)).tobytes(), name
+
+
+def test_letter_only_beta_residual_is_bitwise_every_letter(monkeypatch):
+    # the residual reads b1's diagonal whatever letters the word has
+    exponents = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 6]
+    got = [beta_formula_residual(l, *e) for l in (HalfInteger(1), 3, 20) for e in exponents]
+    _every_letter(monkeypatch)
+    assert got == [beta_formula_residual(l, *e) for l in (HalfInteger(1), 3, 20) for e in exponents]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 50, 1 << 12])
