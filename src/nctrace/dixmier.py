@@ -26,25 +26,15 @@ the oracle the tests check the symmetric path against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import log1p, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._core import line_fit, real_if_close
-from ._lattice import ORBIT_MAX_D, iter_orbits, iter_shell
+from ._lattice import ORBIT_MAX_D, check_orbit_budget, check_shell_budget, iter_orbits, iter_shell
 from .sphere import SpherePoly, sphere_integrate
 from .torus import TorusElement, torus_trace
-
-# points per lattice-sum chunk (fundamental-domain points on the symmetric path,
-# shell points on the direct one), so that each per-point float array (8 bytes a
-# point) stays in cache. Median suite time of fresh processes on 2 vCPUs,
-# `torus-trace --d 2 --nmax 2048`, 16 alternating rounds: 0.315 s at 2^10, 0.170 s
-# at 2^12, 0.142 s at 2^13, 0.141 s at 2^14, 0.174 s at 2^15, 0.194 s at 2^16 and
-# 0.255 s at 2^22 (one chunk per shell); `--d 3 --nmax 192`, 12 rounds: 0.246 s at
-# 2^10, 0.164-0.170 s from 2^12 to 2^15, 0.205 s at 2^16 and 0.235 s at 2^22
-SUM_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -104,23 +94,24 @@ def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.nda
 def _grid_sums(diag: LatticeDiagonal, radii: Sequence[int]) -> tuple:
     """Partial sums S(N) and counts K(N) over 0 < |n| <= N for each radius.
 
-    Single pass over shells between consecutive radii, in chunks of at most
-    SUM_CHUNK points; per-chunk reduction is numpy pairwise summation in a
-    fixed chunk order, so results are reproducible bit for bit.
+    Single pass over shells between consecutive radii, in _lattice chunks, after
+    the budget check of the largest radius; per-chunk reduction is numpy pairwise
+    summation in a fixed chunk order, so results are reproducible bit for bit.
     """
     rs = [int(r) for r in radii]
     if rs != sorted(rs) or len(set(rs)) != len(rs):
         raise ValueError("radii must be strictly increasing")
     if rs and rs[0] < 1:
         raise ValueError("radii must be >= 1")
-    if diag.symbol is not None and diag.d <= ORBIT_MAX_D:
+    symmetric = diag.symbol is not None and diag.d <= ORBIT_MAX_D
+    if rs:
+        (check_orbit_budget if symmetric else check_shell_budget)(diag.d, rs[-1] * rs[-1])
+    if symmetric:
         return _symmetric_sums(diag, rs)
     sums, counts = [], []
-    acc = 0j
-    count = 0
-    prev2 = 0
+    acc, count, prev2 = 0j, 0, 0
     for r in rs:
-        for chunk in iter_shell(diag.d, prev2, r * r, target=SUM_CHUNK):
+        for chunk in iter_shell(diag.d, prev2, r * r):
             acc += complex(np.sum(diag.entry(chunk)))
             count += len(chunk)
         prev2 = r * r
@@ -134,8 +125,7 @@ def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
 
     table[i, j] is the sum over the shell between radii i-1 and i of
     orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th sorted even
-    exponent; each fundamental-domain column is reduced by numpy pairwise
-    summation in a fixed chunk order, so results are reproducible bit for bit.
+    exponent, reduced as in _grid_sums.
     """
     d = diag.d
     columns: dict = {}
@@ -143,14 +133,14 @@ def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
         if not any(e % 2 for e in alpha):
             key = tuple(sorted(alpha, reverse=True))
             columns[key] = columns.get(key, 0) + c
-    rearrangements = [sorted(set(permutations(key))) for key in columns]
+    rearrangements = [_distinct_permutations(key) for key in columns]
     needs_u = any(any(key) for key in columns)
     table = np.zeros((len(rs), len(columns)))
     counts = []
     count = 0
     prev2 = 0
     for row, r in enumerate(rs):
-        for pts, orbit in iter_orbits(d, prev2, r * r, target=SUM_CHUNK):
+        for pts, orbit in iter_orbits(d, prev2, r * r):
             count += int(np.sum(orbit))
             if not columns:
                 continue
@@ -166,6 +156,14 @@ def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
     return sums, counts
 
 
+def _distinct_permutations(key: tuple) -> list:
+    """The distinct rearrangements of key in lexicographic order, built without visiting its d! orderings."""
+    if len(key) < 2:
+        return [key]
+    rest = {head: key[: key.index(head)] + key[key.index(head) + 1 :] for head in sorted(set(key))}
+    return [(head,) + tail for head, others in rest.items() for tail in _distinct_permutations(others)]
+
+
 def _mean_monomial(u2: np.ndarray | None, betas: list):
     """Mean over the exponents beta (all even) of u^beta, given u2 = u*u per point."""
     total = 0.0
@@ -179,9 +177,7 @@ def _mean_monomial(u2: np.ndarray | None, betas: list):
 
 
 def lattice_partial_sum(diag: LatticeDiagonal, N: int) -> float | complex:
-    """Sum of the diagonal over 0 < |n| <= N (origin excluded)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """Sum of the diagonal over 0 < |n| <= N (origin excluded); N < 1 raises ValueError."""
     (s,), _ = _grid_sums(diag, [N])
     return real_if_close(s)
 

@@ -11,6 +11,7 @@ difference), certified by sampled shell suprema.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -391,33 +392,33 @@ def h_decay_profile(
     Bounded profiles certify the quadratic-decay margin of h beyond mere
     integrability. When cell_radii is given (affordable for d = 2), partial
     sums of per-unit-cell sups of |h| over balls are returned as cell_sums; their
-    stabilization is the summability surrogate.
+    stabilization is the summability surrogate. The cell radii must be nonnegative
+    and strictly increasing (else ValueError), so that one walk over the shells
+    between consecutive radii, keeping a running total, gives every sum.
     """
     g = np.asarray(g, dtype=float)
     _check_invertible(g)
     d = g.shape[0]
+    cells = [] if cell_radii is None else [int(R) for R in cell_radii]
+    if cells != sorted(set(cells)) or min(cells, default=0) < 0:
+        raise ValueError(f"cell radii must be nonnegative and strictly increasing, got {cells}")
     rng = np.random.default_rng(seed)
     sups = []
     for R in shell_radii:
         pts = _shell_points(d, float(R), rng)
         vals = np.abs(_h_weight(g, pts, d)) * np.linalg.norm(pts, axis=1) ** (d + 2)
         sups.append(float(vals.max()))
-    cell_sums = []
-    if cell_radii is not None:
-        # cell n + [0,1]^d sampled at its corners and center
-        corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-        offsets = np.vstack([corners, np.full((1, d), 0.5)])
-        for R in cell_radii:
-            total = 0.0
-            for chunk in iter_shell(d, -1, int(R) * int(R)):
-                corners = chunk[:, None, :].astype(float) + offsets[None, :, :]
-                flat = corners.reshape(-1, d)
-                norms = np.linalg.norm(flat, axis=1)
-                vals = np.zeros(len(flat))
-                ok = norms > 1e-9
-                vals[ok] = np.abs(_h_weight(g, flat[ok], d))
-                total += float(np.sum(vals.reshape(len(chunk), -1).max(axis=1)))
-            cell_sums.append(total)
+    offsets = np.array([*product((0.0, 1.0), repeat=d), (0.5,) * d])  # cell n + [0,1]^d: its corners and center
+    cell_sums, total, prev2 = [], 0.0, -1
+    for R in cells:
+        for chunk in iter_shell(d, prev2, R * R):
+            flat = (chunk[:, None, :].astype(float) + offsets[None, :, :]).reshape(-1, d)
+            ok = np.linalg.norm(flat, axis=1) > 1e-9
+            vals = np.zeros(len(flat))
+            vals[ok] = np.abs(_h_weight(g, flat[ok], d))
+            total += float(np.sum(vals.reshape(len(chunk), -1).max(axis=1)))
+        prev2 = R * R
+        cell_sums.append(total)
     return ShellProfile(tuple(float(r) for r in shell_radii), tuple(sups), tuple(cell_sums))
 
 

@@ -48,16 +48,11 @@ from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, tor
 
 # a tail scan covers R < |n| <= SCAN_FACTOR * R; over 1, so that the remainder edge clears every shift (|s| <= R)
 SCAN_FACTOR = 4
-# shell points per tail-scan chunk, so that each per-chunk complex array (16 bytes
-# a point) stays in cache. The tail requests of `symbol-compactness --d 2` at
-# seeds 0-11, 10 alternating rounds of fresh processes on 2 vCPUs: median 0.72 s
-# at 2^11, 0.63 s at 2^12, 0.51 s at 2^13, 0.62 s at 2^14 and 0.77 s at 2^16
-SCAN_CHUNK = 1 << 13
 # geometric steps per annulus piece of a tail scan, so that pruning can skip the
 # outer part of a piece. The d=2 suite at seed 0 scans 2.51M points at 1, 837k at
-# 2, 348k at 4 and 161k at 8; its tail requests at seeds 0-11 (as above) take
-# 1.15 s at 2, 0.63 s at 4, 0.52 s at 8 and 0.63 s at 16, and 8 beat 4 in 15 of
-# 16 further alternating rounds (median 0.54 s against 0.65 s)
+# 2, 348k at 4 and 161k at 8; its tail requests at seeds 0-11 (timed as for
+# _lattice.CHUNK) take 1.15 s at 2, 0.63 s at 4, 0.52 s at 8 and 0.63 s at 16,
+# and 8 beat 4 in 15 of 16 further alternating rounds (median 0.54 s against 0.65 s)
 PIECE_STEPS = 8
 DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
 # the sphere grid of _sharp_remainder: the coarsest with m*h <= _GRID_MH, at most
@@ -600,7 +595,7 @@ def _tail_bounds(signatures, d: int, radii) -> list:
         if not users:
             continue
         piece_max = dict.fromkeys(users, 0.0)
-        for chunk in iter_shell(d, r2_lo, r2_hi, target=SCAN_CHUNK):
+        for chunk in iter_shell(d, r2_lo, r2_hi):
             cols = chunk.T.astype(float, order="C")
             base_dirs = _unit(cols)
             base_vals: dict = {}

@@ -250,7 +250,7 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
         elif cfg.d == 4:
             rep = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4), 20, cfg.seed)
             records.append(_record("invariance_hopf", rep.max_residual, 0.0, 1e-6))
-            # the (64,128) product rule has 2^20 nodes, the million-sample check
+            # the (64,128) Hopf rule has 2^20 nodes, the million-sample check
             rep2 = moyal.sp_invariant_functional_check(theta, degree, quadrature_rule(4, n=(64, 128)), 3, cfg.seed + 1)
             records.append(_record("invariance_samples_1m", rep2.max_residual, 0.0, 1e-5))
         # d >= 6: no quadrature in the library resolves the pullback integrand

@@ -2,7 +2,9 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 import nctrace
-from nctrace import dixmier, verify
+from nctrace import _lattice, dixmier, verify
 from nctrace.dixmier import (
-    SUM_CHUNK,
     LatticeDiagonal,
+    _distinct_permutations,
     _grid_sums,
     connes_trace_torus,
     doubling_grid,
@@ -101,9 +103,9 @@ def test_log_fit_counts_match_brute_force(d):
 def test_torus_trace_walks_each_ball_once(monkeypatch):
     walks = Counter()
 
-    def counted(d, r2_min, r2_max, target):
+    def counted(d, r2_min, r2_max):
         walks[r2_min, r2_max] += 1
-        return walk(d, r2_min, r2_max, target)
+        return walk(d, r2_min, r2_max)
 
     walk = dixmier.iter_orbits
     monkeypatch.setattr(dixmier, "iter_orbits", counted)
@@ -326,13 +328,14 @@ def test_chunked_sums_match_one_chunk_walk(d, grid, symmetric, monkeypatch):
             chunks.append(len(chunk[0] if symmetric else chunk))
             yield chunk
 
+    chunk = _lattice.CHUNK
     monkeypatch.setattr(dixmier, name, recorded)
-    monkeypatch.setattr(dixmier, "SUM_CHUNK", 1 << 22)
+    monkeypatch.setattr(_lattice, "CHUNK", 1 << 22)
     oracle, oracle_counts = _grid_sums(diag, grid)
     assert len(chunks) == len(grid)
-    for target in (1 << 10, SUM_CHUNK):
+    for target in (1 << 10, chunk):
         chunks.clear()
-        monkeypatch.setattr(dixmier, "SUM_CHUNK", target)
+        monkeypatch.setattr(_lattice, "CHUNK", target)
         sums, counts = _grid_sums(diag, grid)
         # the outer shell alone spans several chunks
         assert max(chunks) <= target and len(chunks) > len(grid)
@@ -358,6 +361,54 @@ def test_point_budget_refuses_direct_path():
     diag = LatticeDiagonal(6, lambda chunk: np.ones(len(chunk)))
     with pytest.raises(ValueError, match="d=6"):
         lattice_partial_sum(diag, 64)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "direct"])
+def test_over_budget_grid_is_refused_before_the_first_shell(symmetric, monkeypatch):
+    # radii 2 and 4 are within budget; the largest one is not, so no shell may be walked
+    d = 12 if symmetric else 6
+    diag = LatticeDiagonal.symbol_weighted(SpherePoly.constant(d, 1.0))
+    if not symmetric:
+        diag = dataclasses.replace(diag, symbol=None)
+    name = "iter_orbits" if symmetric else "iter_shell"
+
+    def walked(*args):
+        raise AssertionError(f"{name}{args} walked")
+
+    monkeypatch.setattr(dixmier, name, walked)
+    with pytest.raises(ValueError, match=f"d={d} up to radius 64 .* over the budget"):
+        _grid_sums(diag, [2, 4, 64])
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(), (0,), (2, 0), (0, 2), (2, 2, 0), (4, 2, 2, 0, 0), (0, 0, 0), (6, 4, 2, 0), (2, 2, 2, 2, 0, 0, 0), (3, 1, 3, 1, 0)],
+)
+def test_distinct_permutations_equal_the_set_of_all_orderings(key):
+    # the expression the generator replaced, kept as its oracle
+    assert _distinct_permutations(key) == sorted(set(permutations(key)))
+
+
+def _ball_counts(d, radii):
+    """Exact counts of the points with 0 < |n| <= r, from the coefficients of theta(q)^d, theta = sum_m q^(m^2)."""
+    top = max(radii) ** 2
+    theta = [0] * (top + 1)
+    for m in range(-max(radii), max(radii) + 1):
+        theta[m * m] += 1
+    series = [1] + [0] * top
+    for _ in range(d):
+        series = [sum(series[i] * theta[k - i] for i in range(k + 1)) for k in range(top + 1)]
+    return tuple(sum(series[1 : r * r + 1]) for r in radii)
+
+
+def test_log_fit_at_d16_visits_no_factorial_orderings():
+    # sorted(set(permutations(key))) walked 16! = 2.1e13 orderings of the constant's key
+    diag = LatticeDiagonal.symbol_weighted(SpherePoly.constant(16, 1.0))
+    start = time.perf_counter()
+    fit = log_fit(diag, [1, 2, 3, 4])
+    assert time.perf_counter() - start < 10.0
+    assert fit.counts == _ball_counts(16, [1, 2, 3, 4])
+    assert _ball_counts(2, [1, 2, 5]) == (4, 12, 80)
 
 
 def test_direct_path_beyond_orbit_dimension(monkeypatch):

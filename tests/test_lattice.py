@@ -1,4 +1,4 @@
-"""Tests for the shared lattice enumeration: chunk sizes, order and shell membership."""
+"""Tests for the shared lattice enumeration: chunk sizes (_lattice.CHUNK), order and shell membership."""
 
 from itertools import permutations, product
 from math import isqrt
@@ -6,7 +6,14 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from nctrace._lattice import POINT_BUDGET, _orbit_bound, iter_orbits, iter_shell
+import nctrace._lattice as lattice
+from nctrace._lattice import POINT_BUDGET, _orbit_bound, check_orbit_budget, iter_orbits, iter_shell
+
+
+def _walk(monkeypatch, enumerator, chunk, *args):
+    """The chunks of enumerator(*args), built while _lattice.CHUNK is chunk."""
+    monkeypatch.setattr(lattice, "CHUNK", chunk)
+    return list(enumerator(*args))
 
 
 def _digits(flat, width, count):
@@ -48,10 +55,10 @@ def _assert_same_points(got, want, d, target):
 @pytest.mark.parametrize(
     "d, r2_max, small", [(1, 50, 4), (1, 1000, 7), (2, 50, 3), (2, 400, 50), (3, 30, 40), (4, 12, 100)]
 )
-def test_shell_chunks_equal_box_and_mask(d, r2_max, small):
+def test_shell_chunks_equal_box_and_mask(monkeypatch, d, r2_max, small):
     for r2_min in (-1, 0, 1, r2_max // 3, r2_max - 1):
         for target in (small, 1 << 22):
-            got = list(iter_shell(d, r2_min, r2_max, target))
+            got = _walk(monkeypatch, iter_shell, target, d, r2_min, r2_max)
             _assert_same_points(got, list(_box_chunks(d, r2_min, r2_max, target)), d, target)
 
 
@@ -60,20 +67,20 @@ def test_shell_chunks_equal_box_and_mask(d, r2_max, small):
     [(1, -1, 0, 1), (2, -1, 0, 1), (4, -5, 0, 1), (1, 3, 4, 2), (2, 2, 3, 0), (3, 6, 7, 0), (4, 1, 1, 0), (2, 5, 4, 0),
      (3, 0, 0, 0), (2, 24, 25, 12), (1, 0, -1, 0)],
 )
-def test_empty_and_tiny_shells_equal_box_and_mask(d, r2_min, r2_max, points):
+def test_empty_and_tiny_shells_equal_box_and_mask(monkeypatch, d, r2_min, r2_max, points):
     for target in (1, 2, 1 << 22):
-        got = list(iter_shell(d, r2_min, r2_max, target))
+        got = _walk(monkeypatch, iter_shell, target, d, r2_min, r2_max)
         _assert_same_points(got, list(_box_chunks(d, r2_min, r2_max, target)), d, target)
         assert sum(len(c) for c in got) == points
 
 
 @pytest.mark.parametrize("d, r2_min, r2_max, target", [(5, 0, 4, 30), (5, 1, 4, 2), (6, 0, 2, 10), (6, -1, 3, 100)])
-def test_chunks_honour_target_for_every_d(d, r2_min, r2_max, target):
+def test_chunks_honour_target_for_every_d(monkeypatch, d, r2_min, r2_max, target):
     width = 2 * isqrt(r2_max) + 1
-    chunks = list(iter_shell(d, r2_min, r2_max, target))
+    chunks = _walk(monkeypatch, iter_shell, target, d, r2_min, r2_max)
     assert len(chunks) > 1
     assert max(len(c) for c in chunks) <= target
-    whole = list(iter_shell(d, r2_min, r2_max, target=width**d))
+    whole = _walk(monkeypatch, iter_shell, width**d, d, r2_min, r2_max)
     assert len(whole) == 1
     np.testing.assert_array_equal(np.concatenate(chunks), whole[0])
     axis = range(-isqrt(r2_max), isqrt(r2_max) + 1)
@@ -92,10 +99,10 @@ def _hyperoctahedral_orbit(p):
     [(1, 0, 50, 3), (2, 0, 400, 7), (2, 100, 401, 1 << 22), (3, 4, 100, 5), (3, -1, 64, 50), (4, 10, 40, 3),
      (5, 0, 16, 100), (6, 3, 12, 17), (3, 6, 7, 4)],
 )
-def test_orbits_tile_the_shell(d, r2_min, r2_max, target):
+def test_orbits_tile_the_shell(monkeypatch, d, r2_min, r2_max, target):
     shell = list(iter_shell(d, r2_min, r2_max))
     shell = {tuple(p) for p in np.concatenate(shell).tolist()} if shell else set()
-    chunks = list(iter_orbits(d, r2_min, r2_max, target))
+    chunks = _walk(monkeypatch, iter_orbits, target, d, r2_min, r2_max)
     assert all(0 < len(pts) <= target and pts.dtype == orbit.dtype == np.int64 for pts, orbit in chunks)
     points = [tuple(p) for pts, _ in chunks for p in pts.tolist()]
     sizes = [int(o) for _, orbit in chunks for o in orbit]
@@ -122,6 +129,12 @@ def test_budget_refuses_before_building_a_chunk():
         next(iter_orbits(3, 0, 4096 * 4096))
     next(iter_orbits(2, 0, 4096 * 4096))
     next(iter_orbits(3, 0, 2048 * 2048))
+    # the check iter_orbits runs, on its own: the same refusals, no walk
+    for d, radius in ((6, 4096), (3, 4096), (12, 64)):
+        with pytest.raises(ValueError, match=f"d={d} up to radius {radius} would visit"):
+            check_orbit_budget(d, radius * radius)
+    check_orbit_budget(2, 4096 * 4096)
+    check_orbit_budget(3, 2048 * 2048)
 
 
 def test_orbit_bound_holds_and_is_tight():
@@ -134,7 +147,9 @@ def test_orbit_bound_holds_and_is_tight():
     assert _orbit_bound(16, 10**400) > POINT_BUDGET  # no float overflow
 
 
-def test_orbit_prefixes_stay_within_target():
-    # about 1e8 sorted 5-coordinate prefixes at radius 128: built level by level in blocks of `target`
-    pts, orbit = next(iter_orbits(6, 0, 128 * 128, target=1000))
+def test_orbit_prefixes_stay_within_target(monkeypatch):
+    # about 1e8 sorted 5-coordinate prefixes at radius 128: built level by level in blocks of CHUNK
+    monkeypatch.setattr(lattice, "CHUNK", 1000)
+    pts, orbit = next(iter_orbits(6, 0, 128 * 128))
     assert len(pts) <= 1000 and pts[0].tolist() == [1, 0, 0, 0, 0, 0] and orbit[0] == 12
+

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm, schur
 
-from nctrace import moyal
+from nctrace import _lattice, moyal
+from nctrace._lattice import iter_shell
 from nctrace.moyal import (
     SymplecticForm,
     UniformGrid,
@@ -476,6 +477,25 @@ class TestMultiplierIdentity:
             multiplier_identity_residual(np.diag([1.0, 1.0, 1.0, np.nan]), b)
 
 
+def _cell_sums_per_radius(g, cell_radii):
+    """The per-radius loop that walked each ball from the origin, kept as the oracle of the one-walk cell sums."""
+    d = g.shape[0]
+    corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+    offsets = np.vstack([corners, np.full((1, d), 0.5)])
+    cell_sums = []
+    for R in cell_radii:
+        total = 0.0
+        for chunk in iter_shell(d, -1, int(R) * int(R)):
+            flat = (chunk[:, None, :].astype(float) + offsets[None, :, :]).reshape(-1, d)
+            norms = np.linalg.norm(flat, axis=1)
+            vals = np.zeros(len(flat))
+            ok = norms > 1e-9
+            vals[ok] = np.abs(moyal._h_weight(g, flat[ok], d))
+            total += float(np.sum(vals.reshape(len(chunk), -1).max(axis=1)))
+        cell_sums.append(total)
+    return cell_sums
+
+
 class TestDecayProfiles:
     def test_identity_transform_profile_is_zero(self):
         prof = h_decay_profile(np.eye(2), [10.0, 100.0])
@@ -492,6 +512,25 @@ class TestDecayProfiles:
         sums = prof.cell_sums
         assert sums[1] >= sums[0]  # partial sums of a nonnegative series
         assert abs(sums[1] / sums[0] - 1.0) < 0.01
+
+    def test_cell_sums_walk_once_in_chunks(self, monkeypatch):
+        g = np.diag([2.0, 0.5])
+        tracemalloc.start()
+        try:
+            sums = h_decay_profile(g, [10.0], cell_radii=(150, 300)).cell_sums
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of the 300-ball held all its 283k cells x 5 sample points: 172 MB
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        oracle = _cell_sums_per_radius(g, (150, 300))
+        np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
+        monkeypatch.setattr(_lattice, "CHUNK", 1 << 6)
+        np.testing.assert_allclose(h_decay_profile(g, [10.0], cell_radii=(150, 300)).cell_sums, sums, rtol=1e-12)
+        for radii in ((300, 150), (150, 150), (150, 300, 300), (-1, 2)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                h_decay_profile(g, [10.0], cell_radii=radii)
+        assert h_decay_profile(g, [10.0], cell_radii=()).cell_sums == ()
 
     def test_bounded_ratio_needs_four_radii(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nctrace.symbols as symbols_module
+from nctrace import _lattice
 from nctrace._lattice import iter_shell
 from nctrace.sphere import SphereFunction, SpherePoly, random_unit_vectors
 from nctrace.symbols import (
@@ -242,20 +243,22 @@ def test_random_word_never_normal_ordered():
 def _scan_product_difference(factors, d, r2_lo, r2_hi):
     """sup over the shell r2_lo < |n|^2 <= r2_hi of |prod y(unit(n+s)) - prod y(unit(n))|."""
     worst = 0.0
-    for chunk in iter_shell(d, r2_lo, r2_hi, target=1 << 16):
-        pts = chunk.astype(float)
-        base_dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        shifted = np.ones(len(chunk), dtype=complex)
-        base = np.ones(len(chunk), dtype=complex)
-        for y, s in factors:
-            base_vals = y.evaluate(base_dirs)
-            base = base * base_vals
-            if any(s):
-                moved = pts + np.asarray(s, dtype=float)
-                shifted = shifted * y.evaluate(moved / np.linalg.norm(moved, axis=1, keepdims=True))
-            else:
-                shifted = shifted * base_vals
-        worst = max(worst, float(np.abs(shifted - base).max()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lattice, "CHUNK", 1 << 16)
+        for chunk in iter_shell(d, r2_lo, r2_hi):
+            pts = chunk.astype(float)
+            base_dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+            shifted = np.ones(len(chunk), dtype=complex)
+            base = np.ones(len(chunk), dtype=complex)
+            for y, s in factors:
+                base_vals = y.evaluate(base_dirs)
+                base = base * base_vals
+                if any(s):
+                    moved = pts + np.asarray(s, dtype=float)
+                    shifted = shifted * y.evaluate(moved / np.linalg.norm(moved, axis=1, keepdims=True))
+                else:
+                    shifted = shifted * base_vals
+            worst = max(worst, float(np.abs(shifted - base).max()))
     return worst
 
 
@@ -318,7 +321,7 @@ def test_norms_do_not_depend_on_the_scan_chunk(monkeypatch):
         return reports, commutator_tail_norms(x, T1 * T2, (12.5, 25.0)), commutator_tail_norms(x, y, (12.5,))
 
     default = norms()
-    monkeypatch.setattr(symbols_module, "SCAN_CHUNK", 1 << 6)
+    monkeypatch.setattr(_lattice, "CHUNK", 1 << 6)
     assert norms() == default
 
 

@@ -198,6 +198,15 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=6" in err and "budget" in err
 
+    @pytest.mark.parametrize("d", ["12", "13"])
+    def test_high_dimension_torus_trace_is_refused_at_once(self, capsys, d):
+        # the largest radius of the first grid is checked before any shell is walked
+        start = time.perf_counter()
+        assert main(["torus-trace", "--d", d, "--nmax", "256"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert f"d={d}" in err and "budget" in err
+
     def test_moment_table_budget_is_config_error(self, capsys):
         start = time.perf_counter()
         assert main(["moments", "--d", "16"]) == EXIT_CONFIG_ERROR
