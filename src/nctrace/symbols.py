@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._core import add_keys, line_fit
+from ._core import PRUNE_TOL, add_keys, line_fit
 from ._lattice import ball_points, check_shell_budget, iter_shell
 from .sphere import SpherePoly, SphereFunction, _probe_directions, sphere_integrate, sphere_volume
 from .torus import ThetaMatrix, TorusElement, torus_adjoint, torus_identity, torus_mul, twist_phase
@@ -170,27 +170,46 @@ class Symbol:
     def adjoint(self) -> "Symbol":
         return Symbol(self.theta, tuple((torus_adjoint(x), y.conjugate()) for x, y in self.terms))
 
-    def direction_slice(self, s) -> TorusElement:
-        """The torus element sum_k y_k(s) x_k at a fixed direction s."""
-        s = np.asarray(s, dtype=float)
-        out = TorusElement(self.theta, {})
-        for x, y in self.terms:
-            out = out + complex(y.evaluate(s)) * x
-        return out
-
     def gap(self, other: "Symbol", seed: int = 0) -> float:
         """Max l2 distance of direction slices over the 2d signed axes and 64 sampled unit directions.
 
+        The slice at a direction s is the torus element sum_k y_k(s) x_k.
         Slices determine the symbol (polynomials of the tested degrees are
         pinned by finitely many directions with probability one), so this is a
-        practical semantic distance for tests.
+        practical semantic distance for tests. Every probe is evaluated at once
+        (_direction_slices); a mode's difference is pruned at PRUNE_TOL as
+        TorusElement arithmetic prunes it, so symbols whose slices agree to
+        PRUNE_TOL are at distance exactly 0.
         """
         if not self.theta.same_as(other.theta):
             raise ValueError("symbols over different theta")
-        worst = 0.0
-        for s in _probe_directions(64, self.d, np.random.default_rng(seed)):
-            worst = max(worst, (self.direction_slice(s) - other.direction_slice(s)).l2_norm())
-        return worst
+        probes = _probe_directions(64, self.d, np.random.default_rng(seed))
+        mine, theirs = _direction_slices(self, probes), _direction_slices(other, probes)
+        zero = np.zeros(len(probes), dtype=complex)
+        norm2 = np.zeros(len(probes))
+        for m in dict.fromkeys([*mine, *theirs]):
+            norm2 += np.abs(_prune(mine.get(m, zero) - theirs.get(m, zero))) ** 2
+        return float(np.sqrt(norm2).max())
+
+
+def _prune(v: np.ndarray) -> np.ndarray:
+    """v with the entries of magnitude at most PRUNE_TOL set to 0, as coefficient maps drop them."""
+    return np.where(np.abs(v) > PRUNE_TOL, v, 0j)
+
+
+def _direction_slices(symbol: Symbol, probes: np.ndarray) -> dict:
+    """mode -> the coefficients of sum_k y_k(s) x_k at each probe direction s (rows of probes).
+
+    Terms accumulate in order and each product and partial sum is pruned, as
+    repeated TorusElement sums of complex(y_k(s)) * x_k prune them.
+    """
+    out: dict = {}
+    for x, y in symbol.terms:
+        vals = y.evaluate(probes)
+        for m, c in x.coeffs.items():
+            term = _prune(vals * c)
+            out[m] = _prune(out[m] + term) if m in out else term
+    return out
 
 
 def sym(word: OperatorWord) -> Symbol:
@@ -245,21 +264,28 @@ class LatticeWindow:
         return {tuple(p): i for i, p in enumerate(self.points)}
 
     def interior(self, margin: float) -> np.ndarray:
-        """Indices of points with |n| <= radius - margin."""
+        """Indices of points with |n| <= radius - margin; none when margin > radius."""
+        if margin > self.radius:
+            return np.zeros(0, dtype=np.intp)
         pts = self.points
         keep = np.einsum("ij,ij->i", pts, pts) <= (self.radius - margin) ** 2
         return np.nonzero(keep)[0]
 
 
-def _window_matrix(window: LatticeWindow) -> np.ndarray:
-    """Zeros of shape (size, size), complex; a ValueError when that exceeds DENSE_WINDOW_BYTES."""
+def check_window_bytes(window: LatticeWindow) -> None:
+    """Refuse, as every window matrix builder does, a complex (size, size) matrix over DENSE_WINDOW_BYTES."""
     size = window.size
     if size * size * 16 > DENSE_WINDOW_BYTES:
         raise ValueError(
             f"window matrices at d={window.d}, radius {window.radius} ({size} points) need "
             f"{size * size * 16 / 2**30:.1f} GiB each, over the {DENSE_WINDOW_BYTES // 2**30} GiB limit"
         )
-    return np.zeros((size, size), dtype=complex)
+
+
+def _window_matrix(window: LatticeWindow) -> np.ndarray:
+    """Zeros of shape (size, size), complex, after check_window_bytes."""
+    check_window_bytes(window)
+    return np.zeros((window.size, window.size), dtype=complex)
 
 
 class Pi1Matrix(NamedTuple):
@@ -272,6 +298,11 @@ def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
 
     Columns near the boundary lose the part of their image that leaves the
     window; that mass is returned per column instead of being silently dropped.
+    Targets are found by a sorted search over one mixed-radix key per point,
+    sum_k (n_k + r) (2r+1)^k; a target outside the box [-r, r]^d or the ball
+    has escaped. Within a mode every column is hit once, so the entries and
+    escaped masses take the same float operations as a per-column loop; only
+    the escaped columns, on the window's boundary, are visited one by one.
     """
     if window.d != x.d:
         raise ValueError("window dimension mismatch")
@@ -279,8 +310,13 @@ def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
         raise ValueError("window radius must cover the support of x")
     mat = _window_matrix(window)
     pts = window.points
-    idx = window.index()
+    r = window.radius
     size = len(pts)
+    # the window's enumeration refuses a box of more than 2^31 points, so every key fits in int64
+    radix = (2 * r + 1) ** np.arange(window.d, dtype=np.int64)
+    keys = (pts + r) @ radix
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     escaped2 = np.zeros(size)
     theta = x.theta.entries
     for m, c in x.coeffs.items():
@@ -288,12 +324,14 @@ def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
         # row n carries exp((i/2) <m, theta n>); n . (theta^T m) = <m, theta n>
         phases = c * np.exp(0.5j * (pts.astype(float) @ (theta.T @ mvec.astype(float))))
         targets = pts + mvec
-        for col in range(size):
-            row = idx.get(tuple(targets[col]))
-            if row is None:
-                escaped2[col] += abs(phases[col]) ** 2
-            else:
-                mat[row, col] += phases[col]
+        target_keys = (targets + r) @ radix
+        at = np.minimum(np.searchsorted(sorted_keys, target_keys), size - 1)
+        hit = (np.abs(targets) <= r).all(axis=1) & (sorted_keys[at] == target_keys)
+        mat[order[at[hit]], np.flatnonzero(hit)] += phases[hit]
+        # Python's scalar abs and power, bitwise what a per-column loop gives; numpy's vector abs and square
+        # differ from them in the last bit on some entries
+        miss = ~hit
+        escaped2[miss] += [abs(p) ** 2 for p in phases[miss]]
     return Pi1Matrix(mat, np.sqrt(escaped2))
 
 

@@ -29,6 +29,7 @@ import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 from . import dixmier as dx, moyal, su2, symbols as sy
+from ._lattice import check_shell_budget
 from .sphere import SpherePoly, _monomial_integrals, moment_recursion_check, quadrature_rule, sphere_moment, sphere_volume
 from .torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
 
@@ -294,6 +295,18 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
     return records
 
 
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a; max |a_ij| when every row and column holds at most one nonzero.
+
+    Such a matrix (a weighted partial permutation) has a^H a diagonal, with
+    entries |a_ij|^2, so that max is its norm exactly.
+    """
+    nonzero = a != 0
+    if (nonzero.sum(axis=0) <= 1).all() and (nonzero.sum(axis=1) <= 1).all():
+        return float(np.abs(a).max(initial=0.0))
+    return float(np.linalg.norm(a, 2))
+
+
 def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     theta = _theta_of(cfg)
     d = cfg.d
@@ -301,6 +314,11 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     records = []
 
     window = sy.LatticeWindow(d, 6)
+    commutator_radii = (50, 100, 200, 400)
+    # refused before any matrix or scan: a radius-6 window matrix over the dense limit (d >= 5), then the
+    # commutator scan's outer edge SCAN_FACTOR * 400, the suite's largest, over the point budget (d = 3, 4)
+    sy.check_window_bytes(window)
+    check_shell_budget(d, (sy.SCAN_FACTOR * max(commutator_radii)) ** 2)
     m1 = tuple([1] + [0] * (d - 1))
     m2 = tuple([0, 1] + [0] * (d - 2))
     u1, u2 = unitary_generator(theta, m1), unitary_generator(theta, m2)
@@ -317,7 +335,7 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     idx = small.index()[probe]
     records.append(_record("pi2_direction_entry", entry[idx, idx].real, 0.6, 1e-14))
 
-    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), (50, 100, 200, 400))
+    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), commutator_radii)
     dev = max(abs(a / b - 2.0) for a, b in zip(vals, vals[1:]))
     records.append(_record("commutator_halving_deviation", dev, 0.0, 0.2))
 
@@ -341,7 +359,7 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     pts = win.points
     r2 = np.einsum("ij,ij->i", pts, pts)
     cols = np.nonzero((r2 > R * R) & (r2 <= (win.radius - 2) ** 2))[0]
-    mat_norm = float(np.linalg.norm(diff[:, cols], 2))
+    mat_norm = _spectral_norm(diff[:, cols])
     bound = sy.residual_compactness_report(word, (R,)).tail_norms[0]
     records.append(_record("tail_bound_certificate", max(0.0, mat_norm - bound), 0.0, 1e-12))
     return records

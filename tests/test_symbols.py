@@ -4,7 +4,7 @@ import pytest
 import nctrace.symbols as symbols_module
 from nctrace import _lattice
 from nctrace._lattice import iter_shell
-from nctrace.sphere import SphereFunction, SpherePoly, random_unit_vectors
+from nctrace.sphere import SphereFunction, SpherePoly, _probe_directions, random_unit_vectors
 from nctrace.symbols import (
     SCAN_FACTOR,
     LatticeWindow,
@@ -24,13 +24,14 @@ from nctrace.symbols import (
     _sharp_remainder,
     _shifted_signatures,
 )
-from nctrace.torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
+from nctrace.torus import ThetaMatrix, TorusElement, torus_identity, twist_phase, unitary_generator
 
 THETA = ThetaMatrix.from_upper(2, [np.pi / 2])
 T1 = SpherePoly.coordinate(2, 1)
 T2 = SpherePoly.coordinate(2, 2)
 U10 = unitary_generator(THETA, (1, 0))
 U01 = unitary_generator(THETA, (0, 1))
+THETA3 = ThetaMatrix.from_upper(3, [0.3, -1.1, 0.7])
 
 
 def word_of(*letters):
@@ -72,6 +73,54 @@ def test_sym_respects_adjoint():
         assert sym(w.adjoint()).gap(sym(w).adjoint()) < 1e-12
 
 
+def _direction_slice(symbol, s):
+    """The torus element sum_k y_k(s) x_k at one direction s, summed as TorusElements."""
+    out = TorusElement(symbol.theta, {})
+    for x, y in symbol.terms:
+        out = out + complex(y.evaluate(np.asarray(s, dtype=float))) * x
+    return out
+
+
+def _per_direction_gap(a, b, seed):
+    """Symbol.gap one probe direction at a time, kept as the oracle of the batched gap."""
+    worst = 0.0
+    for s in _probe_directions(64, a.d, np.random.default_rng(seed)):
+        worst = max(worst, (_direction_slice(a, s) - _direction_slice(b, s)).l2_norm())
+    return worst
+
+
+def _symbol_pairs():
+    """The pairs of the homomorphism and adjoint tests, distinct symbols, and d = 3 pairs."""
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        w1, w2 = random_word(THETA, rng, 2), random_word(THETA, rng, 2)
+        yield sym(w1 * w2), sym(w1) * sym(w2)
+        yield sym(w1), sym(w2)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        w = random_word(THETA, rng, 3)
+        yield sym(w.adjoint()), sym(w).adjoint()
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        w1, w2 = random_word(THETA3, rng, 2), random_word(THETA3, rng, 2)
+        yield sym(w1 * w2), sym(w1) * sym(w2)
+        yield sym(w1.adjoint()), sym(w2)
+
+
+def test_gap_matches_the_per_direction_oracle():
+    zeros = nonzeros = 0
+    for a, b in _symbol_pairs():
+        for seed in (0, 5):
+            want, got = _per_direction_gap(a, b, seed), a.gap(b, seed=seed)
+            if want == 0.0:
+                assert got == 0.0
+                zeros += 1
+            else:
+                assert abs(got - want) <= 1e-14
+                nonzeros += 1
+    assert zeros and nonzeros
+
+
 def test_word_refuses_a_sphere_letter_without_coefficients():
     f = SphereFunction(2, lambda p: p[..., 0], lipschitz=1.0)
     with pytest.raises(TypeError, match="SphereFunction"):
@@ -111,6 +160,56 @@ def test_pi1_tracks_escaped_mass():
     assert rep.escaped.max() == pytest.approx(1.0, abs=1e-15)
     idx = window.index()[(4, 0)]
     assert np.abs(rep.matrix[:, idx]).max() == 0.0
+
+
+def _per_column_pi1_matrix(x, window):
+    """build_pi1_matrix as a per-column dict lookup, kept as its oracle: (matrix, escaped)."""
+    pts = window.points
+    idx = window.index()
+    size = len(pts)
+    mat = np.zeros((size, size), dtype=complex)
+    escaped2 = np.zeros(size)
+    theta = x.theta.entries
+    for m, c in x.coeffs.items():
+        mvec = np.array(m)
+        phases = c * np.exp(0.5j * (pts.astype(float) @ (theta.T @ mvec.astype(float))))
+        targets = pts + mvec
+        for col in range(size):
+            row = idx.get(tuple(targets[col]))
+            if row is None:
+                escaped2[col] += abs(phases[col]) ** 2
+            else:
+                mat[row, col] += phases[col]
+    return mat, np.sqrt(escaped2)
+
+
+@pytest.mark.parametrize(
+    "x, radius",
+    [
+        (U10, 4),
+        (U10 + (0.5 - 2j) * U01 + 0.25j * unitary_generator(THETA, (-3, 2)) + 2.0 * torus_identity(THETA), 5),
+        (TorusElement(THETA3, {(1, 0, 0): 1.0, (0, -2, 1): 0.5 - 1j, (2, 2, -1): -0.3j, (0, 0, 0): 2.0}), 3),
+    ],
+)
+def test_pi1_matrix_matches_the_per_column_loop(x, radius):
+    window = LatticeWindow(x.d, radius)
+    got = build_pi1_matrix(x, window)
+    mat, escaped = _per_column_pi1_matrix(x, window)
+    assert got.matrix.tobytes() == mat.tobytes()
+    assert got.escaped.tobytes() == escaped.tobytes()
+    # some targets leave the box [-r, r]^d, and some stay in the box but leave the ball
+    targets = np.concatenate([window.points + np.array(m) for m in x.coeffs])
+    in_box = (np.abs(targets) <= radius).all(axis=1)
+    assert not in_box.all()
+    assert (in_box & (np.einsum("ij,ij->i", targets, targets) > radius * radius)).any()
+
+
+def test_interior_is_empty_when_the_margin_exceeds_the_radius():
+    window = LatticeWindow(2, 6)
+    for margin in (6.5, 10, 12):
+        assert window.interior(margin).size == 0
+    assert list(window.interior(6)) == [0]  # the origin, first in the (|n|^2, lexicographic) order
+    assert np.array_equal(window.interior(0), np.arange(window.size))
 
 
 def test_pi1_rejects_undersized_window():

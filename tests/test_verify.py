@@ -4,6 +4,7 @@ import csv
 import json
 import time
 
+import numpy as np
 import pytest
 
 from nctrace import verify
@@ -17,6 +18,7 @@ from nctrace.verify import (
     ConfigError,
     VerifyConfig,
     _extract_tol_flags,
+    _spectral_norm,
     emit_report,
     main,
     run_suite,
@@ -222,6 +224,17 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=3 up to radius 1600" in err and "budget" in err
 
+    def test_tail_scan_budget_is_refused_before_any_window_matrix(self, capsys, monkeypatch):
+        # at d=4 the radius-6 window has 6577 points; a product of two of its dense matrices takes tens of seconds
+        built = []
+        monkeypatch.setattr(verify.sy, "build_pi1_matrix", lambda *args: built.append(args))
+        start = time.perf_counter()
+        assert main(["symbol-compactness", "--d", "4"]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 5.0
+        assert built == []
+        err = capsys.readouterr().err
+        assert "d=4 up to radius 1600" in err and "budget" in err
+
     def test_small_nmax_is_config_error(self, capsys):
         # the nmax // 4 fits need nmax >= 128; the check runs before the nmax-sized sums
         assert main(["torus-trace", "--nmax", "64"]) == EXIT_CONFIG_ERROR
@@ -423,3 +436,25 @@ def test_suites_constant_covers_runners():
     # every advertised suite runs end to end somewhere in the test suite or
     # acceptance checks; here just pin the advertised names
     assert SUITES == ("torus-trace", "su2", "moments", "symplectic", "moyal", "symbol-compactness")
+
+
+class TestSpectralNorm:
+    def test_weighted_partial_permutations_take_the_largest_entry(self):
+        rng = np.random.default_rng(0)
+        for rows, cols in [(6, 6), (9, 4), (4, 9), (30, 17), (1, 5)]:
+            for _ in range(6):
+                # k < min(rows, cols) nonzeros leave rows and columns empty
+                k = int(rng.integers(0, min(rows, cols) + 1))
+                a = np.zeros((rows, cols), dtype=complex)
+                a[rng.choice(rows, k, replace=False), rng.choice(cols, k, replace=False)] = rng.normal(size=k) + 1j * rng.normal(size=k)
+                want = np.linalg.norm(a, 2)
+                assert abs(_spectral_norm(a) - want) <= 4 * np.spacing(want)
+        assert _spectral_norm(np.zeros((3, 2), dtype=complex)) == 0.0
+
+    def test_other_matrices_take_the_svd(self):
+        rng = np.random.default_rng(1)
+        dense = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+        assert _spectral_norm(dense) == np.linalg.norm(dense, 2)
+        # two nonzeros in one row: the norm, sqrt(2), is over the largest entry
+        row = np.array([[1.0, 1.0], [0.0, 0.0]])
+        assert _spectral_norm(row) == np.linalg.norm(row, 2) > 1.0
