@@ -263,8 +263,7 @@ def model_diagonal(x: TorusElement, y) -> LatticeDiagonal:
 
     Mode m of x shifts e_n to e_{n+m}, which reaches <e_n, . e_n> only when
     m = 0, with phase exp((i/2)<0, theta n>) = 1. So the entries are
-    trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}, which tests confirm against the
-    dense window matrices.
+    trace(x) * y(n/|n|) (1+|n|^2)^{-d/2}.
     """
     return _symbol_diagonal(y, x.d, torus_trace(x))
 

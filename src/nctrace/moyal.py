@@ -18,13 +18,13 @@ import numpy as np
 
 from ._lattice import iter_shell
 from .sphere import _check_invertible, _monomial_integrals, _probe_directions, sphere_moment, vg_action
-from .symbols import DENSE_WINDOW_BYTES
 from .torus import ThetaMatrix
 
 MEMBERSHIP_TOL = 1e-9
 # random directions per sampled shell of h_decay_profile and riesz_difference_decay,
 # besides the 2d signed axes
 SHELL_DIRECTIONS = 2000
+SHELL_SAMPLE_BYTES = 2**31  # largest point array of one sampled shell profile
 
 
 def _theta_entries(theta) -> np.ndarray:
@@ -348,11 +348,11 @@ def multiplier_identity_residual(g: np.ndarray, b, seed: int = 0) -> float:
 
 
 def _shell_points(d: int, R: float, rng: np.random.Generator) -> np.ndarray:
-    """Points on 17 spheres from radius R to 2R along the probe directions; a ValueError over DENSE_WINDOW_BYTES."""
+    """Points on 17 spheres from radius R to 2R along the probe directions; a ValueError over SHELL_SAMPLE_BYTES."""
     nbytes = (2 * d + SHELL_DIRECTIONS) * 17 * d * 8
-    if nbytes > DENSE_WINDOW_BYTES:
+    if nbytes > SHELL_SAMPLE_BYTES:
         raise ValueError(
-            f"shell samples in d={d} need {nbytes / 2**30:.1f} GiB, over the {DENSE_WINDOW_BYTES // 2**30} GiB limit"
+            f"shell samples in d={d} need {nbytes / 2**30:.1f} GiB, over the {SHELL_SAMPLE_BYTES // 2**30} GiB limit"
         )
     dirs = _probe_directions(SHELL_DIRECTIONS, d, rng)
     radii = np.geomspace(R, 2.0 * R, 17)

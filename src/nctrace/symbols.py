@@ -54,7 +54,6 @@ SCAN_FACTOR = 4
 # _lattice.CHUNK) take 1.15 s at 2, 0.63 s at 4, 0.52 s at 8 and 0.63 s at 16,
 # and 8 beat 4 in 15 of 16 further alternating rounds (median 0.54 s against 0.65 s)
 PIECE_STEPS = 8
-DENSE_WINDOW_BYTES = 2**31  # largest complex (size, size) window matrix built
 # the sphere grid of _sharp_remainder: the coarsest with m*h <= _GRID_MH, at most
 # about _GRID_POINTS directions (m the degree sampled, h the covering radius)
 _GRID_MH = 0.01
@@ -226,7 +225,12 @@ def sym(word: OperatorWord) -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# matrix models on finite windows
+# operator models on finite windows
+#
+# A window operator is a dict from a lattice shift m to a complex vector v_m
+# over the window's columns: A e_n = sum_m v_m[n] e_{n+m}, with v_m[n] = 0
+# wherever n + m leaves the window. pi1(x) has one shift per mode of x, pi2(y)
+# the zero shift alone.
 
 
 @dataclass(frozen=True)
@@ -235,12 +239,16 @@ class LatticeWindow:
 
     Points are sorted by (|n|^2, lexicographic), so enlarging the radius
     extends the basis without permuting it. They are enumerated once, at
-    construction, and returned read-only.
+    construction, and returned read-only; rows() searches their sorted
+    mixed-radix keys sum_k (n_k + r) (2r+1)^k.
     """
 
     d: int
     radius: int
     _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _radix: np.ndarray = field(init=False, repr=False, compare=False)
+    _key_order: np.ndarray = field(init=False, repr=False, compare=False)
+    _sorted_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius < 1:
@@ -250,7 +258,14 @@ class LatticeWindow:
         order = np.lexsort((*pts.T[::-1], np.einsum("ij,ij->i", pts, pts)))
         pts = pts[order]
         pts.flags.writeable = False
+        # the enumeration refuses a box of more than 2^31 points, so every key fits in int64
+        radix = (2 * self.radius + 1) ** np.arange(self.d, dtype=np.int64)
+        keys = (pts + self.radius) @ radix
+        key_order = np.argsort(keys)
         object.__setattr__(self, "_points", pts)
+        object.__setattr__(self, "_radix", radix)
+        object.__setattr__(self, "_key_order", key_order)
+        object.__setattr__(self, "_sorted_keys", keys[key_order])
 
     @property
     def points(self) -> np.ndarray:
@@ -271,68 +286,30 @@ class LatticeWindow:
         keep = np.einsum("ij,ij->i", pts, pts) <= (self.radius - margin) ** 2
         return np.nonzero(keep)[0]
 
-
-def check_window_bytes(window: LatticeWindow) -> None:
-    """Refuse, as every window matrix builder does, a complex (size, size) matrix over DENSE_WINDOW_BYTES."""
-    size = window.size
-    if size * size * 16 > DENSE_WINDOW_BYTES:
-        raise ValueError(
-            f"window matrices at d={window.d}, radius {window.radius} ({size} points) need "
-            f"{size * size * 16 / 2**30:.1f} GiB each, over the {DENSE_WINDOW_BYTES // 2**30} GiB limit"
-        )
-
-
-def _window_matrix(window: LatticeWindow) -> np.ndarray:
-    """Zeros of shape (size, size), complex, after check_window_bytes."""
-    check_window_bytes(window)
-    return np.zeros((window.size, window.size), dtype=complex)
+    def rows(self, shift: tuple) -> np.ndarray:
+        """Per column n, the row of n + shift, or -1 where n + shift leaves the box [-r, r]^d or the ball."""
+        r = self.radius
+        targets = self._points + np.asarray(shift, dtype=np.int64)
+        target_keys = (targets + r) @ self._radix
+        at = np.minimum(np.searchsorted(self._sorted_keys, target_keys), self.size - 1)
+        hit = (np.abs(targets) <= r).all(axis=1) & (self._sorted_keys[at] == target_keys)
+        return np.where(hit, self._key_order[at], -1)
 
 
-class Pi1Matrix(NamedTuple):
-    matrix: np.ndarray
-    escaped: np.ndarray  # per-column l2 mass sent outside the window
-
-
-def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> Pi1Matrix:
-    """Twisted-shift matrix of pi1(x): e_n -> sum_m x_m exp((i/2)<m, theta n>) e_{n+m}.
-
-    Columns near the boundary lose the part of their image that leaves the
-    window; that mass is returned per column instead of being silently dropped.
-    Targets are found by a sorted search over one mixed-radix key per point,
-    sum_k (n_k + r) (2r+1)^k; a target outside the box [-r, r]^d or the ball
-    has escaped. Within a mode every column is hit once, so the entries and
-    escaped masses take the same float operations as a per-column loop; only
-    the escaped columns, on the window's boundary, are visited one by one.
-    """
+def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> dict:
+    """pi1(x) on the window, e_n -> sum_m x_m exp((i/2)<m, theta n>) e_{n+m}, as {m: weights}."""
     if window.d != x.d:
         raise ValueError("window dimension mismatch")
     if x.support_radius() > window.radius:
         raise ValueError("window radius must cover the support of x")
-    mat = _window_matrix(window)
-    pts = window.points
-    r = window.radius
-    size = len(pts)
-    # the window's enumeration refuses a box of more than 2^31 points, so every key fits in int64
-    radix = (2 * r + 1) ** np.arange(window.d, dtype=np.int64)
-    keys = (pts + r) @ radix
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    escaped2 = np.zeros(size)
+    pts = window.points.astype(float)
     theta = x.theta.entries
+    out = {}
     for m, c in x.coeffs.items():
-        mvec = np.array(m)
-        # row n carries exp((i/2) <m, theta n>); n . (theta^T m) = <m, theta n>
-        phases = c * np.exp(0.5j * (pts.astype(float) @ (theta.T @ mvec.astype(float))))
-        targets = pts + mvec
-        target_keys = (targets + r) @ radix
-        at = np.minimum(np.searchsorted(sorted_keys, target_keys), size - 1)
-        hit = (np.abs(targets) <= r).all(axis=1) & (sorted_keys[at] == target_keys)
-        mat[order[at[hit]], np.flatnonzero(hit)] += phases[hit]
-        # Python's scalar abs and power, bitwise what a per-column loop gives; numpy's vector abs and square
-        # differ from them in the last bit on some entries
-        miss = ~hit
-        escaped2[miss] += [abs(p) ** 2 for p in phases[miss]]
-    return Pi1Matrix(mat, np.sqrt(escaped2))
+        # column n carries exp((i/2) <m, theta n>); n . (theta^T m) = <m, theta n>
+        phases = c * np.exp(0.5j * (pts @ (theta.T @ np.array(m, dtype=float))))
+        out[m] = np.where(window.rows(m) >= 0, phases, 0j)
+    return out
 
 
 def _direction_values(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
@@ -343,50 +320,47 @@ def _direction_values(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
     return np.where(norms == 0.0, complex(sphere_integrate(y) / sphere_volume(y.d)), vals)
 
 
-def build_pi2_matrix(y: SpherePoly, window: LatticeWindow) -> np.ndarray:
-    """Diagonal matrix of pi2(y), entries y(n/|n|).
+def build_pi2_matrix(y: SpherePoly, window: LatticeWindow) -> dict:
+    """pi2(y) on the window, the zero shift with weights y(n/|n|).
 
     The origin gets the normalized spherical mean of y (any fixed choice
     differs by a rank-one perturbation; this one is basis-independent).
     """
-    mat = _window_matrix(window)
-    np.fill_diagonal(mat, _direction_values(y, window))
-    return mat
+    return {(0,) * window.d: _direction_values(y, window)}
 
 
-def word_matrix(word: OperatorWord, window: LatticeWindow) -> np.ndarray:
-    """Product of the letter matrices on the window, leftmost letter leftmost.
-
-    A diagonal letter scales columns (or, as a vector before the first shift
-    letter, rows) instead of entering a dense product. Boundary columns are
-    unreliable whenever a pi1 letter shifts mass out of the window; restrict
-    comparisons to window.interior(total shift bound).
-    """
-    out = None  # a vector while only diagonal letters have been read
-    for let in word.letters:
-        if isinstance(let, TorusLetter):
-            mat = build_pi1_matrix(let.x, window).matrix
-            if out is None:
-                out = mat
-            elif out.ndim == 1:
-                out = out[:, None] * mat
-            else:
-                out = out @ mat
-        else:
-            vals = _direction_values(let.y, window)
-            out = vals if out is None else out * vals
-    if out.ndim == 1:
-        diag = _window_matrix(window)
-        np.fill_diagonal(diag, out)
-        return diag
+def _product(a: dict, b: dict, window: LatticeWindow) -> dict:
+    """The window operator AB: (AB)_{s+t}[n] = A_s[row of n + t] B_t[n], summed over the pairs (s, t) in order."""
+    out: dict = {}
+    for t, vb in b.items():
+        rows = window.rows(t)
+        for s, va in a.items():
+            v = np.where(rows >= 0, va[rows] * vb, 0j)
+            key = add_keys(s, t)
+            out[key] = out[key] + v if key in out else v
     return out
 
 
-def representative_matrix(symbol: Symbol, window: LatticeWindow) -> np.ndarray:
-    """Normal-ordered model of a symbol: sum_k pi1(x_k) @ pi2(y_k), the diagonal factor scaling columns."""
-    out = _window_matrix(window)
+def word_matrix(word: OperatorWord, window: LatticeWindow) -> dict:
+    """Product of the letter operators on the window, leftmost letter leftmost.
+
+    Boundary columns are unreliable whenever a pi1 letter shifts mass out of
+    the window; restrict comparisons to window.interior(total shift bound).
+    """
+    out = None
+    for let in word.letters:
+        op = build_pi1_matrix(let.x, window) if isinstance(let, TorusLetter) else build_pi2_matrix(let.y, window)
+        out = op if out is None else _product(out, op, window)
+    return out
+
+
+def representative_matrix(symbol: Symbol, window: LatticeWindow) -> dict:
+    """Normal-ordered model of a symbol, sum_k pi1(x_k) pi2(y_k): each shift of pi1(x_k) scaled by y_k."""
+    out: dict = {}
     for x, y in symbol.terms:
-        out += build_pi1_matrix(x, window).matrix * _direction_values(y, window)
+        vals = _direction_values(y, window)
+        for m, v in build_pi1_matrix(x, window).items():
+            out[m] = out[m] + v * vals if m in out else v * vals
     return out
 
 

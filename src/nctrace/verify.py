@@ -295,16 +295,10 @@ def _suite_moyal(cfg: VerifyConfig) -> list:
     return records
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a; max |a_ij| when every row and column holds at most one nonzero.
-
-    Such a matrix (a weighted partial permutation) has a^H a diagonal, with
-    entries |a_ij|^2, so that max is its norm exactly.
-    """
-    nonzero = a != 0
-    if (nonzero.sum(axis=0) <= 1).all() and (nonzero.sum(axis=1) <= 1).all():
-        return float(np.abs(a).max(initial=0.0))
-    return float(np.linalg.norm(a, 2))
+def _one_shift_difference(a: dict, b: dict, cols: np.ndarray) -> np.ndarray:
+    """a - b on the columns cols, for two window operators that are weighted shifts by one common shift."""
+    (shift,) = set(a) | set(b)
+    return a[shift][cols] - b[shift][cols]
 
 
 def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
@@ -313,27 +307,25 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     records = []
 
-    window = sy.LatticeWindow(d, 6)
     commutator_radii = (50, 100, 200, 400)
-    # refused before any matrix or scan: a radius-6 window matrix over the dense limit (d >= 5), then the
-    # commutator scan's outer edge SCAN_FACTOR * 400, the suite's largest, over the point budget (d = 3, 4)
-    sy.check_window_bytes(window)
+    # the commutator scan's outer edge SCAN_FACTOR * 400, the suite's largest, is refused over the point
+    # budget (d >= 3) before any window is built or any lattice scanned
     check_shell_budget(d, (sy.SCAN_FACTOR * max(commutator_radii)) ** 2)
+    window = sy.LatticeWindow(d, 6)
     m1 = tuple([1] + [0] * (d - 1))
     m2 = tuple([0, 1] + [0] * (d - 2))
     u1, u2 = unitary_generator(theta, m1), unitary_generator(theta, m2)
-    prod = sy.build_pi1_matrix(u1, window).matrix @ sy.build_pi1_matrix(u2, window).matrix
-    target = twist_phase(theta, m1, m2) * sy.build_pi1_matrix(
-        unitary_generator(theta, tuple(a + b for a, b in zip(m1, m2))), window
-    ).matrix
+    prod = sy.word_matrix(sy.OperatorWord(theta, (sy.TorusLetter(u1), sy.TorusLetter(u2))), window)
+    target = sy.build_pi1_matrix(
+        twist_phase(theta, m1, m2) * unitary_generator(theta, tuple(a + b for a, b in zip(m1, m2))), window
+    )
     cols = window.interior(2.5)
-    records.append(_record("pi1_cocycle_residual", np.abs((prod - target)[:, cols]).max(), 0.0, 1e-13))
+    records.append(_record("pi1_cocycle_residual", np.abs(_one_shift_difference(prod, target, cols)).max(), 0.0, 1e-13))
 
     probe = tuple([3, 4] + [0] * (d - 2))
     small = sy.LatticeWindow(d, 5)
-    entry = sy.build_pi2_matrix(SpherePoly.coordinate(d, 1), small)
-    idx = small.index()[probe]
-    records.append(_record("pi2_direction_entry", entry[idx, idx].real, 0.6, 1e-14))
+    (entry,) = sy.build_pi2_matrix(SpherePoly.coordinate(d, 1), small).values()
+    records.append(_record("pi2_direction_entry", entry[small.index()[probe]].real, 0.6, 1e-14))
 
     vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), commutator_radii)
     dev = max(abs(a / b - 2.0) for a, b in zip(vals, vals[1:]))
@@ -355,11 +347,13 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     word = sy.OperatorWord(theta, (sy.SphereLetter(SpherePoly.coordinate(d, 1)), sy.TorusLetter(u1)))
     R = 8
     win = sy.LatticeWindow(d, 16)
-    diff = sy.word_matrix(word, win) - sy.representative_matrix(sy.sym(word), win)
     pts = win.points
     r2 = np.einsum("ij,ij->i", pts, pts)
     cols = np.nonzero((r2 > R * R) & (r2 <= (win.radius - 2) ** 2))[0]
-    mat_norm = _spectral_norm(diff[:, cols])
+    # the difference A is a weighted shift by one mode, so A^H A is diagonal and the norm of A on the
+    # columns cols is exactly its largest |weight| there
+    diff = _one_shift_difference(sy.word_matrix(word, win), sy.representative_matrix(sy.sym(word), win), cols)
+    mat_norm = float(np.abs(diff).max())
     bound = sy.residual_compactness_report(word, (R,)).tail_norms[0]
     records.append(_record("tail_bound_certificate", max(0.0, mat_norm - bound), 0.0, 1e-12))
     return records

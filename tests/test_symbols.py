@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -133,12 +135,26 @@ def test_word_rejects_theta_mismatch():
         word_of(U10, other)
 
 
+def _dense(op, window):
+    """The (size, size) matrix of a window operator {shift: weights}, each row found in the window's point dict.
+
+    A weight whose target leaves the window must be 0, since the window drops it.
+    """
+    idx = window.index()
+    mat = np.zeros((window.size, window.size), dtype=complex)
+    cols = np.arange(window.size)
+    for shift, v in op.items():
+        rows = np.array([idx.get(tuple(t), -1) for t in (window.points + np.array(shift)).tolist()])
+        hit = rows >= 0
+        assert not v[~hit].any()
+        mat[rows[hit], cols[hit]] += v[hit]
+    return mat
+
+
 def test_pi1_cocycle_on_interior():
     window = LatticeWindow(2, 8)
-    left = build_pi1_matrix(U10, window).matrix @ build_pi1_matrix(U01, window).matrix
-    right = twist_phase(THETA, (1, 0), (0, 1)) * build_pi1_matrix(
-        unitary_generator(THETA, (1, 1)), window
-    ).matrix
+    left = _dense(build_pi1_matrix(U10, window), window) @ _dense(build_pi1_matrix(U01, window), window)
+    right = twist_phase(THETA, (1, 0), (0, 1)) * _dense(build_pi1_matrix(unitary_generator(THETA, (1, 1)), window), window)
     interior = window.interior(2.5)
     assert np.abs((left - right)[:, interior]).max() < 1e-13
 
@@ -157,18 +173,16 @@ def test_pi1_tracks_escaped_mass():
     window = LatticeWindow(2, 4)
     rep = build_pi1_matrix(U10, window)
     # the boundary site (4,0) maps to (5,0), outside the window
-    assert rep.escaped.max() == pytest.approx(1.0, abs=1e-15)
     idx = window.index()[(4, 0)]
-    assert np.abs(rep.matrix[:, idx]).max() == 0.0
+    assert np.abs(_dense(rep, window)[:, idx]).max() == 0.0
 
 
 def _per_column_pi1_matrix(x, window):
-    """build_pi1_matrix as a per-column dict lookup, kept as its oracle: (matrix, escaped)."""
+    """build_pi1_matrix as a dense matrix filled by a per-column dict lookup, kept as its oracle."""
     pts = window.points
     idx = window.index()
     size = len(pts)
     mat = np.zeros((size, size), dtype=complex)
-    escaped2 = np.zeros(size)
     theta = x.theta.entries
     for m, c in x.coeffs.items():
         mvec = np.array(m)
@@ -176,11 +190,9 @@ def _per_column_pi1_matrix(x, window):
         targets = pts + mvec
         for col in range(size):
             row = idx.get(tuple(targets[col]))
-            if row is None:
-                escaped2[col] += abs(phases[col]) ** 2
-            else:
+            if row is not None:
                 mat[row, col] += phases[col]
-    return mat, np.sqrt(escaped2)
+    return mat
 
 
 @pytest.mark.parametrize(
@@ -194,9 +206,8 @@ def _per_column_pi1_matrix(x, window):
 def test_pi1_matrix_matches_the_per_column_loop(x, radius):
     window = LatticeWindow(x.d, radius)
     got = build_pi1_matrix(x, window)
-    mat, escaped = _per_column_pi1_matrix(x, window)
-    assert got.matrix.tobytes() == mat.tobytes()
-    assert got.escaped.tobytes() == escaped.tobytes()
+    assert sorted(got) == sorted(x.coeffs)
+    assert _dense(got, window).tobytes() == _per_column_pi1_matrix(x, window).tobytes()
     # some targets leave the box [-r, r]^d, and some stay in the box but leave the ball
     targets = np.concatenate([window.points + np.array(m) for m in x.coeffs])
     in_box = (np.abs(targets) <= radius).all(axis=1)
@@ -220,7 +231,9 @@ def test_pi1_rejects_undersized_window():
 
 def test_pi2_diagonal_is_homogeneous():
     window = LatticeWindow(2, 10)
-    mat = build_pi2_matrix(T1, window)
+    op = build_pi2_matrix(T1, window)
+    assert list(op) == [(0, 0)]
+    mat = _dense(op, window)
     idx = window.index()
     assert mat[idx[(3, 4)], idx[(3, 4)]] == pytest.approx(0.6, abs=1e-15)
     assert mat[idx[(6, 8)], idx[(6, 8)]] == pytest.approx(0.6, abs=1e-15)
@@ -231,9 +244,9 @@ def test_pi2_diagonal_is_homogeneous():
 def test_pi2_origin_takes_spherical_mean():
     window = LatticeWindow(2, 3)
     idx = window.index()[(0, 0)]
-    assert build_pi2_matrix(T1, window)[idx, idx] == pytest.approx(0.0, abs=1e-15)
+    assert build_pi2_matrix(T1, window)[(0, 0)][idx] == pytest.approx(0.0, abs=1e-15)
     square = SpherePoly.monomial(2, (2, 0))
-    assert build_pi2_matrix(square, window)[idx, idx] == pytest.approx(0.5, abs=1e-15)
+    assert build_pi2_matrix(square, window)[(0, 0)][idx] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_commutator_tail_zero_for_constant():
@@ -285,16 +298,40 @@ def test_report_fit_slope_is_minus_one():
     assert rep.fit_slope == pytest.approx(-1.0, abs=0.1)
 
 
+def _certificate_columns(window, R):
+    """The columns R < |n| <= radius - 2 on which the certificate compares a word with its representative."""
+    pts = window.points
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    return np.nonzero((r2 > R * R) & (r2 <= (window.radius - 2) ** 2))[0]
+
+
 def test_tail_bound_certifies_matrix_norm():
     word = word_of(T1, U10)
     window = LatticeWindow(2, 16)
-    diff = word_matrix(word, window) - representative_matrix(sym(word), window)
-    pts = window.points
-    r2 = np.einsum("ij,ij->i", pts, pts)
+    got, rep = word_matrix(word, window), representative_matrix(sym(word), window)
     R = 8
-    cols = np.nonzero((r2 > R * R) & (r2 <= (window.radius - 2) ** 2))[0]
-    observed = np.linalg.norm(diff[:, cols], 2)
+    cols = _certificate_columns(window, R)
+    observed = np.linalg.norm((_dense(got, window) - _dense(rep, window))[:, cols], 2)
     assert observed <= residual_compactness_report(word, (float(R),)).tail_norms[0] + 1e-12
+    # one shift: the difference is a weighted partial permutation, whose norm is its largest weight
+    assert list(got) == list(rep) == [(1, 0)]
+    largest = np.abs(got[(1, 0)][cols] - rep[(1, 0)][cols]).max()
+    assert abs(largest - observed) <= 4 * np.spacing(observed)
+
+
+def test_tail_bound_certifies_the_d3_window():
+    # the radius-16 window at d=3 has 17077 points; a dense pair of its matrices would take 4.7 GB
+    start = time.perf_counter()
+    u = unitary_generator(THETA3, (1, 0, 0))
+    word = OperatorWord(THETA3, (SphereLetter(SpherePoly.coordinate(3, 1)), TorusLetter(u)))
+    window = LatticeWindow(3, 16)
+    assert window.size == 17077
+    got, rep = word_matrix(word, window), representative_matrix(sym(word), window)
+    cols = _certificate_columns(window, 8)
+    largest = np.abs(got[(1, 0, 0)][cols] - rep[(1, 0, 0)][cols]).max()
+    assert largest > 0.1
+    assert largest <= residual_compactness_report(word, (8,)).tail_norms[0] + 1e-12
+    assert time.perf_counter() - start < 2.0
 
 
 def _dense_word_matrix(word, window):
@@ -302,9 +339,9 @@ def _dense_word_matrix(word, window):
     out = None
     for let in word.letters:
         if isinstance(let, TorusLetter):
-            mat = build_pi1_matrix(let.x, window).matrix
+            mat = _dense(build_pi1_matrix(let.x, window), window)
         else:
-            mat = build_pi2_matrix(let.y, window)
+            mat = _dense(build_pi2_matrix(let.y, window), window)
         out = mat if out is None else out @ mat
     return out
 
@@ -320,12 +357,14 @@ def test_diagonal_letters_scale_instead_of_multiplying():
         word_of(x, U01),
     ]
     for word in words:
-        got, want = word_matrix(word, window), _dense_word_matrix(word, window)
-        assert got.shape == want.shape
+        got, want = _dense(word_matrix(word, window), window), _dense_word_matrix(word, window)
         assert np.abs(got - want).max() <= 1e-14
     symbol = sym(word_of(T1, x, T2)) + sym(word_of(U01, T1 * T1))
-    want = sum(build_pi1_matrix(xk, window).matrix @ build_pi2_matrix(yk, window) for xk, yk in symbol.terms)
-    assert np.abs(representative_matrix(symbol, window) - want).max() <= 1e-14
+    want = sum(
+        _dense(build_pi1_matrix(xk, window), window) @ _dense(build_pi2_matrix(yk, window), window)
+        for xk, yk in symbol.terms
+    )
+    assert np.abs(_dense(representative_matrix(symbol, window), window) - want).max() <= 1e-14
 
 
 def test_random_word_never_normal_ordered():

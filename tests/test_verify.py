@@ -4,7 +4,6 @@ import csv
 import json
 import time
 
-import numpy as np
 import pytest
 
 from nctrace import verify
@@ -18,7 +17,6 @@ from nctrace.verify import (
     ConfigError,
     VerifyConfig,
     _extract_tol_flags,
-    _spectral_norm,
     emit_report,
     main,
     run_suite,
@@ -250,12 +248,24 @@ class TestMainExitCodes:
         assert "d=4" in err and "--nmax >= 256" in err
 
     def test_oversized_window_matrix_is_config_error(self, capsys):
-        # the d=5 window of radius 6 has 42205 points: a 26.5 GiB dense matrix
+        # the radius-6 window at d=5 has 42205 points, but the commutator scan's budget refuses the run first
         start = time.perf_counter()
         assert main(["symbol-compactness", "--d", "5"]) == EXIT_CONFIG_ERROR
         assert time.perf_counter() - start < 30.0
         err = capsys.readouterr().err
-        assert "d=5, radius 6 (42205 points)" in err and "GiB" in err
+        assert "d=5 up to radius 1600" in err and "budget" in err
+
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_high_d_is_refused_before_any_window(self, capsys, monkeypatch, d):
+        # the radius-6 window at d=8 enumerates 7.26M points; no window may be built before the budget check
+        def refuse(*args):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(verify.sy, "LatticeWindow", refuse)
+        start = time.perf_counter()
+        assert main(["symbol-compactness", "--d", str(d)]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 5.0
+        assert "budget" in capsys.readouterr().err
 
     def test_oversized_shell_sample_is_config_error(self, capsys):
         # the Riesz profile at d=5000 would sample a 7.6 GiB point array per shell
@@ -436,25 +446,3 @@ def test_suites_constant_covers_runners():
     # every advertised suite runs end to end somewhere in the test suite or
     # acceptance checks; here just pin the advertised names
     assert SUITES == ("torus-trace", "su2", "moments", "symplectic", "moyal", "symbol-compactness")
-
-
-class TestSpectralNorm:
-    def test_weighted_partial_permutations_take_the_largest_entry(self):
-        rng = np.random.default_rng(0)
-        for rows, cols in [(6, 6), (9, 4), (4, 9), (30, 17), (1, 5)]:
-            for _ in range(6):
-                # k < min(rows, cols) nonzeros leave rows and columns empty
-                k = int(rng.integers(0, min(rows, cols) + 1))
-                a = np.zeros((rows, cols), dtype=complex)
-                a[rng.choice(rows, k, replace=False), rng.choice(cols, k, replace=False)] = rng.normal(size=k) + 1j * rng.normal(size=k)
-                want = np.linalg.norm(a, 2)
-                assert abs(_spectral_norm(a) - want) <= 4 * np.spacing(want)
-        assert _spectral_norm(np.zeros((3, 2), dtype=complex)) == 0.0
-
-    def test_other_matrices_take_the_svd(self):
-        rng = np.random.default_rng(1)
-        dense = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
-        assert _spectral_norm(dense) == np.linalg.norm(dense, 2)
-        # two nonzeros in one row: the norm, sqrt(2), is over the largest entry
-        row = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert _spectral_norm(row) == np.linalg.norm(row, 2) > 1.0
