@@ -15,7 +15,8 @@ with a and b integer square roots.
 
 `iter_orbits` walks only the fundamental domain n_1 >= ... >= n_d >= 0 of the
 hyperoctahedral group (coordinate permutations and sign changes) and gives each
-point its orbit size, for sums whose summand is constant on orbits.
+point its orbit size, for sums whose summand is constant on orbits, and its
+exact squared norm, which the walk has built anyway.
 
 Both enumerators refuse, before building any chunk, a request whose bound on
 the points it would visit exceeds POINT_BUDGET.
@@ -110,18 +111,31 @@ def _domain_coordinate(r2_min: int, r2_max: int, heads: np.ndarray, norm2: np.nd
     return lo[:, None], hi[:, None]
 
 
-def _orbit_sizes(pts: np.ndarray) -> np.ndarray:
-    """2^(#nonzero) * d! / prod(run lengths of equal values)! for rows sorted in descending order."""
-    k, d = pts.shape
-    run = np.ones(k, dtype=np.int64)
-    stabiliser = np.ones(k, dtype=np.int64)
-    nonzero = (pts[:, 0] != 0).astype(np.int64)
+def _orbit_table(d: int) -> np.ndarray:
+    """Orbit size of each pattern code of _orbit_sizes: 2^(#nonzero) * d! / prod(run lengths of equal values)!.
+
+    Bit j-1 of a code (j = 1..d-1) says n_(j+1) = n_j, bit d-1 that n_d = 0. The
+    runs of equal values follow from the first d-1 bits, and the zeros of a
+    sorted nonnegative point are its last run when n_d = 0.
+    """
+    codes = np.arange(1 << d, dtype=np.int64)
+    run = np.ones(1 << d, dtype=np.int64)
+    stabiliser = np.ones(1 << d, dtype=np.int64)
     for j in range(1, d):
         # run length of the value at column j so far; the product of these is prod(runs)!
-        run = run * (pts[:, j] == pts[:, j - 1]) + 1
+        run = run * ((codes >> (j - 1)) & 1) + 1
         stabiliser *= run
-        nonzero += pts[:, j] != 0
-    return (factorial(d) // stabiliser) << nonzero
+    zeros = ((codes >> (d - 1)) & 1) * run
+    return (factorial(d) // stabiliser) << (d - zeros)
+
+
+def _orbit_sizes(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Orbit sizes of rows sorted in descending order, looked up in table = _orbit_table(d) by pattern code."""
+    d = pts.shape[1]
+    code = (pts[:, -1] == 0) << (d - 1)
+    for j in range(1, d):
+        code |= (pts[:, j] == pts[:, j - 1]) << (j - 1)
+    return table[code]
 
 
 def _orbit_bound(d: int, r2_max: int) -> float:
@@ -140,13 +154,14 @@ def _orbit_bound(d: int, r2_max: int) -> float:
 
 
 def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
-    """Yield (points, orbit_sizes) over n_1 >= ... >= n_d >= 0 with r2_min < |n|^2 <= r2_max.
+    """Yield (points, norms2, orbit_sizes) over n_1 >= ... >= n_d >= 0 with r2_min < |n|^2 <= r2_max.
 
     Every integer point of the shell lies in the orbit of exactly one yielded
     point under coordinate permutations and sign changes, and orbit_sizes
     (int64) counts that orbit, so the orbit sizes sum to the shell's point
-    count. Points come in lexicographic order, at most CHUNK rows per chunk,
-    and no level of prefixes holds more than CHUNK rows at once. A request
+    count. norms2 (int64) holds each point's exact |n|^2, carried by the walk.
+    Points come in lexicographic order, at most CHUNK rows per chunk, and no
+    level of prefixes holds more than CHUNK rows at once. A request
     over budget (check_orbit_budget), or d > ORBIT_MAX_D, raises ValueError.
     """
     if not 1 <= d <= ORBIT_MAX_D:
@@ -154,8 +169,9 @@ def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
     if r2_max < 0 or r2_max <= r2_min:
         return
     check_orbit_budget(d, r2_max)
-    for pts in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max), CHUNK):
-        yield pts, _orbit_sizes(pts)
+    table = _orbit_table(d)
+    for pts, norms2 in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max), CHUNK, norms=True):
+        yield pts, norms2, _orbit_sizes(pts, table)
 
 
 def _root() -> tuple:
@@ -163,12 +179,13 @@ def _root() -> tuple:
     return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
-def _complete(heads, norm2, left: int, rule, target: int) -> Iterator[np.ndarray]:
+def _complete(heads, norm2, left: int, rule, target: int, norms: bool = False) -> Iterator:
     """Complete each prefix row of `heads` by `left` more coordinates, at most `target` new rows at a time.
 
     rule(heads, norm2, left) gives the next coordinate's integer ranges
     [lo, hi] as two (prefixes, k) arrays: k disjoint ranges per prefix, in
-    increasing order, so that points come in lexicographic order.
+    increasing order, so that points come in lexicographic order. Yields the
+    points, or with norms (points, exact int64 |n|^2).
     """
     lo, hi = rule(heads, norm2, left)
     k = lo.shape[1]
@@ -176,12 +193,15 @@ def _complete(heads, norm2, left: int, rule, target: int) -> Iterator[np.ndarray
     total = int(np.sum(np.maximum(hi - lo + 1, 0)))
     for start in range(0, total, target):
         row, values = _expand(lo, hi, start, min(start + target, total))
-        row //= k  # range index -> prefix row; in place, since a chunk-sized copy is held while the consumer runs
+        if k > 1:
+            row //= k  # range index -> prefix row; in place, since a chunk-sized copy is held while the consumer runs
         pts = np.column_stack([heads[row], values])
-        if left == 1:
-            yield pts
+        if left > 1:
+            yield from _complete(pts, norm2[row] + values * values, left - 1, rule, target, norms)
+        elif norms:
+            yield pts, norm2[row] + values * values
         else:
-            yield from _complete(pts, norm2[row] + values * values, left - 1, rule, target)
+            yield pts
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> tuple:

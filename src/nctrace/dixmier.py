@@ -15,12 +15,19 @@ hyperoctahedral group (coordinate permutations and sign changes), and so is
 the orbit sum of every monomial u^alpha, u = n/|n| -- 0 when an exponent is
 odd, otherwise the orbit size times the mean of u^beta over the distinct
 rearrangements beta of alpha. One walk over the fundamental domain
-n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`) fills a table of these
-orbit-weighted sums per shell, and every partial sum is that table dotted with
-the coefficients. A SphereFunction symbol gives only point values, which are
-not constant on orbits, so it cannot be summed orbit by orbit: such diagonals
-take the direct path, which evaluates `entry` at every lattice point and is
-the oracle the tests check the symmetric path against.
+n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`, which supplies each point's
+exact |n|^2 and orbit size) fills a table of these orbit-weighted sums per
+shell, and every partial sum is that table dotted with the coefficients. A
+SphereFunction symbol gives only point values, which are not constant on
+orbits, so it cannot be summed orbit by orbit: such diagonals take the direct
+path, which evaluates `entry` at every lattice point and is the oracle the
+tests check the symmetric path against.
+
+`log_fits` batches fits of one dimension: each path walks the shells of the
+union of its requests' grids once, inside-out, and a shell fills the table
+columns, or calls the entries, only of the requests whose grid reaches it. A
+symbol with no even exponent fills no column, so its fit only reads the
+counts. `log_fit` is the batch of one, so every sum takes this code.
 """
 
 from __future__ import annotations
@@ -91,69 +98,114 @@ def _weighted_entry(y, d: int, scale: complex | None = None) -> Callable[[np.nda
     return entry
 
 
-def _grid_sums(diag: LatticeDiagonal, radii: Sequence[int]) -> tuple:
-    """Partial sums S(N) and counts K(N) over 0 < |n| <= N for each radius.
+def _batch_sums(requests: Sequence[tuple]) -> list:
+    """Partial sums S(N) and counts K(N) over 0 < |n| <= N, one list of each per (diag, radii) request.
 
-    Single pass over shells between consecutive radii, in _lattice chunks, after
-    the budget check of the largest radius; per-chunk reduction is numpy pairwise
-    summation in a fixed chunk order, so results are reproducible bit for bit.
+    All diagonals share one dimension. Requests on the symmetric path share one
+    orbit walk, the rest one shell walk (see the module docstring); each walk
+    covers the union of its requests' radii, shell by shell inside-out, after
+    one budget check at the union's largest radius, made for both walks before
+    either starts. Per-chunk reduction is numpy pairwise summation in a fixed
+    chunk order, so results are reproducible bit for bit.
     """
+    if not requests:
+        raise ValueError("no requests to sum")
+    d = requests[0][0].d
+    if any(diag.d != d for diag, _ in requests):
+        raise ValueError(f"requests mix dimensions {sorted({diag.d for diag, _ in requests})}")
+    grids = [_radii(radii) for _, radii in requests]
+    symmetric = [diag.symbol is not None and d <= ORBIT_MAX_D for diag, _ in requests]
+    walks = []
+    for path, check, walk in ((True, check_orbit_budget, _orbit_sums), (False, check_shell_budget, _shell_sums)):
+        group = [i for i, s in enumerate(symmetric) if s is path and grids[i]]
+        union = sorted({r for i in group for r in grids[i]})
+        if union:
+            check(d, union[-1] ** 2)
+            walks.append((group, union, walk))
+    results = [([], []) for _ in requests]
+    for group, union, walk in walks:
+        for i, sums in zip(group, walk(d, [requests[i][0] for i in group], [grids[i] for i in group], union)):
+            results[i] = sums
+    return results
+
+
+def _radii(radii: Sequence[int]) -> list:
+    """The radii as ints, refused unless strictly increasing from at least 1."""
     rs = [int(r) for r in radii]
     if rs != sorted(rs) or len(set(rs)) != len(rs):
         raise ValueError("radii must be strictly increasing")
     if rs and rs[0] < 1:
         raise ValueError("radii must be >= 1")
-    symmetric = diag.symbol is not None and diag.d <= ORBIT_MAX_D
-    if rs:
-        (check_orbit_budget if symmetric else check_shell_budget)(diag.d, rs[-1] * rs[-1])
-    if symmetric:
-        return _symmetric_sums(diag, rs)
-    sums, counts = [], []
-    acc, count, prev2 = 0j, 0, 0
-    for r in rs:
-        for chunk in iter_shell(diag.d, prev2, r * r):
-            acc += complex(np.sum(diag.entry(chunk)))
+    return rs
+
+
+def _shell_sums(d: int, diags: list, grids: list, union: list) -> list:
+    """_batch_sums on the direct path: each shell's chunks go to the entry of every request whose grid reaches it."""
+    accs = [0j] * len(diags)
+    results = [([], []) for _ in diags]
+    count, prev2 = 0, 0
+    for r in union:
+        live = [i for i, grid in enumerate(grids) if grid[-1] >= r]
+        for chunk in iter_shell(d, prev2, r * r):
+            for i in live:
+                accs[i] += complex(np.sum(diags[i].entry(chunk)))
             count += len(chunk)
         prev2 = r * r
-        sums.append(acc)
-        counts.append(count)
-    return sums, counts
+        for acc, grid, (sums, counts) in zip(accs, grids, results):
+            if r in grid:
+                sums.append(acc)
+                counts.append(count)
+    return results
 
 
-def _symmetric_sums(diag: LatticeDiagonal, rs: list) -> tuple:
-    """_grid_sums for a SpherePoly symbol, summed orbit by orbit (see the module docstring).
+def _orbit_sums(d: int, diags: list, grids: list, union: list) -> list:
+    """_batch_sums on the symmetric path, summed orbit by orbit (see the module docstring).
 
-    table[i, j] is the sum over the shell between radii i-1 and i of
-    orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th sorted even
-    exponent, reduced as in _grid_sums.
+    table[i, j] is the sum over the shell between union radii i-1 and i of
+    orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th distinct sorted
+    even exponent of the requests, filled only up to the largest radius of a
+    request that has it. A request whose symbol has no even exponent only counts.
     """
-    d = diag.d
+    columns = [_even_columns(diag.symbol) for diag in diags]
+    keys = list(dict.fromkeys(key for cols in columns for key in cols))
+    rearrangements = [_distinct_permutations(key) for key in keys]
+    reach = [max(grid[-1] for cols, grid in zip(columns, grids) if key in cols) for key in keys]
+    table = np.zeros((len(union), len(keys)))
+    shell_counts = []
+    count, prev2 = 0, 0
+    for row, r in enumerate(union):
+        live = [j for j, top in enumerate(reach) if top >= r]
+        needs_u = any(any(keys[j]) for j in live)
+        for pts, norms2, orbit in iter_orbits(d, prev2, r * r):
+            count += int(np.sum(orbit))
+            if not live:
+                continue
+            norms2 = norms2.astype(float)
+            base = orbit * (1.0 + norms2) ** (-d / 2.0)
+            u2 = pts * pts / norms2[:, None] if needs_u else None
+            for j in live:
+                table[row, j] += np.sum(base * _mean_monomial(u2, rearrangements[j]))
+        prev2 = r * r
+        shell_counts.append(count)
+    cumulative = np.cumsum(table, axis=0)
+    results = []
+    for diag, cols, grid in zip(diags, columns, grids):
+        rows = np.searchsorted(union, grid)
+        coeffs = np.array(list(cols.values()), dtype=complex)
+        own = cumulative[:, [keys.index(key) for key in cols]]
+        sums = [complex(diag.scale * np.sum(coeffs * own[row])) for row in rows]
+        results.append((sums, [shell_counts[row] for row in rows]))
+    return results
+
+
+def _even_columns(symbol: SpherePoly) -> dict:
+    """Coefficient per sorted exponent, summed over the symbol's monomials whose exponents are all even."""
     columns: dict = {}
-    for alpha, c in diag.symbol.coeffs.items():
+    for alpha, c in symbol.coeffs.items():
         if not any(e % 2 for e in alpha):
             key = tuple(sorted(alpha, reverse=True))
             columns[key] = columns.get(key, 0) + c
-    rearrangements = [_distinct_permutations(key) for key in columns]
-    needs_u = any(any(key) for key in columns)
-    table = np.zeros((len(rs), len(columns)))
-    counts = []
-    count = 0
-    prev2 = 0
-    for row, r in enumerate(rs):
-        for pts, orbit in iter_orbits(d, prev2, r * r):
-            count += int(np.sum(orbit))
-            if not columns:
-                continue
-            norms2 = np.einsum("ij,ij->i", pts, pts).astype(float)
-            base = orbit * (1.0 + norms2) ** (-d / 2.0)
-            u2 = pts * pts / norms2[:, None] if needs_u else None
-            for col, betas in enumerate(rearrangements):
-                table[row, col] += np.sum(base * _mean_monomial(u2, betas))
-        prev2 = r * r
-        counts.append(count)
-    coeffs = np.array(list(columns.values()), dtype=complex)
-    sums = [complex(diag.scale * np.sum(coeffs * row)) for row in np.cumsum(table, axis=0)]
-    return sums, counts
+    return columns
 
 
 def _distinct_permutations(key: tuple) -> list:
@@ -178,7 +230,7 @@ def _mean_monomial(u2: np.ndarray | None, betas: list):
 
 def lattice_partial_sum(diag: LatticeDiagonal, N: int) -> float | complex:
     """Sum of the diagonal over 0 < |n| <= N (origin excluded); N < 1 raises ValueError."""
-    (s,), _ = _grid_sums(diag, [N])
+    ((s,), _), = _batch_sums([(diag, [N])])
     return real_if_close(s)
 
 
@@ -201,15 +253,28 @@ class LogFit:
 
 def log_fit(diag: LatticeDiagonal, N_grid: Sequence[int]) -> LogFit:
     """Least-squares fits of S(N) against log N and against log K(N) over the grid."""
-    grid = tuple(int(n) for n in N_grid)
-    if len(grid) < 4:
+    return log_fits([(diag, N_grid)])[0]
+
+
+def log_fits(requests: Sequence[tuple]) -> list:
+    """The log_fit of each (diag, N_grid) request, all of one dimension, from one walk of the union of their grids.
+
+    Each shell of the union is walked once and feeds only the requests whose
+    grid reaches it; a symbol with no even exponent only counts. Bad input (no
+    request, mixed dimensions, a grid of fewer than 4 radii or not strictly
+    increasing from 1, or a union over the point budget) raises ValueError
+    before any shell is walked.
+    """
+    grids = [tuple(int(n) for n in N_grid) for _, N_grid in requests]
+    if any(len(grid) < 4 for grid in grids):
         raise ValueError("need at least 4 grid points")
-    sums, counts = _grid_sums(diag, grid)
-    slope, intercept, max_residual = line_fit(np.log(grid), sums)
-    estimate, _, _ = line_fit(np.log(counts), sums)
-    return LogFit(
-        real_if_close(slope), real_if_close(intercept), max_residual, grid, tuple(counts), real_if_close(estimate)
-    )
+    fits = []
+    for grid, (sums, counts) in zip(grids, _batch_sums([(diag, grid) for (diag, _), grid in zip(requests, grids)])):
+        slope, intercept, max_residual = line_fit(np.log(grid), sums)
+        estimate, _, _ = line_fit(np.log(counts), sums)
+        slope, intercept, estimate = (real_if_close(v) for v in (slope, intercept, estimate))
+        fits.append(LogFit(slope, intercept, max_residual, grid, tuple(counts), estimate))
+    return fits
 
 
 def doubling_grid(N: int) -> list:
@@ -236,7 +301,7 @@ def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
     Converges to the same limit as normalised_trace_estimate but only at an
     O(1/log N) rate; kept for comparison, not used by the acceptance checks.
     """
-    (s,), (k,) = _grid_sums(diag, [int(N)])
+    ((s,), (k,)), = _batch_sums([(diag, [int(N)])])
     return real_if_close(s / np.log(k))
 
 

@@ -30,8 +30,16 @@ import numpy.random  # noqa: F401
 
 from . import dixmier as dx, moyal, su2, symbols as sy
 from ._lattice import check_shell_budget
-from .sphere import SpherePoly, _monomial_integrals, moment_recursion_check, quadrature_rule, sphere_moment, sphere_volume
-from .torus import ThetaMatrix, torus_identity, twist_phase, unitary_generator
+from .sphere import (
+    SpherePoly,
+    _monomial_integrals,
+    moment_recursion_check,
+    quadrature_rule,
+    sphere_integrate,
+    sphere_moment,
+    sphere_volume,
+)
+from .torus import ThetaMatrix, torus_identity, torus_trace, twist_phase, unitary_generator
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -119,26 +127,6 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
     if cfg.nmax < floor:
         raise ConfigError(f"torus-trace at d={cfg.d} needs --nmax >= {floor}, got {cfg.nmax}")
     d = cfg.d
-    records = []
-    one = SpherePoly.constant(d, 1.0)
-    diag1 = dx.LatticeDiagonal.symbol_weighted(one)
-    vol = sphere_volume(d)
-
-    fit = dx.log_fit(diag1, dx.doubling_grid(cfg.nmax))
-    records.append(_record("slope_constant", abs(fit.slope), vol, 0.02 * vol))
-    records.append(_record("estimate_constant", abs(fit.estimate), vol / d, 0.03 * vol / d))
-
-    t1sq = SpherePoly.monomial(d, (2,))
-    ref = sphere_moment((2,), d) / d
-    est2 = dx.normalised_trace_estimate(dx.LatticeDiagonal.symbol_weighted(t1sq), cfg.nmax // 4)
-    records.append(_record("estimate_t1_squared", abs(est2), ref, 0.05 * ref))
-
-    odd = dx.log_fit(dx.LatticeDiagonal.symbol_weighted(SpherePoly.coordinate(d, 1)), dx.doubling_grid(cfg.nmax // 4))
-    records.append(_record("slope_odd", abs(odd.slope), 0.0, 1e-10))
-
-    drift = abs(dx.radial_integral_check(d, cfg.nmax) - dx.radial_integral_check(d, cfg.nmax // 4))
-    records.append(_record("radial_integral_drift", drift, 0.0, 1e-3))
-
     theta = _theta_of(cfg)
     e = tuple([1, 1] + [0] * (d - 2))
     x = (
@@ -147,9 +135,31 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
         + 0.5 * unitary_generator(theta, tuple(-v for v in e))
     )
     y = SpherePoly.monomial(d, (0, 2))
-    estimate, reference = dx.connes_trace_torus(x, y, min(cfg.nmax, 1024))
-    err = abs(complex(estimate) - complex(reference))
-    records.append(_record("connes_trace_mixed", err, 0.0, 0.05 * max(abs(complex(reference)), 0.01)))
+    quarter = dx.doubling_grid(cfg.nmax // 4)
+    # one walk of the union of the four grids; the odd symbol's fit only counts
+    constant, t1sq, odd, mixed = dx.log_fits(
+        [
+            (dx.LatticeDiagonal.symbol_weighted(SpherePoly.constant(d, 1.0)), dx.doubling_grid(cfg.nmax)),
+            (dx.LatticeDiagonal.symbol_weighted(SpherePoly.monomial(d, (2,))), quarter),
+            (dx.LatticeDiagonal.symbol_weighted(SpherePoly.coordinate(d, 1)), quarter),
+            (dx.model_diagonal(x, y), dx.doubling_grid(min(cfg.nmax, 1024))),
+        ]
+    )
+    vol = sphere_volume(d)
+    records = [
+        _record("slope_constant", abs(constant.slope), vol, 0.02 * vol),
+        _record("estimate_constant", abs(constant.estimate), vol / d, 0.03 * vol / d),
+    ]
+    ref = sphere_moment((2,), d) / d
+    records.append(_record("estimate_t1_squared", abs(t1sq.estimate), ref, 0.05 * ref))
+    records.append(_record("slope_odd", abs(odd.slope), 0.0, 1e-10))
+
+    drift = abs(dx.radial_integral_check(d, cfg.nmax) - dx.radial_integral_check(d, cfg.nmax // 4))
+    records.append(_record("radial_integral_drift", drift, 0.0, 1e-3))
+
+    reference = torus_trace(x) * sphere_integrate(y) / d
+    err = abs(complex(mixed.estimate) - reference)
+    records.append(_record("connes_trace_mixed", err, 0.0, 0.05 * max(abs(reference), 0.01)))
     return records
 
 

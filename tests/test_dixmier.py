@@ -13,24 +13,76 @@ from scipy.integrate import quad
 
 import nctrace
 from nctrace import _lattice, dixmier, verify
+from nctrace._core import line_fit
 from nctrace.dixmier import (
     LatticeDiagonal,
+    _batch_sums,
     _distinct_permutations,
-    _grid_sums,
+    _mean_monomial,
     connes_trace_torus,
     doubling_grid,
     lattice_partial_sum,
     log_fit,
+    log_fits,
     model_diagonal,
     normalised_trace_estimate,
     partial_sum_quotient,
     radial_integral_check,
 )
-from nctrace.sphere import SpherePoly, _multi_indices, vg_action
+from nctrace.sphere import SphereFunction, SpherePoly, _multi_indices, vg_action
 from nctrace.torus import ThetaMatrix, torus_identity, torus_trace, unitary_generator
 
 THETA = ThetaMatrix.from_upper(2, [np.pi / 2])
 ONE2 = SpherePoly.constant(2, 1.0)
+
+
+def _sums(diag, radii):
+    """The library's sums and counts for one request."""
+    (result,) = _batch_sums([(diag, radii)])
+    return result
+
+
+def _grid_sums(diag, radii):
+    """One request's own walk, shell by shell between its radii, kept as the oracle of the batched walk.
+
+    A SpherePoly symbol is summed orbit by orbit with |n|^2 from the points
+    themselves, any other diagonal point by point.
+    """
+    rs = [int(r) for r in radii]
+    if diag.symbol is None:
+        sums, counts = [], []
+        acc, count, prev2 = 0j, 0, 0
+        for r in rs:
+            for chunk in _lattice.iter_shell(diag.d, prev2, r * r):
+                acc += complex(np.sum(diag.entry(chunk)))
+                count += len(chunk)
+            prev2 = r * r
+            sums.append(acc)
+            counts.append(count)
+        return sums, counts
+    d = diag.d
+    columns = {}
+    for alpha, c in diag.symbol.coeffs.items():
+        if not any(e % 2 for e in alpha):
+            key = tuple(sorted(alpha, reverse=True))
+            columns[key] = columns.get(key, 0) + c
+    rearrangements = [_distinct_permutations(key) for key in columns]
+    table = np.zeros((len(rs), len(columns)))
+    counts = []
+    count, prev2 = 0, 0
+    for row, r in enumerate(rs):
+        for pts, _, orbit in _lattice.iter_orbits(d, prev2, r * r):
+            count += int(np.sum(orbit))
+            norms2 = np.einsum("ij,ij->i", pts, pts).astype(float)
+            base = orbit * (1.0 + norms2) ** (-d / 2.0)
+            u2 = pts * pts / norms2[:, None]
+            for col, betas in enumerate(rearrangements):
+                table[row, col] += np.sum(base * _mean_monomial(u2, betas))
+        prev2 = r * r
+        counts.append(count)
+    coeffs = np.array(list(columns.values()), dtype=complex)
+    sums = [complex(diag.scale * np.sum(coeffs * row)) for row in np.cumsum(table, axis=0)]
+    return sums, counts
 
 
 def test_partial_sum_first_shell():
@@ -111,14 +163,10 @@ def test_torus_trace_walks_each_ball_once(monkeypatch):
     monkeypatch.setattr(dixmier, "iter_orbits", counted)
     assert verify.main(["torus-trace", "--nmax", "256", "--out", os.devnull]) == 0
 
-    def shells(N):
-        radii = [0] + doubling_grid(N)
-        return Counter(zip((r * r for r in radii), (r * r for r in radii[1:])))
-
-    # one walk per summed symbol: the constant symbol's slope and estimate share one up to
-    # radius 256, the t1^2 and odd fits walk up to 64, and the mixed Connes estimate, at
-    # min(nmax, 1024), up to 256 with its own symbol
-    assert walks == shells(256) + shells(64) + shells(64) + shells(256)
+    # the four fits' grids (16..256 for the constant and the Connes record, 4..64 for t1^2 and
+    # the odd symbol) share one walk of their union: each shell between its radii exactly once
+    radii = [0, 4, 8, 16, 32, 64, 128, 256]
+    assert walks == Counter(zip((r * r for r in radii), (r * r for r in radii[1:])))
 
 
 def test_radial_check_closed_form_d2():
@@ -298,17 +346,87 @@ def test_symmetric_sums_match_direct_path(d, grid):
     x = torus_identity(ThetaMatrix.from_upper(d, rng.normal(size=d * (d - 1) // 2))) * complex(*rng.normal(size=2))
     for diag in (LatticeDiagonal.symbol_weighted(y), model_diagonal(x, y)):
         assert diag.symbol is y
-        fast, fast_counts = _grid_sums(diag, grid)
-        direct, counts = _grid_sums(dataclasses.replace(diag, symbol=None), grid)
+        fast, fast_counts = _sums(diag, grid)
+        direct, counts = _sums(dataclasses.replace(diag, symbol=None), grid)
         assert fast_counts == counts
         np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0)
         # each shell r2_min < |n|^2 <= r2_max with r2_min > 0 on its own
         np.testing.assert_allclose(np.diff(fast), np.diff(direct), rtol=1e-12, atol=0)
     odd = SpherePoly(d, {n: c for n, c in y.coeffs.items() if any(e % 2 for e in n)})
     assert odd.coeffs
-    sums, counts = _grid_sums(LatticeDiagonal.symbol_weighted(odd), grid)
+    sums, counts = _sums(LatticeDiagonal.symbol_weighted(odd), grid)
     assert sums == [0j] * len(grid)
-    assert counts == _grid_sums(LatticeDiagonal(d, odd.evaluate), grid)[1]
+    assert counts == _sums(LatticeDiagonal(d, odd.evaluate), grid)[1]
+
+
+# per d, interleaved grids that nest in no order: a general symbol, the constant, an odd-only symbol (at d = 2 and 3
+# its grid reaches furthest, so the outer shells only count), a scaled model diagonal and two direct-path diagonals
+BATCHES = {
+    2: [[3, 7, 20, 41], [5, 6, 30, 33, 60], [1, 2, 4, 8, 70], [2, 9, 25, 50], [4, 11, 19, 30], [1, 13, 14, 45]],
+    3: [[2, 5, 9, 14], [3, 4, 10, 16, 20], [1, 2, 4, 8, 22], [2, 6, 11, 13], [3, 7, 8, 12], [1, 9, 15, 18]],
+    4: [[1, 3, 5, 8], [2, 4, 6, 9], [1, 2, 4, 7], [2, 3, 5, 10], [1, 4, 6, 7], [3, 5, 8, 9]],
+}
+
+
+@pytest.mark.parametrize("d", sorted(BATCHES))
+def test_log_fits_equal_one_walk_per_request(d):
+    rng = np.random.default_rng(300 + d)
+    y = _random_poly(d, rng)
+    odd = SpherePoly(d, {n: c for n, c in y.coeffs.items() if any(e % 2 for e in n)})
+    x = torus_identity(ThetaMatrix.from_upper(d, rng.normal(size=d * (d - 1) // 2))) * complex(*rng.normal(size=2))
+    w = rng.normal(size=d)
+    wave = SphereFunction(d, lambda u: np.cos(u @ w) + 1j * u[..., 0] ** 2)
+    diags = [
+        LatticeDiagonal.symbol_weighted(y),
+        LatticeDiagonal.symbol_weighted(SpherePoly.constant(d, 1.0)),
+        LatticeDiagonal.symbol_weighted(odd),
+        model_diagonal(x, y),
+        LatticeDiagonal.symbol_weighted(wave),
+        dataclasses.replace(model_diagonal(x, y), symbol=None),
+    ]
+    assert diags[3].scale != 1 and diags[4].symbol is None
+    requests = list(zip(diags, BATCHES[d]))
+    batch = _batch_sums(requests)
+    fits = log_fits(requests)
+    for (diag, grid), (sums, counts), fit in zip(requests, batch, fits):
+        oracle, oracle_counts = _grid_sums(diag, grid)
+        assert counts == oracle_counts and fit.counts == tuple(oracle_counts) and fit.N_grid == tuple(grid)
+        # the union's radii split a request's shells, so its chunks and the pairwise sums over them differ from
+        # its own walk's: equal to roundoff, not bit for bit
+        np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
+        slope, intercept, _ = line_fit(np.log(grid), oracle)
+        estimate, _, _ = line_fit(np.log(oracle_counts), oracle)
+        got = [fit.slope, fit.intercept, fit.estimate]
+        np.testing.assert_allclose(got, [slope, intercept, estimate], rtol=1e-10, atol=1e-12)
+    assert batch[2][0] == [0j] * len(BATCHES[d][2])
+
+
+def test_log_fits_refuses_bad_input_before_any_walk(monkeypatch):
+    def walked(*args):
+        raise AssertionError(f"walked {args}")
+
+    checks = []
+    check = dixmier.check_orbit_budget
+    monkeypatch.setattr(dixmier, "iter_orbits", walked)
+    monkeypatch.setattr(dixmier, "iter_shell", walked)
+    monkeypatch.setattr(dixmier, "check_orbit_budget", lambda d, r2: checks.append(r2) or check(d, r2))
+    one = LatticeDiagonal.symbol_weighted(ONE2)
+    good = (one, [2, 4, 8, 16])
+    with pytest.raises(ValueError, match="no requests"):
+        log_fits([])
+    with pytest.raises(ValueError, match=r"requests mix dimensions \[2, 3\]"):
+        log_fits([good, (LatticeDiagonal.symbol_weighted(SpherePoly.constant(3, 1.0)), [2, 4, 8, 16])])
+    for grid, message in (([2, 4, 8], "need at least 4 grid points"), ([2, 8, 4, 16], "strictly increasing"),
+                          ([0, 4, 8, 16], "radii must be >= 1")):
+        for refuse in (lambda: log_fits([good, (one, grid)]), lambda: log_fit(one, grid)):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+    assert not checks
+    # one budget check, at the union's largest radius, though the other grids are within budget
+    one12 = LatticeDiagonal.symbol_weighted(SpherePoly.constant(12, 1.0))
+    with pytest.raises(ValueError, match="d=12 up to radius 64 .* over the budget"):
+        log_fits([(one12, [1, 2, 3, 4]), (one12, [2, 4, 8, 64]), (one12, [1, 3, 5, 7])])
+    assert checks == [64 * 64]
 
 
 @pytest.mark.parametrize("d, grid", [(2, [3, 40, 200, 360]), (3, [3, 10, 30, 56])])
@@ -331,12 +449,12 @@ def test_chunked_sums_match_one_chunk_walk(d, grid, symmetric, monkeypatch):
     chunk = _lattice.CHUNK
     monkeypatch.setattr(dixmier, name, recorded)
     monkeypatch.setattr(_lattice, "CHUNK", 1 << 22)
-    oracle, oracle_counts = _grid_sums(diag, grid)
+    oracle, oracle_counts = _sums(diag, grid)
     assert len(chunks) == len(grid)
     for target in (1 << 10, chunk):
         chunks.clear()
         monkeypatch.setattr(_lattice, "CHUNK", target)
-        sums, counts = _grid_sums(diag, grid)
+        sums, counts = _sums(diag, grid)
         # the outer shell alone spans several chunks
         assert max(chunks) <= target and len(chunks) > len(grid)
         assert counts == oracle_counts
@@ -377,7 +495,7 @@ def test_over_budget_grid_is_refused_before_the_first_shell(symmetric, monkeypat
 
     monkeypatch.setattr(dixmier, name, walked)
     with pytest.raises(ValueError, match=f"d={d} up to radius 64 .* over the budget"):
-        _grid_sums(diag, [2, 4, 64])
+        _sums(diag, [2, 4, 64])
 
 
 @pytest.mark.parametrize(

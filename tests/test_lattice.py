@@ -103,9 +103,12 @@ def test_orbits_tile_the_shell(monkeypatch, d, r2_min, r2_max, target):
     shell = list(iter_shell(d, r2_min, r2_max))
     shell = {tuple(p) for p in np.concatenate(shell).tolist()} if shell else set()
     chunks = _walk(monkeypatch, iter_orbits, target, d, r2_min, r2_max)
-    assert all(0 < len(pts) <= target and pts.dtype == orbit.dtype == np.int64 for pts, orbit in chunks)
-    points = [tuple(p) for pts, _ in chunks for p in pts.tolist()]
-    sizes = [int(o) for _, orbit in chunks for o in orbit]
+    assert all(0 < len(pts) <= target and pts.dtype == norms2.dtype == orbit.dtype == np.int64
+               for pts, norms2, orbit in chunks)
+    for pts, norms2, _ in chunks:
+        np.testing.assert_array_equal(norms2, np.einsum("ij,ij->i", pts, pts))
+    points = [tuple(p) for pts, _, _ in chunks for p in pts.tolist()]
+    sizes = [int(o) for _, _, orbit in chunks for o in orbit]
     assert points == sorted(points)  # lexicographic, each point once
     assert len(set(points)) == len(points)
     covered = set()
@@ -140,7 +143,7 @@ def test_budget_refuses_before_building_a_chunk():
 def test_orbit_bound_holds_and_is_tight():
     for d in range(1, 7):
         for r2 in (0, 1, 2, 5, 30, 100, 1000):
-            points = sum(len(pts) for pts, _ in iter_orbits(d, -1, r2))
+            points = sum(len(pts) for pts, _, _ in iter_orbits(d, -1, r2))
             assert points <= _orbit_bound(d, r2)
     # the sorted box comb(M + d, d) = 7.2e9 would refuse d=6 at radius 128; the domain holds about 5e8
     assert _orbit_bound(6, 128 * 128) < POINT_BUDGET
@@ -150,6 +153,6 @@ def test_orbit_bound_holds_and_is_tight():
 def test_orbit_prefixes_stay_within_target(monkeypatch):
     # about 1e8 sorted 5-coordinate prefixes at radius 128: built level by level in blocks of CHUNK
     monkeypatch.setattr(lattice, "CHUNK", 1000)
-    pts, orbit = next(iter_orbits(6, 0, 128 * 128))
+    pts, _, orbit = next(iter_orbits(6, 0, 128 * 128))
     assert len(pts) <= 1000 and pts[0].tolist() == [1, 0, 0, 0, 0, 0] and orbit[0] == 12
 

@@ -191,7 +191,7 @@ class TestMainExitCodes:
         assert "quadrature_cross_check" in err  # the valid names are listed
 
     def test_lattice_budget_is_config_error(self, capsys):
-        # the first lattice sum would visit about 4.5e11 fundamental-domain points
+        # the walk of the four fits' union would visit about 4.5e11 fundamental-domain points
         start = time.perf_counter()
         assert main(["torus-trace", "--d", "6", "--nmax", "4096"]) == EXIT_CONFIG_ERROR
         assert time.perf_counter() - start < 30.0
@@ -200,7 +200,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("d", ["12", "13"])
     def test_high_dimension_torus_trace_is_refused_at_once(self, capsys, d):
-        # the largest radius of the first grid is checked before any shell is walked
+        # the largest radius of the four grids' union is checked before any shell is walked
         start = time.perf_counter()
         assert main(["torus-trace", "--d", d, "--nmax", "256"]) == EXIT_CONFIG_ERROR
         assert time.perf_counter() - start < 2.0
