@@ -235,37 +235,29 @@ def sym(word: OperatorWord) -> Symbol:
 
 @dataclass(frozen=True)
 class LatticeWindow:
-    """The lattice ball {|n| <= radius} with a fixed basis order.
+    """The lattice ball {|n| <= radius}, its points in lexicographic order.
 
-    Points are sorted by (|n|^2, lexicographic), so enlarging the radius
-    extends the basis without permuting it. They are enumerated once, at
-    construction, and returned read-only; rows() searches their sorted
-    mixed-radix keys sum_k (n_k + r) (2r+1)^k.
+    Points are enumerated once, at construction, and returned read-only.
+    Their mixed-radix keys sum_k (n_k + r) (2r+1)^(d-k), n_1 most significant,
+    are sorted in that order too, so rows() is one search over them.
     """
 
     d: int
     radius: int
     _points: np.ndarray = field(init=False, repr=False, compare=False)
     _radix: np.ndarray = field(init=False, repr=False, compare=False)
-    _key_order: np.ndarray = field(init=False, repr=False, compare=False)
-    _sorted_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("window radius must be >= 1")
         pts = ball_points(self.d, self.radius)
-        # lexsort's last key is the primary one: |n|^2, then n_1, ..., n_d
-        order = np.lexsort((*pts.T[::-1], np.einsum("ij,ij->i", pts, pts)))
-        pts = pts[order]
         pts.flags.writeable = False
         # the enumeration refuses a box of more than 2^31 points, so every key fits in int64
-        radix = (2 * self.radius + 1) ** np.arange(self.d, dtype=np.int64)
-        keys = (pts + self.radius) @ radix
-        key_order = np.argsort(keys)
+        radix = (2 * self.radius + 1) ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         object.__setattr__(self, "_points", pts)
         object.__setattr__(self, "_radix", radix)
-        object.__setattr__(self, "_key_order", key_order)
-        object.__setattr__(self, "_sorted_keys", keys[key_order])
+        object.__setattr__(self, "_keys", (pts + self.radius) @ radix)
 
     @property
     def points(self) -> np.ndarray:
@@ -291,9 +283,9 @@ class LatticeWindow:
         r = self.radius
         targets = self._points + np.asarray(shift, dtype=np.int64)
         target_keys = (targets + r) @ self._radix
-        at = np.minimum(np.searchsorted(self._sorted_keys, target_keys), self.size - 1)
-        hit = (np.abs(targets) <= r).all(axis=1) & (self._sorted_keys[at] == target_keys)
-        return np.where(hit, self._key_order[at], -1)
+        at = np.minimum(np.searchsorted(self._keys, target_keys), self.size - 1)
+        hit = (np.abs(targets) <= r).all(axis=1) & (self._keys[at] == target_keys)
+        return np.where(hit, at, -1)
 
 
 def build_pi1_matrix(x: TorusElement, window: LatticeWindow) -> dict:

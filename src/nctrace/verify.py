@@ -29,7 +29,6 @@ import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 from . import dixmier as dx, moyal, su2, symbols as sy
-from ._lattice import check_shell_budget
 from .sphere import (
     SpherePoly,
     _monomial_integrals,
@@ -121,9 +120,10 @@ def _record(name: str, measured, reference, tol: float) -> dict:
 
 
 def _suite_torus_trace(cfg: VerifyConfig) -> list:
-    # the t1^2 and odd-slope fits run on the doubling grid at nmax // 4, which needs 32;
-    # from d=4 on the t1^2 fit on radii 2..32 misses its 5% tolerance (1.1496 against 1.2337)
-    floor = 128 if cfg.d <= 3 else 256
+    # the t1^2 and odd-slope fits run on the doubling grid at nmax // 4, which needs 32; from d=3 on the
+    # t1^2 fit on radii 2..32 misses its 5% tolerance (1.3164 against 1.3963 at d=3, 1.1496 against 1.2337
+    # at d=4), and at d=3 it still misses on radii 2..46 (nmax 184) but passes on radii 3..48 (nmax 192)
+    floor = 128 if cfg.d == 2 else 192 if cfg.d == 3 else 256
     if cfg.nmax < floor:
         raise ConfigError(f"torus-trace at d={cfg.d} needs --nmax >= {floor}, got {cfg.nmax}")
     d = cfg.d
@@ -315,29 +315,26 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
     theta = _theta_of(cfg)
     d = cfg.d
     rng = np.random.default_rng(cfg.seed)
-    records = []
-
-    commutator_radii = (50, 100, 200, 400)
-    # the commutator scan's outer edge SCAN_FACTOR * 400, the suite's largest, is refused over the point
-    # budget (d >= 3) before any window is built or any lattice scanned
-    check_shell_budget(d, (sy.SCAN_FACTOR * max(commutator_radii)) ** 2)
-    window = sy.LatticeWindow(d, 6)
     m1 = tuple([1] + [0] * (d - 1))
     m2 = tuple([0, 1] + [0] * (d - 2))
     u1, u2 = unitary_generator(theta, m1), unitary_generator(theta, m2)
+    # the commutator scan runs first: its point budget refuses d >= 3 before any window is built
+    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), (50, 100, 200, 400))
+
+    window = sy.LatticeWindow(d, 16)
+    pts = window.points
+    r2 = np.einsum("ij,ij->i", pts, pts)
     prod = sy.word_matrix(sy.OperatorWord(theta, (sy.TorusLetter(u1), sy.TorusLetter(u2))), window)
     target = sy.build_pi1_matrix(
         twist_phase(theta, m1, m2) * unitary_generator(theta, tuple(a + b for a, b in zip(m1, m2))), window
     )
-    cols = window.interior(2.5)
-    records.append(_record("pi1_cocycle_residual", np.abs(_one_shift_difference(prod, target, cols)).max(), 0.0, 1e-13))
+    cols = np.nonzero(r2 <= 12)[0]  # |n| <= 3.5, far inside the window
+    records = [_record("pi1_cocycle_residual", np.abs(_one_shift_difference(prod, target, cols)).max(), 0.0, 1e-13)]
 
     probe = tuple([3, 4] + [0] * (d - 2))
-    small = sy.LatticeWindow(d, 5)
-    (entry,) = sy.build_pi2_matrix(SpherePoly.coordinate(d, 1), small).values()
-    records.append(_record("pi2_direction_entry", entry[small.index()[probe]].real, 0.6, 1e-14))
+    (entry,) = sy.build_pi2_matrix(SpherePoly.coordinate(d, 1), window).values()
+    records.append(_record("pi2_direction_entry", entry[window.index()[probe]].real, 0.6, 1e-14))
 
-    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), commutator_radii)
     dev = max(abs(a / b - 2.0) for a, b in zip(vals, vals[1:]))
     records.append(_record("commutator_halving_deviation", dev, 0.0, 0.2))
 
@@ -356,13 +353,10 @@ def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
 
     word = sy.OperatorWord(theta, (sy.SphereLetter(SpherePoly.coordinate(d, 1)), sy.TorusLetter(u1)))
     R = 8
-    win = sy.LatticeWindow(d, 16)
-    pts = win.points
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    cols = np.nonzero((r2 > R * R) & (r2 <= (win.radius - 2) ** 2))[0]
+    cols = np.nonzero((r2 > R * R) & (r2 <= (window.radius - 2) ** 2))[0]
     # the difference A is a weighted shift by one mode, so A^H A is diagonal and the norm of A on the
     # columns cols is exactly its largest |weight| there
-    diff = _one_shift_difference(sy.word_matrix(word, win), sy.representative_matrix(sy.sym(word), win), cols)
+    diff = _one_shift_difference(sy.word_matrix(word, window), sy.representative_matrix(sy.sym(word), window), cols)
     mat_norm = float(np.abs(diff).max())
     bound = sy.residual_compactness_report(word, (R,)).tail_norms[0]
     records.append(_record("tail_bound_certificate", max(0.0, mat_norm - bound), 0.0, 1e-12))

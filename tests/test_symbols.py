@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -159,14 +160,23 @@ def test_pi1_cocycle_on_interior():
     assert np.abs((left - right)[:, interior]).max() < 1e-13
 
 
-@pytest.mark.parametrize("d, small, large", [(2, 4, 9), (3, 2, 4)])
-def test_window_basis_extends_without_permuting(d, small, large):
-    inner = LatticeWindow(d, small).points
-    outer = LatticeWindow(d, large).points
-    assert np.array_equal(outer[: len(inner)], inner)
-    # the order is (|n|^2, lexicographic), as a Python sort of the same points gives
-    oracle = sorted(map(tuple, outer.tolist()), key=lambda p: (sum(v * v for v in p), p))
-    assert [tuple(p) for p in outer.tolist()] == oracle
+@pytest.mark.parametrize("d, radius", [(2, 4), (3, 2)])
+def test_rows_match_an_index_lookup(d, radius):
+    window = LatticeWindow(d, radius)
+    idx = window.index()
+    pts = [tuple(p) for p in window.points.tolist()]
+    # every shift in {-3..3}^d, and one wider than the box along n_d, whose targets' keys would name the
+    # window points n + e_(d-1) without the box test
+    shifts = [*itertools.product(range(-3, 4), repeat=d), (0,) * (d - 1) + (2 * radius + 1,)]
+    for shift in shifts:
+        want = [idx.get(tuple(a + b for a, b in zip(p, shift)), -1) for p in pts]
+        assert window.rows(shift).tolist() == want
+    assert (window.rows(shifts[-1]) == -1).all()
+    # some targets leave the box [-r, r]^d, and some stay in the box but leave the ball
+    targets = np.concatenate([window.points + np.array(s) for s in shifts])
+    in_box = (np.abs(targets) <= radius).all(axis=1)
+    assert not in_box.all()
+    assert (in_box & (np.einsum("ij,ij->i", targets, targets) > radius * radius)).any()
 
 
 def test_pi1_tracks_escaped_mass():
@@ -219,7 +229,7 @@ def test_interior_is_empty_when_the_margin_exceeds_the_radius():
     window = LatticeWindow(2, 6)
     for margin in (6.5, 10, 12):
         assert window.interior(margin).size == 0
-    assert list(window.interior(6)) == [0]  # the origin, first in the (|n|^2, lexicographic) order
+    assert list(window.interior(6)) == [window.index()[(0, 0)]]
     assert np.array_equal(window.interior(0), np.arange(window.size))
 
 

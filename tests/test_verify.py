@@ -233,11 +233,30 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "d=4 up to radius 1600" in err and "budget" in err
 
+    def test_symbol_compactness_builds_one_window(self, monkeypatch, tmp_path, capsys):
+        built = []
+        window_class = verify.sy.LatticeWindow
+
+        def counting(*args):
+            built.append(args)
+            return window_class(*args)
+
+        monkeypatch.setattr(verify.sy, "LatticeWindow", counting)
+        assert main(["symbol-compactness", "--d", "2", "--out", str(tmp_path / "r.json")]) == EXIT_PASS
+        capsys.readouterr()
+        assert built == [(2, 16)]
+
     def test_small_nmax_is_config_error(self, capsys):
         # the nmax // 4 fits need nmax >= 128; the check runs before the nmax-sized sums
         assert main(["torus-trace", "--nmax", "64"]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "--nmax" in err and "128" in err
+
+    def test_small_nmax_at_d3_is_config_error(self, capsys):
+        # at d=3 the t1^2 fit on radii 2..46 (nmax 184) misses its tolerance; 192 passes
+        assert main(["torus-trace", "--d", "3", "--nmax", "184"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "d=3" in err and "--nmax >= 192" in err
 
     def test_small_nmax_from_d4_is_config_error(self, capsys):
         # at d=4 the t1^2 fit on radii 2..32 (nmax 128) misses its tolerance; 256 passes
