@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lattice import iter_shell
 from .sphere import _check_invertible, _monomial_integrals, _probe_directions, sphere_moment, vg_action
-from .torus import ThetaMatrix
+from .torus import ThetaMatrix, _check_theta_entries
 
 MEMBERSHIP_TOL = 1e-9
 # random directions per sampled shell of h_decay_profile and riesz_difference_decay,
@@ -54,8 +54,8 @@ class SymplecticForm:
 
 @dataclass(frozen=True)
 class NormalForm:
-    beta: np.ndarray
-    residual: float
+    beta: np.ndarray  # (d, d), or (k, d, d) for a stack of k thetas
+    residual: float | np.ndarray  # a float, or one per member of a stack
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -90,7 +90,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def antisymmetric_normal_form(theta) -> NormalForm:
-    """Real invertible beta with beta^T theta beta = Omega.
+    """Real invertible beta with beta^T theta beta = Omega, for one theta or a stack (k, d, d) of them.
 
     i theta is Hermitian, and its eigenvalues come in pairs +-lam_j. An
     eigenvector a + ib of lam_j > 0 has theta a = lam_j b, theta b = -lam_j a,
@@ -100,31 +100,38 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     beta. Each eigenvector's phase is fixed first: its first component of
     modulus at least half the largest is made positive imaginary, and the
     pairs are ordered by that component's index. So a theta already in block
-    form comes back as a diagonal scaling.
+    form comes back as a diagonal scaling. A stack is refused whole if any
+    member would be; each member's beta and residual are bitwise those of its
+    own call.
     """
-    th = _theta_entries(theta)
-    d = th.shape[0]
+    th = theta.entries if isinstance(theta, ThetaMatrix) else np.asarray(theta, dtype=float)
+    stack = th.ndim == 3
+    _check_theta_entries(th, 3 if stack else 2)
+    if not stack:
+        th = th[None]
+    k, d = th.shape[:2]
     if d % 2:
         raise ValueError("antisymmetric normal form needs even d")
     w, v = np.linalg.eigh(1j * th)
     # eigenvalues ascend: the d/2 positive ones, lam_min to lam_max, come last. Their ratio,
     # unlike det theta, does not change when theta is scaled; lam_max = 0 is refused too
-    if not w[d // 2] > 1e-12 * w[-1]:
+    if not np.all(w[:, d // 2] > 1e-12 * w[:, -1]):
         raise ValueError("theta is numerically singular")
-    v = v[:, d // 2 :]
+    v = v[..., d // 2 :]
     mod = np.abs(v)
-    first = np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0)
-    lead = v[first, np.arange(d // 2)]
-    v = (v * (1j * lead.conj() / np.abs(lead)))[:, np.argsort(first, kind="stable")]
-    q = np.empty((d, d))
-    q[:, 0::2] = v.imag
-    q[:, 1::2] = v.real
-    q /= np.linalg.norm(q, axis=0)
-    lam = np.einsum("ik,ij,jk->k", q[:, 0::2], th, q[:, 1::2])
-    beta = q * np.repeat(lam**-0.5, 2)
+    first = np.argmax(mod >= 0.5 * mod.max(axis=1, keepdims=True), axis=1)
+    lead = np.take_along_axis(v, first[:, None], axis=1)
+    order = np.argsort(first, axis=1, kind="stable")
+    v = np.take_along_axis(v * (1j * lead.conj() / np.abs(lead)), order[:, None], axis=2)
+    q = np.empty((k, d, d))
+    q[..., 0::2] = v.imag
+    q[..., 1::2] = v.real
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    lam = np.einsum("nik,nij,njk->nk", q[..., 0::2], th, q[..., 1::2])
+    beta = q * np.repeat(lam**-0.5, 2, axis=1)[:, None]
     omega = SymplecticForm(d).matrix
-    residual = float(np.abs(beta.T @ th @ beta - omega).max())
-    return NormalForm(beta, residual)
+    residual = np.abs(beta.mT @ th @ beta - omega).max(axis=(1, 2))
+    return NormalForm(beta, residual) if stack else NormalForm(beta[0], float(residual[0]))
 
 
 def random_sp_block(d: int, rng: np.random.Generator) -> np.ndarray:

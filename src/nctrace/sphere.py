@@ -16,12 +16,13 @@ its node arrays built on first read). Every other d takes one nested product
 rule: it starts from the trapezoid rule in the angle on S^1 and lifts S^{k-2}
 to S^{k-1} by Gauss-Gegenbauer latitudes for k = 3..d, so it is exact on
 polynomials of degree < 2q with q latitudes and 2q angles, and at d=2 it is the
-trapezoid rule in 2q angles. The batch moments of _monomial_integrals stream a
-HopfRule's nodes from per-angle tables and slice the node array of every other
+trapezoid rule in 2q angles. The batch moments of _monomial_integrals take a
+HopfRule's moments as products of sums over its factors, stream its pullbacks
+in tiles built from per-angle tables, and slice the node array of every other
 rule. A HopfRule with an even angle count holds the antipode -t of each node t
-at the same weight, so its batch pass sums one node of each antipodal pair at
-twice the weight and sets every monomial of odd degree to its exact integral,
-0; with an odd angle count it sums every node.
+at the same weight, so its pullback pass sums one node of each antipodal pair
+at twice the weight, and every monomial of odd degree takes its exact
+integral, 0; with an odd angle count every node is summed.
 """
 
 from __future__ import annotations
@@ -238,13 +239,15 @@ class HopfRule:
     carries the uniform measure (1/2) du dp1 dp2, total 2 pi^2. The rule takes
     Gauss-Legendre latitudes u in (0, 1) and n_phi trapezoid angles for each of
     p1 and p2; its n_u * n_phi^2 nodes run over (u, p1, p2) in C order. The
-    node and weight arrays are built on first read; _monomial_integrals
-    streams the nodes from the factors and reads neither. When n_phi is even
-    the rule is antipodal: the antipode (u, p1 + pi, p2 + pi) of a node is a
-    node of the same weight, and the rows p1 < pi are a fundamental domain.
-    _monomial_integrals sums only those, at twice the weight, and gives every
-    monomial of odd degree its exact integral 0. With n_phi odd the rule is
-    not antipodal, and every row is summed.
+    node and weight arrays are built on first read; _monomial_integrals reads
+    neither. Its moments of t^n are products of a latitude sum and two angle
+    sums (_hopf_factor_sums), and its pullbacks are streamed in tiles built
+    from the factors (_hopf_blocks). When n_phi is even the rule is
+    antipodal: the antipode (u, p1 + pi, p2 + pi) of a node is a node of the
+    same weight, and the rows p1 < pi are a fundamental domain. The pullback
+    pass sums only those, at twice the weight, and every monomial of odd
+    degree gets its exact integral 0. With n_phi odd the rule is not
+    antipodal, and every row is summed.
     """
 
     latitudes: np.ndarray
@@ -430,8 +433,36 @@ def _flat_blocks(rule, g, directions: bool):
         yield (gt / norms if directions else None), w / norms**rule.d
 
 
-def _hopf_blocks(rule: HopfRule, g, directions: bool):
-    """The blocks of _flat_blocks on one node of each antipodal pair of a HopfRule, built from its factors.
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """The rows x^0, ..., x^n, by repeated multiplication."""
+    out = np.empty((n + 1, x.size))
+    out[0] = 1.0
+    for e in range(1, n + 1):
+        np.multiply(out[e - 1], x, out=out[e])
+    return out
+
+
+def _hopf_factor_sums(rule: HopfRule, keys: list, max_degree: int) -> np.ndarray:
+    """The rule's sum of every monomial t^n in keys, from its factors.
+
+    A node is t = (r1 cos p1, r1 sin p1, r2 cos p2, r2 sin p2) with
+    r1 = sqrt(1-u) and r2 = sqrt(u), and its weight depends on u alone, so the
+    node sum of t^n is L[n1 + n2, n3 + n4] P[n1, n2] P[n3, n4], where
+    P[a, b] = sum_p cos^a p sin^b p over the n_phi angles and
+    L[i, j] = sum_u w_u r1^i r2^j over the latitudes at the row weights w_u.
+    Both are pairwise sums over at most max(n_u, n_phi) terms.
+    """
+    cos, sin = (_powers(x, max_degree) for x in rule.circle)
+    P = (cos[:, None] * sin[None]).sum(axis=-1)
+    r1 = _powers(np.sqrt(1.0 - rule.latitudes), max_degree)
+    r2 = _powers(np.sqrt(rule.latitudes), max_degree)
+    L = (rule.row_weights * r1[:, None] * r2[None]).sum(axis=-1)
+    n1, n2, n3, n4 = np.array(keys).T
+    return L[n1 + n2, n3 + n4] * P[n1, n2] * P[n3, n4]
+
+
+def _hopf_blocks(rule: HopfRule, g: np.ndarray, directions: bool):
+    """The blocks of _flat_blocks for the pullback by g, on one node of each antipodal pair of a HopfRule.
 
     The antipode of the node (u, p1, p2) is (u, p1 + pi, p2 + pi). When n_phi
     is even that is again a node, of the same weight, so the rows with
@@ -439,74 +470,77 @@ def _hopf_blocks(rule: HopfRule, g, directions: bool):
     those are streamed, with the row weights doubled (exact in floating
     point), and _monomial_integrals sets each monomial of odd degree, whose
     two nodes cancel, to exactly 0. With an odd n_phi every row is streamed at
-    its own weight. A block is the p2 circle of each of max(1, _BLOCK // n_phi)
-    consecutive (u, p1) rows, so it holds _BLOCK nodes when n_phi divides _BLOCK. With
-    r1 = sqrt(1-u), r2 = sqrt(u) and E the circle table,
+    its own weight.
+
+    With r1 = sqrt(1-u), r2 = sqrt(u) and E the circle table,
     gt = r1 A[:, p1] + r2 B[:, p2] for the 4 x n_phi tables A = g[:, :2] E and
     B = g[:, 2:] E, and q = |gt|^2 = r1^2 a[p1] + r2^2 b[p2] + 2 r1 r2 C[p1, p2]
-    with a = |A|^2, b = |B|^2 and C = A^T B, all formed once per g. A node's
-    weight is w / q^2 and its direction (r1/sqrt q) A[:, p1] + (r2/sqrt q) B[:, p2].
-    This q loses about cond(g) eps relative against the sum of the squares of gt,
-    which is harmless for Sp(theta). For g = None the tables are E itself, q is
-    not formed, and a block is bitwise the flat block of the streamed rows of
-    rule.points at the streamed weights.
+    with a = |A|^2, b = |B|^2 and C = A^T B, all formed once per g. So q on a
+    tile of latitudes x p1 rows x whole p2 circles is one matrix product
+    X @ Y of the latitudes' rows X = [r1^2, r2^2, 2 r1 r2] and the angle
+    pairs' columns Y = [a[p1], b[p2], C[p1, p2]]. A tile is whole latitudes
+    when one latitude's rows hold at most _BLOCK nodes, else max(1, _BLOCK // n_phi)
+    rows of one latitude, so it holds at most max(_BLOCK, n_phi) nodes. A
+    node's weight is w / q^2 and its direction (r1 A[:, p1] + r2 B[:, p2]) / sqrt(q).
+    Without directions a block is one weight per latitude of the tile: its
+    row weight times the sum of 1/q^2 over the latitude's nodes in the tile.
+    This q loses about cond(g) eps relative against the sum of the squares of
+    gt, which is harmless for Sp(theta).
     """
     n_phi = rule.n_phi
-    A = np.zeros((4, n_phi))
-    B = np.zeros((4, n_phi))
-    A[:2] = B[2:] = rule.circle
-    if g is not None:
-        A, B = g @ A, g @ B
-        a, b, C = np.einsum("kj,kj->j", A, A), np.einsum("kj,kj->j", B, B), A.T @ B
-    r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
+    A, B = g[:, :2] @ rule.circle, g[:, 2:] @ rule.circle
     n_p1 = n_phi // 2 if rule.antipodal else n_phi
+    Y = np.empty((3, n_p1, n_phi))
+    Y[0] = np.einsum("kj,kj->j", A, A)[:n_p1, None]
+    Y[1] = np.einsum("kj,kj->j", B, B)
+    Y[2] = A[:, :n_p1].T @ B
+    r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
+    X = np.stack([r1 * r1, r2 * r2, 2.0 * r1 * r2], axis=1)
     row_w = rule.row_weights * (2.0 if rule.antipodal else 1.0)
-    n_rows = rule.latitudes.size * n_p1
-    step = max(1, _BLOCK // n_phi)
-    for start in range(0, n_rows, step):
-        lat, p1 = np.divmod(np.arange(start, min(start + step, n_rows)), n_p1)
-        s1, s2 = r1[lat, None], r2[lat, None]
-        if g is None:
-            w = np.repeat(row_w[lat], n_phi)
-        else:
-            q = C[p1]
-            q *= 2.0 * s1 * s2
-            q += (s2 * s2) * b
-            q += (s1 * s1) * a[p1, None]
+    rows = max(1, _BLOCK // n_phi)
+    lat_step, p1_step = (rows // n_p1, n_p1) if rows >= n_p1 else (1, rows)
+    for l0 in range(0, rule.latitudes.size, lat_step):
+        lat = slice(l0, l0 + lat_step)
+        for p0 in range(0, n_p1, p1_step):
+            p1 = slice(p0, min(p0 + p1_step, n_p1))
+            tile = Y[:, p1]
+            q = X[lat] @ tile.reshape(3, -1)
+            if not directions:
+                np.multiply(q, q, out=q)
+                yield None, row_w[lat] * np.reciprocal(q, out=q).sum(axis=1)
+                continue
             w = (row_w[lat, None] / (q * q)).ravel()
-            if directions:
-                scale = 1.0 / np.sqrt(q)
-                s1, s2 = s1 * scale, s2 * scale
-        u = None
-        if directions:
-            u = np.empty((4, lat.size, n_phi))
+            scale = (1.0 / np.sqrt(q)).reshape(-1, *tile.shape[1:])
+            s1, s2 = r1[lat, None, None] * scale, r2[lat, None, None] * scale
+            u = np.empty((4,) + scale.shape)
             for k in range(4):
                 np.multiply(s1, A[k, p1, None], out=u[k])
                 u[k] += s2 * B[k]
-            u = u.reshape(4, -1)
-        yield u, w
+            yield u.reshape(4, -1), w
 
 
 def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
 
     The batch form of quadrature_integrate(vg_action(g, t^n), rule) for all n
-    at once. One kernel runs
-    over the blocks of a source: _hopf_blocks streams a HopfRule from its
-    factors, and _flat_blocks slices rule.points of every other rule. On an
-    antipodal HopfRule (n_phi even) the source holds one node of each pair
-    t, -t at twice the weight; V_g t^n is odd under t -> -t when |n| is odd, so
-    those keys are set to exactly 0, the full rule's value in exact arithmetic
-    and the exact moment, and the even keys differ from the full rule's sums
-    at roundoff. With n_phi odd every node is summed. Per
-    block, the source gives the directions u = gt/|gt| and the weights
-    w |gt|^{-d}; the kernel forms the power table u_k^e for e <= max_degree,
-    and each monomial is a weighted dot of table rows. At degree 0 the only
-    monomial is 1, so it sums the weights and forms neither u nor a table.
-    Block sums are added in block order, so the result is deterministic and
-    memory is O(d * max_degree * _BLOCK) whatever the node count. Keys run in
-    the order of _multi_indices. A g that is not a finite, numerically
-    invertible d x d matrix is a ValueError.
+    at once. On a HopfRule with g = None the sums come from its factors
+    (_hopf_factor_sums) and no node is visited. Every other case runs one
+    kernel over the blocks of a source: _hopf_blocks streams the pullback on
+    a HopfRule in tiles built from its factors, and _flat_blocks slices
+    rule.points of every other rule. On an antipodal HopfRule (n_phi even)
+    V_g t^n is odd under t -> -t when |n| is odd, so those keys are set to
+    exactly 0, the full rule's value in exact arithmetic and the exact
+    moment; the pullback source holds one node of each pair t, -t at twice
+    the weight, and its even keys differ from the full rule's sums at
+    roundoff. With n_phi odd every node is summed. Per block, the source
+    gives the directions u = gt/|gt| and the weights w |gt|^{-d}; the kernel
+    forms the power table u_k^e for e <= max_degree, and each monomial is a
+    weighted dot of table rows. At degree 0 the only monomial is 1, so it
+    sums the weights and forms neither u nor a table. Block sums are added in
+    block order, so the result is deterministic and memory is
+    O(d * max_degree * _BLOCK) whatever the node count. Keys run in the order
+    of _multi_indices. A g that is not a finite, numerically invertible
+    d x d matrix is a ValueError.
     """
     d = rule.d
     if g is not None:
@@ -515,21 +549,24 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
             raise ValueError(f"g must be {d}x{d}, got shape {g.shape}")
         _check_invertible(g)
     keys = _multi_indices(d, max_degree)
-    source = _hopf_blocks if isinstance(rule, HopfRule) else _flat_blocks
-    totals = np.zeros(len(keys))
-    for u, w in source(rule, g, max_degree > 0):
-        if u is None:
-            totals += w.sum()
-            continue
-        power = np.empty((d, max_degree + 1, len(w)))
-        power[:, 0] = 1.0
-        power[:, 1] = u
-        for e in range(2, max_degree + 1):
-            np.multiply(power[:, e - 1], u, out=power[:, e])
-        sums = []
-        _table_dots(power, w, max_degree, sums)
-        totals += np.concatenate(sums)
-    if isinstance(rule, HopfRule) and rule.antipodal:
+    hopf = isinstance(rule, HopfRule)
+    if hopf and g is None:
+        totals = _hopf_factor_sums(rule, keys, max_degree)
+    else:
+        totals = np.zeros(len(keys))
+        for u, w in (_hopf_blocks if hopf else _flat_blocks)(rule, g, max_degree > 0):
+            if u is None:
+                totals += w.sum()
+                continue
+            power = np.empty((d, max_degree + 1, len(w)))
+            power[:, 0] = 1.0
+            power[:, 1] = u
+            for e in range(2, max_degree + 1):
+                np.multiply(power[:, e - 1], u, out=power[:, e])
+            sums = []
+            _table_dots(power, w, max_degree, sums)
+            totals += np.concatenate(sums)
+    if hopf and rule.antipodal:
         totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
     return {n: complex(v) for n, v in zip(keys, totals)}
 

@@ -23,6 +23,22 @@ from ._core import add_keys, add_maps, coeff_map, convolve_maps
 ANTISYM_TOL = 1e-12
 
 
+def _check_theta_entries(arr: np.ndarray, ndim: int = 2) -> None:
+    """Refuse arr unless it is one d x d theta (ndim 2) or a stack (k, d, d) of them (ndim 3).
+
+    d must be at least 2, every entry finite and every member antisymmetric
+    within ANTISYM_TOL.
+    """
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"theta must be square, got shape {arr.shape}")
+    if arr.shape[-1] < 2:
+        raise ValueError("theta needs dimension >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("theta entries must be finite")
+    if np.abs(arr + arr.mT).max(initial=0.0) > ANTISYM_TOL:
+        raise ValueError("theta is not antisymmetric within 1e-12")
+
+
 @dataclass(frozen=True)
 class ThetaMatrix:
     """Real antisymmetric d x d twist matrix."""
@@ -31,14 +47,7 @@ class ThetaMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"theta must be square, got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise ValueError("theta needs dimension >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("theta entries must be finite")
-        if np.abs(arr + arr.T).max() > ANTISYM_TOL:
-            raise ValueError("theta is not antisymmetric within 1e-12")
+        _check_theta_entries(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)

@@ -241,6 +241,30 @@ class TestNormalForm:
             with pytest.raises(ValueError):
                 antisymmetric_normal_form(np.array([[0.0, bad], [-bad, 0.0]]))
 
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_stack_is_bitwise_the_per_matrix_calls(self, d):
+        a = np.random.default_rng(300 + d).normal(size=(34, d, d))
+        stack = a - a.mT
+        stack[3] *= 1e-6  # the refusal and the phases do not depend on the scale
+        nf = antisymmetric_normal_form(stack)
+        assert nf.beta.shape == (34, d, d) and nf.residual.shape == (34,)
+        for th, beta, residual in zip(stack, nf.beta, nf.residual):
+            one = antisymmetric_normal_form(th)
+            assert np.array_equal(beta, one.beta) and residual == one.residual
+            assert isinstance(one.residual, float)
+
+    def test_stack_with_a_singular_member_is_refused(self):
+        stack = np.stack([random_antisymmetric(4, np.random.default_rng(k)) for k in range(5)])
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+        block = np.zeros((4, 4))
+        block[0, 1], block[1, 0] = 1.0, -1.0
+        stack[2] = q @ block @ q.T
+        with pytest.raises(ValueError, match="singular"):
+            antisymmetric_normal_form(stack)
+        stack[2] = np.eye(4)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            antisymmetric_normal_form(stack)
+
     def test_accepts_theta_matrix_wrapper(self):
         nf = antisymmetric_normal_form(ThetaMatrix.from_upper(2, [np.pi]))
         assert nf.residual < 1e-14

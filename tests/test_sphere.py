@@ -14,9 +14,11 @@ from nctrace.sphere import (
     SphereFunction,
     SpherePoly,
     _BLOCK,
+    _hopf_blocks,
     _monomial_integrals,
     _multi_indices,
     _product_points,
+    _table_dots,
     lie_action,
     moment_recursion_check,
     quadrature_integrate,
@@ -319,24 +321,91 @@ def _zero_odd(values):
     return {n: 0j if sum(n) % 2 else v for n, v in values.items()}
 
 
+def _streamed_hopf_moments(rule, max_degree):
+    """The node-by-node g = None pass over a HopfRule: the oracle of its factor sums.
+
+    Blocks of whole p2 circles of max(1, _BLOCK // n_phi) consecutive (u, p1)
+    rows, over the rows p1 < pi at doubled weights when n_phi is even (every
+    row at its own weight when it is odd). Each block is summed through the
+    power table of its nodes and _table_dots, and the odd keys of an
+    antipodal rule are set to 0.
+    """
+    n_phi = rule.n_phi
+    n_p1 = n_phi // 2 if rule.antipodal else n_phi
+    row_w = rule.row_weights * (2.0 if rule.antipodal else 1.0)
+    cos, sin = rule.circle
+    r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
+    keys = _multi_indices(4, max_degree)
+    totals = np.zeros(len(keys))
+    n_rows = rule.latitudes.size * n_p1
+    step = max(1, _BLOCK // n_phi)
+    for start in range(0, n_rows, step):
+        lat, p1 = np.divmod(np.arange(start, min(start + step, n_rows)), n_p1)
+        s1, s2 = r1[lat, None], r2[lat, None]
+        u = np.empty((4, lat.size, n_phi))
+        u[0], u[1], u[2], u[3] = s1 * cos[p1, None], s1 * sin[p1, None], s2 * cos, s2 * sin
+        u = u.reshape(4, -1)
+        power = np.empty((4, max_degree + 1, u.shape[1]))
+        power[:, 0] = 1.0
+        for e in range(1, max_degree + 1):
+            np.multiply(power[:, e - 1], u, out=power[:, e])
+        sums = []
+        _table_dots(power, np.repeat(row_w[lat], n_phi), max_degree, sums)
+        totals += np.concatenate(sums)
+    if rule.antipodal:
+        totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
+    return {n: complex(v) for n, v in zip(keys, totals)}
+
+
+@pytest.mark.parametrize("n", [(48, 64), (64, 128), (7, 13), (12, 15), (12, 16), (50, 40), (7, 300)])
+def test_hopf_factor_sums_match_the_streamed_pass(n):
+    # g = None: the product L[n1+n2, n3+n4] P[n1, n2] P[n3, n4] of the factor
+    # sums against the node-by-node pass, on even and odd angle counts
+    rule = quadrature_rule(4, n=n)
+    want = _streamed_hopf_moments(rule, 6)
+    for degree in range(7):
+        got = _monomial_integrals(rule, degree)
+        assert list(got) == _multi_indices(4, degree)
+        for nvec, value in got.items():
+            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+    assert not {"points", "weights"} & set(vars(rule)), "the factor sums built node arrays"
+
+
 @pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300), (64, 128)])
 @pytest.mark.parametrize("g_kind", ["identity", "sp", "gl"])
 def test_hopf_source_matches_flat_kernel(n, g_kind):
-    # the Hopf source forms |gt|^2 from per-angle tables; the flat source from the nodes
+    # the Hopf pullback forms |gt|^2 from per-angle tables and g = None takes
+    # the factor sums; the flat source sums every node of rule.points
     rule = quadrature_rule(4, n=n)
     g = _transform(g_kind, 4, seed=sum(n))
     flat = _flat(rule)
-    # a Hopf block is whole p2 circles of the rows p1 < pi, so it is a flat
-    # block of those rows only when n_phi divides _BLOCK
-    bitwise = g is None and _BLOCK % rule.n_phi == 0
     for degree in range(5):
         got = _monomial_integrals(rule, degree, g)
         want = _monomial_integrals(flat, degree, g)
         assert list(got) == list(want)
-        if bitwise:
-            assert got == _zero_odd(_monomial_integrals(_flat_half(rule), degree, g)), degree
+        oracles = [want] + ([_streamed_hopf_moments(rule, degree)] if g is None else [])
+        for oracle in oracles:
+            for nvec, value in got.items():
+                assert abs(value - oracle[nvec]) <= 1e-13 * max(1.0, abs(oracle[nvec])), (degree, nvec)
+
+
+@pytest.mark.parametrize("n", [(5, 16), (3, 7), (4, 40)])
+@pytest.mark.parametrize("block", [8, 64, 256])
+def test_hopf_tiles_hold_at_most_a_block_or_a_circle(n, block, monkeypatch):
+    # a tile is whole latitudes, or p1 rows of one latitude, or one p2 circle
+    # when n_phi exceeds the block; the sums do not depend on the tiling
+    rule = quadrature_rule(4, n=n)
+    g = _transform("sp", 4, seed=block)
+    want = {degree: _monomial_integrals(rule, degree, g) for degree in (0, 4)}
+    monkeypatch.setattr(sphere, "_BLOCK", block)
+    nodes = [u.shape[1] for u, _ in _hopf_blocks(rule, g, True)]
+    assert sum(nodes) == rule.size // (2 if rule.antipodal else 1)
+    assert max(nodes) <= max(block, rule.n_phi)
+    assert len(list(_hopf_blocks(rule, g, False))) == len(nodes)
+    for degree, values in want.items():
+        got = _monomial_integrals(rule, degree, g)
         for nvec, value in got.items():
-            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+            assert abs(value - values[nvec]) <= 1e-13 * max(1.0, abs(values[nvec])), (degree, nvec)
 
 
 @pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300)])
@@ -373,17 +442,18 @@ def test_odd_angle_count_streams_every_row(n, g_kind):
 
 @pytest.mark.parametrize("n", [(50, 40), (100, 40)])
 def test_half_pass_with_a_partial_last_block_is_deterministic(n):
-    # (50, 40) streams 1,000 rows of 40 nodes in one block short of _BLOCK;
-    # (100, 40) streams 2,000 rows, a full block of 1,638 rows and a partial one
+    # a latitude streams 20 rows of 40 nodes, and a tile holds 81 latitudes:
+    # (50, 40) is one tile short of _BLOCK; (100, 40) a full tile and a partial one of 19
     rule = quadrature_rule(4, n=n)
-    rows = rule.latitudes.size * rule.n_phi // 2
-    assert rule.antipodal and _BLOCK % rule.n_phi and rows % (_BLOCK // rule.n_phi)
+    per_tile = _BLOCK // rule.n_phi // (rule.n_phi // 2)
+    assert rule.antipodal and _BLOCK % rule.n_phi and rule.latitudes.size % per_tile
     g = _transform("sp", 4, seed=11)
-    first = _monomial_integrals(rule, 4, g)
-    assert first == _monomial_integrals(rule, 4, g)
-    want = _zero_odd(_monomial_integrals(_flat_half(rule), 4, g))
-    for nvec, value in first.items():
-        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    for degree in (0, 4):
+        first = _monomial_integrals(rule, degree, g)
+        assert first == _monomial_integrals(rule, degree, g)
+        want = _zero_odd(_monomial_integrals(_flat_half(rule), degree, g))
+        for nvec, value in first.items():
+            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
 
 
 @pytest.mark.parametrize(

@@ -223,7 +223,8 @@ class TestMainExitCodes:
         assert "d=3 up to radius 1600" in err and "budget" in err
 
     def test_tail_scan_budget_is_refused_before_any_window_matrix(self, capsys, monkeypatch):
-        # at d=4 the radius-6 window has 6577 points; a product of two of its dense matrices takes tens of seconds
+        # at d=4 the radius-16 window would hold 323,721 points; the commutator scan's budget refuses the run
+        # before any window operator is built
         built = []
         monkeypatch.setattr(verify.sy, "build_pi1_matrix", lambda *args: built.append(args))
         start = time.perf_counter()
@@ -267,7 +268,7 @@ class TestMainExitCodes:
         assert "d=4" in err and "--nmax >= 256" in err
 
     def test_oversized_window_matrix_is_config_error(self, capsys):
-        # the radius-6 window at d=5 has 42205 points, but the commutator scan's budget refuses the run first
+        # the radius-16 window at d=5 would hold 5,554,265 points, but the commutator scan's budget refuses the run first
         start = time.perf_counter()
         assert main(["symbol-compactness", "--d", "5"]) == EXIT_CONFIG_ERROR
         assert time.perf_counter() - start < 30.0
@@ -276,7 +277,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("d", [5, 8])
     def test_high_d_is_refused_before_any_window(self, capsys, monkeypatch, d):
-        # the radius-6 window at d=8 enumerates 7.26M points; no window may be built before the budget check
+        # the radius-16 window would hold 5.55M points at d=5 and 17.6G at d=8; the commutator scan's budget
+        # check refuses the run before any window is built
         def refuse(*args):
             raise AssertionError("a window was built")
 
