@@ -130,7 +130,7 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     lam = np.einsum("nik,nij,njk->nk", q[..., 0::2], th, q[..., 1::2])
     beta = q * np.repeat(lam**-0.5, 2, axis=1)[:, None]
     omega = SymplecticForm(d).matrix
-    residual = np.abs(beta.mT @ th @ beta - omega).max(axis=(1, 2))
+    residual = np.abs(np.swapaxes(beta, -1, -2) @ th @ beta - omega).max(axis=(1, 2))
     return NormalForm(beta, residual) if stack else NormalForm(beta[0], float(residual[0]))
 
 

@@ -35,7 +35,7 @@ def _check_theta_entries(arr: np.ndarray, ndim: int = 2) -> None:
         raise ValueError("theta needs dimension >= 2")
     if not np.all(np.isfinite(arr)):
         raise ValueError("theta entries must be finite")
-    if np.abs(arr + arr.mT).max(initial=0.0) > ANTISYM_TOL:
+    if np.abs(arr + np.swapaxes(arr, -1, -2)).max(initial=0.0) > ANTISYM_TOL:
         raise ValueError("theta is not antisymmetric within 1e-12")
 
 

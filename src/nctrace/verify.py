@@ -225,7 +225,7 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
     worst_nf = 0.0
     for d in (2, 4, 6):
         a = rng.normal(size=(34, d, d))
-        th = a - a.mT
+        th = a - np.swapaxes(a, -1, -2)
         th = th[~(np.abs(np.linalg.det(th)) < 1e-8)]
         worst_nf = moyal.antisymmetric_normal_form(th).residual.max(initial=worst_nf)
     records.append(_record("normal_form_residual", worst_nf, 0.0, 1e-10))

@@ -244,7 +244,7 @@ class TestNormalForm:
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_stack_is_bitwise_the_per_matrix_calls(self, d):
         a = np.random.default_rng(300 + d).normal(size=(34, d, d))
-        stack = a - a.mT
+        stack = a - np.swapaxes(a, -1, -2)
         stack[3] *= 1e-6  # the refusal and the phases do not depend on the scale
         nf = antisymmetric_normal_form(stack)
         assert nf.beta.shape == (34, d, d) and nf.residual.shape == (34,)
