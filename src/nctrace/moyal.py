@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._lattice import iter_shell
-from .sphere import _check_invertible, _monomial_integrals, _probe_directions, sphere_moment, vg_action
+from .sphere import _check_invertible, _moments, _monomial_integrals, _multi_indices, _probe_directions, vg_action
 from .torus import ThetaMatrix, _check_theta_entries
 
 MEMBERSHIP_TOL = 1e-9
@@ -206,12 +206,13 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
         raise ValueError("quadrature rule dimension mismatch")
     rng = np.random.default_rng(seed)
     nf = antisymmetric_normal_form(th)
+    exact = _moments(_multi_indices(d, degree), d).tolist()
     rows = []
     for i in range(n_transforms):
         g = sp_theta_conjugate(random_sp_block(d, rng), nf.beta, th)
         det = np.linalg.det(g)
         values = _monomial_integrals(rule, degree, g)
-        rows.extend((i, nvec, abs(v - sphere_moment(nvec, d) / det)) for nvec, v in values.items())
+        rows.extend((i, nvec, abs(v - m / det)) for (nvec, v), m in zip(values.items(), exact))
     return InvarianceReport(tuple(rows))
 
 

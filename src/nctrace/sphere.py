@@ -1,8 +1,9 @@
 """Polynomial calculus and quadrature on the unit sphere S^{d-1}.
 
-Multi-indices are plain tuples of nonnegative ints. A SpherePoly stores the
-coefficients of t -> sum c_n prod t_k^{n_k} as an nctrace._core coefficient
-map (magnitudes at or below its PRUNE_TOL dropped, non-finite ones refused).
+A multi-index is a plain tuple of nonnegative ints, and a table of them one
+(M, d) int64 array (_multi_indices). A SpherePoly stores the coefficients of
+t -> sum c_n prod t_k^{n_k} as an nctrace._core coefficient map (magnitudes
+at or below its PRUNE_TOL dropped, non-finite ones refused).
 Since |t|^2 = 1 identifies distinct coefficient maps, equality of polynomials
 as sphere functions is tested by evaluating the difference, never by comparing
 coefficient maps.
@@ -28,16 +29,16 @@ integral, 0; with an odd angle count every node is summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, exp, lgamma, log, pi
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from ._core import add_keys, add_maps, coeff_map, convolve_maps
 
-# most multi-indices _multi_indices builds. `moments --d 10` builds 646,646 and
-# peaks near 330 MB; `--d 16` would ask for 30,421,755
+# most multi-indices of a table. `moments --d 10` counts the 646,646 of degree <= 12
+# that its identities read, and peaks near 150 MB; `--d 16` would ask for 30,421,755
 _MULTI_INDEX_BUDGET = 2**20
 # most nodes quadrature_rule builds: `moments --d 10` takes 524,288 product
 # nodes, and `--d 12 --max-degree 4` would take 8,388,608
@@ -58,8 +59,8 @@ def _validate_multi_index(nvec, d: int) -> tuple:
     return key
 
 
-def _multi_indices(d: int, max_degree: int) -> list:
-    """All d-tuples of nonnegative ints with sum <= max_degree, lexicographic."""
+def _check_multi_index_budget(d: int, max_degree: int) -> None:
+    """Refuse a negative max_degree, or more than _MULTI_INDEX_BUDGET d-tuples of sum <= max_degree."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     count = comb(d + max_degree, d)
@@ -67,27 +68,43 @@ def _multi_indices(d: int, max_degree: int) -> list:
         raise ValueError(
             f"{count} multi-indices of degree <= {max_degree} in d={d} exceed the budget of {_MULTI_INDEX_BUDGET}"
         )
-    out = [()]
+
+
+def _multi_indices(d: int, max_degree: int) -> np.ndarray:
+    """All d-tuples of nonnegative ints with sum <= max_degree, as the rows of an (M, d) int64 array, lexicographic."""
+    _check_multi_index_budget(d, max_degree)
+    out = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):
-        out = [prefix + (v,) for prefix in out for v in range(max_degree - sum(prefix) + 1)]
+        # each prefix of sum s takes the next coordinate's values 0..max_degree - s in order
+        counts = max_degree - out.sum(axis=1) + 1
+        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.column_stack([np.repeat(out, counts, axis=0), last])
+    return out
+
+
+def _moments(indices: np.ndarray, d: int) -> np.ndarray:
+    """Exact integral of prod t_k^{n_k} over S^{d-1} for every row n of the (M, d) int array indices.
+
+    Zero when any exponent is odd; otherwise 2 * prod Gamma((n_k+1)/2) / Gamma((|n|+d)/2),
+    in log space: math.lgamma values summed over the coordinates left to right,
+    then math.exp per row. The zero index gives the sphere volume 2 pi^{d/2} / Gamma(d/2).
+    """
+    if d < 2:
+        raise ValueError("sphere dimension parameter d must be >= 2")
+    out = np.zeros(len(indices))
+    even = ~np.any(indices % 2, axis=1)
+    n = indices[even]
+    deg = n.sum(axis=1)
+    half = np.array([lgamma((v + 1) / 2.0) for v in range(n.max(initial=0) + 1)])
+    whole = np.array([lgamma((v + d) / 2.0) for v in range(deg.max(initial=0) + 1)])
+    log_num = sum(half[n[:, k]] for k in range(d))
+    out[even] = [2.0 * exp(x) for x in (log_num - whole[deg]).tolist()]
     return out
 
 
 def sphere_moment(nvec, d: int) -> float:
-    """Exact integral of prod t_k^{n_k} over S^{d-1}.
-
-    Zero when any exponent is odd; otherwise
-    2 * prod Gamma((n_k+1)/2) / Gamma((|n|+d)/2), computed in log space. The
-    empty index returns the sphere volume 2 pi^{d/2} / Gamma(d/2).
-    """
-    if d < 2:
-        raise ValueError("sphere dimension parameter d must be >= 2")
-    key = _validate_multi_index(nvec, d)
-    if any(v % 2 for v in key):
-        return 0.0
-    total = sum(key)
-    log_num = sum(lgamma((v + 1) / 2.0) for v in key)
-    return 2.0 * exp(log_num - lgamma((total + d) / 2.0))
+    """Exact integral of prod t_k^{n_k} over S^{d-1}: one row of _moments."""
+    return float(_moments(np.array([_validate_multi_index(nvec, d)], dtype=np.int64), d)[0])
 
 
 def sphere_volume(d: int) -> float:
@@ -213,7 +230,8 @@ def _probe_directions(n_random: int, d: int, rng: np.random.Generator) -> np.nda
 
 def sphere_integrate(b: SpherePoly) -> complex:
     """Exact integral over the sphere via the closed-form moments."""
-    return complex(sum(c * sphere_moment(n, b.d) for n, c in b.coeffs.items()))
+    moments = _moments(np.array(list(b.coeffs), dtype=np.int64).reshape(-1, b.d), b.d)
+    return complex(sum(c * m for c, m in zip(b.coeffs.values(), moments.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +422,15 @@ def _table_dots(power: np.ndarray, partial: np.ndarray, remaining: int, out: lis
     """Append sum_j partial_j prod_{i>=k} power[i, n_i, j] for every (n_k, ..., n_{d-1}) of sum <= remaining.
 
     Lexicographic order, as in _multi_indices. Partial products are shared
-    along that order, and the powers of the last coordinate enter as one
-    matrix-vector product per prefix. A plain recursive function, not a
-    closure: a self-referencing closure is a reference cycle that would keep
-    every block's power table alive until the cyclic collector runs.
+    along that order. Each sum over the nodes is a pairwise sum, not a BLAS
+    product, whose rounding would follow the BLAS thread count; row 0 of the
+    table is 1. A plain recursive function, not a closure: a self-referencing
+    closure is a reference cycle that would keep every block's power table
+    alive until the cyclic collector runs.
     """
     if k == power.shape[0] - 1:
-        out.append(power[k, : remaining + 1] @ partial)
+        out.append(partial.sum())
+        out.extend((power[k, 1 : remaining + 1] * partial).sum(axis=-1))
         return
     for e in range(remaining + 1):
         _table_dots(power, partial if e == 0 else partial * power[k, e], remaining - e, out, k + 1)
@@ -442,8 +462,8 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _hopf_factor_sums(rule: HopfRule, keys: list, max_degree: int) -> np.ndarray:
-    """The rule's sum of every monomial t^n in keys, from its factors.
+def _hopf_factor_sums(rule: HopfRule, keys: np.ndarray, max_degree: int) -> np.ndarray:
+    """The rule's sum of every monomial t^n in the rows of keys, from its factors.
 
     A node is t = (r1 cos p1, r1 sin p1, r2 cos p2, r2 sin p2) with
     r1 = sqrt(1-u) and r2 = sqrt(u), and its weight depends on u alone, so the
@@ -457,7 +477,7 @@ def _hopf_factor_sums(rule: HopfRule, keys: list, max_degree: int) -> np.ndarray
     r1 = _powers(np.sqrt(1.0 - rule.latitudes), max_degree)
     r2 = _powers(np.sqrt(rule.latitudes), max_degree)
     L = (rule.row_weights * r1[:, None] * r2[None]).sum(axis=-1)
-    n1, n2, n3, n4 = np.array(keys).T
+    n1, n2, n3, n4 = keys.T
     return L[n1 + n2, n3 + n4] * P[n1, n2] * P[n3, n4]
 
 
@@ -565,10 +585,10 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
                 np.multiply(power[:, e - 1], u, out=power[:, e])
             sums = []
             _table_dots(power, w, max_degree, sums)
-            totals += np.concatenate(sums)
+            totals += np.array(sums)
     if hopf and rule.antipodal:
-        totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
-    return {n: complex(v) for n, v in zip(keys, totals)}
+        totals[keys.sum(axis=1) % 2 == 1] = 0.0
+    return {n: complex(v) for n, v in zip(map(tuple, keys.tolist()), totals)}
 
 
 # ---------------------------------------------------------------------------
@@ -637,34 +657,14 @@ def lie_action(A: np.ndarray, b: SpherePoly) -> SpherePoly:
 # the reduction identities
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    d: int
-    max_degree: int
-    rows: list  # (nvec, odd_residual, first_reduction_residual, main_reduction_residual)
-
-    @property
-    def max_odd_residual(self) -> float:
-        return max((r[1] for r in self.rows), default=0.0)
-
-    @property
-    def max_first_reduction_residual(self) -> float:
-        return max((r[2] for r in self.rows), default=0.0)
-
-    @property
-    def max_main_reduction_residual(self) -> float:
-        return max((r[3] for r in self.rows), default=0.0)
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.max_odd_residual,
-            self.max_first_reduction_residual,
-            self.max_main_reduction_residual,
-        )
+class RecursionResiduals(NamedTuple):
+    indices: np.ndarray  # (M, d), in the order of _multi_indices
+    odd: np.ndarray  # the residual of each identity at each index
+    first: np.ndarray
+    main: np.ndarray
 
 
-def moment_recursion_check(d: int, max_degree: int) -> RecursionReport:
+def moment_recursion_check(d: int, max_degree: int) -> RecursionResiduals:
     """Residuals of the three reduction identities of the exact moment table, on every index up to max_degree.
 
     Identities checked for each nvec:
@@ -672,26 +672,19 @@ def moment_recursion_check(d: int, max_degree: int) -> RecursionReport:
       paired reduction   l(b_{n+2e_{2k-1}}) = (n_{2k-1}+1)/(n_{2k}+1) * l(b_{n+2e_{2k}}),
       degree reduction   l(b_{n+2e_k})      = (n_k+1)/(|n|+d)       * l(b_n).
 
-    The pairing identity needs even d. The closed form satisfies the
-    recursions by construction, so every residual is roundoff.
+    The pairing identity needs even d. Each l(b_{n+2e_k}) is the closed form
+    at n + 2e_k, so the identities read moments up to degree max_degree + 2,
+    and the multi-index budget is checked at that degree. The closed form
+    satisfies the recursions by construction, so every residual is roundoff.
     """
     if d % 2:
         raise ValueError("the paired reduction identity requires even d")
-    l = {n: sphere_moment(n, d) for n in _multi_indices(d, max_degree + 2)}
-
-    def bumped(nvec: tuple, k: int) -> tuple:
-        return nvec[:k] + (nvec[k] + 2,) + nvec[k + 1 :]
-
-    rows = []
-    for nvec in _multi_indices(d, max_degree):
-        odd_res = abs(l[nvec]) if any(v % 2 for v in nvec) else 0.0
-        first_res = 0.0
-        for i in range(0, d, 2):
-            j = i + 1
-            first_res = max(first_res, abs(l[bumped(nvec, i)] - (nvec[i] + 1) / (nvec[j] + 1) * l[bumped(nvec, j)]))
-        main_res = 0.0
-        deg = sum(nvec)
-        for k in range(d):
-            main_res = max(main_res, abs(l[bumped(nvec, k)] - (nvec[k] + 1) / (deg + d) * l[nvec]))
-        rows.append((nvec, odd_res, first_res, main_res))
-    return RecursionReport(d, max_degree, rows)
+    _check_multi_index_budget(d, max_degree + 2)
+    n = _multi_indices(d, max_degree)
+    l = _moments(n, d)
+    bumped = [_moments(n + 2 * np.eye(d, dtype=np.int64)[k], d) for k in range(d)]
+    odd = np.where(np.any(n % 2, axis=1), np.abs(l), 0.0)
+    pairs = (np.abs(bumped[i] - (n[:, i] + 1) / (n[:, i + 1] + 1) * bumped[i + 1]) for i in range(0, d, 2))
+    deg = n.sum(axis=1)
+    degrees = (np.abs(bumped[k] - (n[:, k] + 1) / (deg + d) * l) for k in range(d))
+    return RecursionResiduals(n, odd, reduce(np.maximum, pairs), reduce(np.maximum, degrees))

@@ -132,7 +132,7 @@ def test_criterion_03_moment_recursions():
     worst = 0.0
     for d in (2, 4):
         rep = moment_recursion_check(d, 10)
-        for r in (rep.max_odd_residual, rep.max_first_reduction_residual, rep.max_main_reduction_residual):
+        for r in (rep.odd.max(), rep.first.max(), rep.main.max()):
             assert r < 1e-12
             worst = max(worst, r)
     elapsed = time.perf_counter() - start
@@ -194,7 +194,7 @@ def test_criterion_05_invariance_residuals():
 
 def test_criterion_06_beta_formula_limit():
     worst200 = 0.0
-    for n1, n2, n3 in _multi_indices(3, 6):
+    for n1, n2, n3 in _multi_indices(3, 6).tolist():
         r50 = beta_formula_residual(50, n1, n2, n3)
         r200 = beta_formula_residual(200, n1, n2, n3)
         assert r200 < 0.05

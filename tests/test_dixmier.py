@@ -332,7 +332,7 @@ def test_connes_mixed_example():
 
 def _random_poly(d, rng):
     """Complex coefficients on a random half of the monomials up to degree 4, odd and even alike."""
-    indices = _multi_indices(d, 4)
+    indices = list(map(tuple, _multi_indices(d, 4).tolist()))
     chosen = rng.choice(len(indices), size=len(indices) // 2, replace=False)
     return SpherePoly(d, {indices[i]: complex(*rng.normal(size=2)) for i in chosen})
 

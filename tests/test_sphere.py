@@ -1,7 +1,8 @@
 import dataclasses
 import gc
+import itertools
 import time
-from math import comb
+from math import comb, exp, lgamma
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nctrace.sphere import (
     SpherePoly,
     _BLOCK,
     _hopf_blocks,
+    _moments,
     _monomial_integrals,
     _multi_indices,
     _product_points,
@@ -232,7 +234,7 @@ def _oracle_moments(rule, max_degree, g):
     rho, *c = ((b if g is None else vg_action(g, b)).evaluate(rule.points).real for b in basis)
     weighted, u = rule.weights * rho, [ck / rho for ck in c]
     out = {}
-    for nvec in _multi_indices(d, max_degree):
+    for nvec in map(tuple, _multi_indices(d, max_degree).tolist()):
         term = weighted
         for k, e in enumerate(nvec):
             if e:
@@ -335,7 +337,7 @@ def _streamed_hopf_moments(rule, max_degree):
     row_w = rule.row_weights * (2.0 if rule.antipodal else 1.0)
     cos, sin = rule.circle
     r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
-    keys = _multi_indices(4, max_degree)
+    keys = list(map(tuple, _multi_indices(4, max_degree).tolist()))
     totals = np.zeros(len(keys))
     n_rows = rule.latitudes.size * n_p1
     step = max(1, _BLOCK // n_phi)
@@ -351,7 +353,7 @@ def _streamed_hopf_moments(rule, max_degree):
             np.multiply(power[:, e - 1], u, out=power[:, e])
         sums = []
         _table_dots(power, np.repeat(row_w[lat], n_phi), max_degree, sums)
-        totals += np.concatenate(sums)
+        totals += np.array(sums)
     if rule.antipodal:
         totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
     return {n: complex(v) for n, v in zip(keys, totals)}
@@ -365,7 +367,7 @@ def test_hopf_factor_sums_match_the_streamed_pass(n):
     want = _streamed_hopf_moments(rule, 6)
     for degree in range(7):
         got = _monomial_integrals(rule, degree)
-        assert list(got) == _multi_indices(4, degree)
+        assert list(got) == list(map(tuple, _multi_indices(4, degree).tolist()))
         for nvec, value in got.items():
             assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
     assert not {"points", "weights"} & set(vars(rule)), "the factor sums built node arrays"
@@ -506,15 +508,43 @@ def test_batch_moments_on_the_circle_rule():
     assert values[(2, 2)] == pytest.approx(np.pi / 4, abs=1e-14)
 
 
+@pytest.mark.parametrize("d,max_degree", [(1, 0), (1, 5), (2, 4), (4, 6), (7, 3)])
+def test_multi_indices_equal_the_product_oracle(d, max_degree):
+    want = [n for n in itertools.product(range(max_degree + 1), repeat=d) if sum(n) <= max_degree]
+    got = _multi_indices(d, max_degree)
+    assert got.dtype == np.int64 and got.shape == (len(want), d)
+    assert list(map(tuple, got.tolist())) == want
+
+
+def _scalar_moment(nvec, d):
+    """The scalar closed form that sphere_moment evaluated per index: the oracle of _moments."""
+    if d < 2:
+        raise ValueError("sphere dimension parameter d must be >= 2")
+    key = sphere._validate_multi_index(nvec, d)
+    if any(v % 2 for v in key):
+        return 0.0
+    total = sum(key)
+    log_num = sum(lgamma((v + 1) / 2.0) for v in key)
+    return 2.0 * exp(log_num - lgamma((total + d) / 2.0))
+
+
+@pytest.mark.parametrize("d,max_degree", [(2, 14), (4, 10), (9, 5), (16, 3)])
+def test_moments_equal_the_scalar_closed_form_bitwise(d, max_degree):
+    indices = _multi_indices(d, max_degree)
+    want = np.array([_scalar_moment(n, d) for n in indices.tolist()])
+    assert _moments(indices, d).tobytes() == want.tobytes()
+    assert all(sphere_moment(n, d) == w for n, w in zip(indices.tolist()[:50], want.tolist()))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_recursions_exact_table(d):
     rep = moment_recursion_check(d, 8)
-    assert rep.max_residual < 1e-12
+    assert max(rep.odd.max(), rep.first.max(), rep.main.max()) < 1e-12
 
 
 def _validated_recursion_rows(d, max_degree):
-    """The recursion rows read through a callable moment table that validates every key: the oracle of the dict lookup."""
-    table = {n: complex(sphere_moment(n, d)) for n in _multi_indices(d, max_degree + 2)}
+    """The recursion rows read through a table lookup that validates every key: the oracle of the array form."""
+    table = {n: complex(_scalar_moment(n, d)) for n in map(tuple, _multi_indices(d, max_degree + 2).tolist())}
 
     def l(nvec):
         key = sphere._validate_multi_index(nvec, d)
@@ -523,7 +553,7 @@ def _validated_recursion_rows(d, max_degree):
         return table[key]
 
     rows = []
-    for nvec in _multi_indices(d, max_degree):
+    for nvec in map(tuple, _multi_indices(d, max_degree).tolist()):
         odd_res = abs(l(nvec)) if any(v % 2 for v in nvec) else 0.0
         first_res = 0.0
         for k in range(d // 2):
@@ -546,19 +576,36 @@ def _validated_recursion_rows(d, max_degree):
     return rows
 
 
-@pytest.mark.parametrize("d,degree", [(2, 8), (4, 8), (6, 6)])
+@pytest.mark.parametrize("d,degree", [(2, 8), (4, 8), (6, 6), (8, 6)])
 def test_recursion_rows_equal_the_validated_table_oracle(d, degree):
-    rows = moment_recursion_check(d, degree).rows
+    rep = moment_recursion_check(d, degree)
     want = _validated_recursion_rows(d, degree)
-    assert [r[0] for r in rows] == [r[0] for r in want]
-    for got, ref in zip(rows, want):
-        assert got[1:] == ref[1:], got[0]
-        assert all(type(v) is float for v in got[1:] + ref[1:])
+    assert rep.indices.tolist() == [list(r[0]) for r in want]
+    for column, got in enumerate((rep.odd, rep.first, rep.main), start=1):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([r[column] for r in want]).tobytes()
 
 
 def test_recursion_rejects_odd_dimension():
     with pytest.raises(ValueError):
         moment_recursion_check(3, 4)
+
+
+@pytest.mark.parametrize(
+    "d,max_degree,message",
+    [
+        # the identities read moments up to max_degree + 2, so the budget is checked there
+        (10, 11, "1144066 multi-indices of degree <= 13 in d=10 exceed the budget of 1048576"),
+        (16, 10, "30421755 multi-indices of degree <= 12 in d=16 exceed the budget of 1048576"),
+        (2, -1, "max_degree must be >= 0, got -1"),
+        (2, -3, "max_degree must be >= 0, got -1"),
+    ],
+)
+def test_recursion_refuses_what_the_degree_table_refused(d, max_degree, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        moment_recursion_check(d, max_degree)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lie_action_rotation_generator():
