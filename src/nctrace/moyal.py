@@ -182,18 +182,19 @@ def random_sp_theta(theta, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    rows: tuple  # (transform index, multi-index, residual)
+    indices: np.ndarray  # (M, d) monomial exponents, in the order of sphere._multi_indices
+    residuals: np.ndarray  # (transforms, M): |quadrature - exact| of each monomial under each transform
 
     @property
     def max_residual(self) -> float:
-        return max((r[2] for r in self.rows), default=0.0)
+        return float(self.residuals.max(initial=0.0))
 
 
 def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 20, seed: int = 0) -> InvarianceReport:
     """Invariance of the homogeneous integration functional under Sp(theta).
 
     Symplectic matrices have determinant 1, so the weighted pullback must
-    preserve every monomial integral exactly; rows record the quadrature
+    preserve every monomial integral exactly; the report holds the quadrature
     residual per (random transform, monomial up to the degree). Each transform
     takes one batch pass over the rule's nodes (sphere._monomial_integrals),
     which on a HopfRule are streamed from per-angle tables, never stored; the
@@ -206,14 +207,15 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
         raise ValueError("quadrature rule dimension mismatch")
     rng = np.random.default_rng(seed)
     nf = antisymmetric_normal_form(th)
-    exact = _moments(_multi_indices(d, degree), d).tolist()
-    rows = []
+    indices = _multi_indices(d, degree)
+    exact = _moments(indices, d)
+    residuals = np.empty((n_transforms, len(indices)))
     for i in range(n_transforms):
         g = sp_theta_conjugate(random_sp_block(d, rng), nf.beta, th)
         det = np.linalg.det(g)
         values = _monomial_integrals(rule, degree, g)
-        rows.extend((i, nvec, abs(v - m / det)) for (nvec, v), m in zip(values.items(), exact))
-    return InvarianceReport(tuple(rows))
+        residuals[i] = np.abs(np.fromiter(values.values(), complex, len(indices)) - exact / det)
+    return InvarianceReport(indices, residuals)
 
 
 # ---------------------------------------------------------------------------

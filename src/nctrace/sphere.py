@@ -29,7 +29,7 @@ integral, 0; with an odd angle count every node is summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, exp, lgamma, log, pi
 from typing import Callable, ClassVar, NamedTuple
 
@@ -71,14 +71,24 @@ def _check_multi_index_budget(d: int, max_degree: int) -> None:
 
 
 def _multi_indices(d: int, max_degree: int) -> np.ndarray:
-    """All d-tuples of nonnegative ints with sum <= max_degree, as the rows of an (M, d) int64 array, lexicographic."""
+    """All d-tuples of nonnegative ints with sum <= max_degree, as the rows of an (M, d) int64 array, lexicographic.
+
+    The array is read-only and shared by every call with the same (d, max_degree).
+    """
     _check_multi_index_budget(d, max_degree)
+    return _multi_index_table(d, max_degree)
+
+
+# a suite asks for one or two tables, each many times: the invariance check once per transform
+@lru_cache(maxsize=8)
+def _multi_index_table(d: int, max_degree: int) -> np.ndarray:
     out = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):
         # each prefix of sum s takes the next coordinate's values 0..max_degree - s in order
         counts = max_degree - out.sum(axis=1) + 1
         last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         out = np.column_stack([np.repeat(out, counts, axis=0), last])
+    out.flags.writeable = False
     return out
 
 

@@ -36,6 +36,7 @@ minus the ball of radius R_min, and usually the inner part of each range only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -408,40 +409,48 @@ def _shifted_signatures(word: OperatorWord) -> list:
 
 
 def _factor_bounds(y) -> tuple:
-    """(sup bound or None, function beyond, |s| -> single-factor tail bound)."""
+    """(sup bound or None, c, near): the one-factor tail at shift |s| beyond r is c|s| / (r - |s|) if near, else c|s| / r."""
     if isinstance(y, SpherePoly):
-        g = y.gradient_sup_bound()
         # chord from n to n+s avoids the ball of radius beyond - |s|, where the
         # degree-0 homogeneous extension has gradient at most g / (beyond - |s|)
-        return y.sup_bound(), lambda beyond, sh: g * sh / (beyond - sh)
+        return y.sup_bound(), y.gradient_sup_bound(), True
     if isinstance(y, SphereFunction):
         if y.lipschitz is None:
             raise ValueError("remainder bound needs a Lipschitz constant")
-        lip = y.lipschitz
         # |unit(n+s) - unit(n)| <= 2|s| / max(|n+s|, |n|)
-        return None, lambda beyond, sh: lip * 2.0 * sh / beyond
+        return None, y.lipschitz * 2.0, False
     raise TypeError(f"unsupported diagonal factor {type(y)!r}")
 
 
-def _remainder_bound(factors, beyond: float) -> float:
-    """Bound |prod y(unit(n+s)) - prod y(unit(n))| for all |n| > beyond."""
+class _RemainderBound(NamedTuple):
+    """|prod y(unit(n+s)) - prod y(unit(n))| <= at(beyond) for all |n| > beyond."""
+
+    # per factor with a nonzero shift: (|s|, c|s|, the denominator's offset |s| or 0.0,
+    # the product of the other factors' sup bounds, None if one has none)
+    terms: tuple
+
+    def at(self, beyond: float) -> float:
+        total = 0.0
+        for sh, numerator, offset, others in self.terms:
+            if beyond <= sh:
+                raise ValueError("scan window too small for the shift sizes")
+            if others is None:
+                raise ValueError("product remainders need sup bounds for every factor")
+            total += others * (numerator / (beyond - offset))
+        return total
+
+
+def _remainder_bound(factors) -> _RemainderBound:
+    """The remainder of one signature, with its per-factor constants computed once."""
     bounds = [_factor_bounds(y) for y, _ in factors]
-    shifts = [float(np.linalg.norm(s)) for _, s in factors]
-    total = 0.0
-    for j, ((_, tail_j), sh) in enumerate(zip(bounds, shifts)):
+    terms = []
+    for j, ((_, s), (_, c, near)) in enumerate(zip(factors, bounds)):
+        sh = float(np.linalg.norm(s))
         if sh == 0.0:
             continue
-        if beyond <= sh:
-            raise ValueError("scan window too small for the shift sizes")
-        others = 1.0
-        for i, (sup_i, _) in enumerate(bounds):
-            if i == j:
-                continue
-            if sup_i is None:
-                raise ValueError("product remainders need sup bounds for every factor")
-            others *= sup_i
-        total += others * tail_j(beyond, sh)
-    return total
+        sups = [sup for i, (sup, _, _) in enumerate(bounds) if i != j]
+        terms.append((sh, c * sh, sh if near else 0.0, None if None in sups else math.prod(sups, start=1.0)))
+    return _RemainderBound(tuple(terms))
 
 
 class _SharpBound(NamedTuple):
@@ -559,11 +568,13 @@ def _tail_bounds(signatures, d: int, radii) -> list:
             raise ValueError(f"radius {R} must be >= 1")
     ranges = []  # per signature, per radius: the scanned squared-norm range (lo, top]
     best = []  # per signature, per radius: the max of the remainder beyond top and of the pieces scanned so far
+    remainders = []  # per signature
     for factors, _ in signatures:
         max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
         shift2 = max(sum(v * v for v in s) for _, s in factors)
         ranges.append([])
         best.append([])
+        remainder = None
         for R in radii:
             hi = SCAN_FACTOR * R
             if not np.isfinite(hi * hi):
@@ -571,8 +582,12 @@ def _tail_bounds(signatures, d: int, radii) -> list:
             if shift2 > int(R * R):
                 # the scan would reach n = -s, where n + s has no direction
                 raise ValueError(f"radius {R} is below the largest shift of the word, |s| = {max_shift:.4g}")
+            if remainder is None:
+                # built once a radius passes its checks: a factor without a bound is refused only then
+                remainder = _remainder_bound(factors)
             ranges[-1].append((int(R * R), int(hi * hi)))
-            best[-1].append(_remainder_bound(factors, hi))
+            best[-1].append(remainder.at(hi))
+        remainders.append(remainder)
 
     edges = sorted({e for row in ranges for lo_top in row for e in lo_top})
     if edges:
@@ -590,7 +605,7 @@ def _tail_bounds(signatures, d: int, radii) -> list:
                 continue
             inner = float(np.sqrt(r2_lo))
             try:
-                bound = _remainder_bound(signatures[i][0], inner)
+                bound = remainders[i].at(inner)
             except ValueError:
                 bound = np.inf
             bound = min(bound, sharp[i].at(inner))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
@@ -24,9 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads these on first use; loaded here, their import stays out of every suite's clock
-import numpy.polynomial  # noqa: F401
-import numpy.random  # noqa: F401
 
 from . import dixmier as dx, moyal, su2, symbols as sy
 from .sphere import (
@@ -376,10 +374,24 @@ _SUITE_RUNNERS = {
     "symbol-compactness": _suite_symbol_compactness,
 }
 SUITES = tuple(_SUITE_RUNNERS)
+# The numpy submodules each suite uses; numpy loads them on first use. run_suite imports a suite's
+# before its clock starts and no suite imports anything inside it, so import time never counts as
+# suite time, and a suite that does not use one never loads it (numpy.random alone is about 13 ms
+# and 5 MB of every process). tests/test_verify.py checks the table in one fresh process per suite.
+_SUITE_NUMPY_MODULES = {
+    "torus-trace": (),
+    "su2": ("numpy.random",),
+    "moments": ("numpy.polynomial",),  # the Hopf rule's leggauss
+    "symplectic": ("numpy.random", "numpy.polynomial"),
+    "moyal": ("numpy.random",),
+    "symbol-compactness": ("numpy.random",),
+}
 
 
 def run_suite(config: VerifyConfig) -> VerifyReport:
     """Run the suite, then apply tolerance overrides (a ConfigError if one names no record) and decide pass."""
+    for name in _SUITE_NUMPY_MODULES[config.suite]:
+        importlib.import_module(name)
     start = time.perf_counter()
     records = _SUITE_RUNNERS[config.suite](config)
     names = [r["name"] for r in records]

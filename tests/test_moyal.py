@@ -334,7 +334,7 @@ class TestGroupElements:
 class TestInvarianceCheck:
     def test_block_form_plane(self):
         rep = sp_invariant_functional_check(OMEGA2, 3, quadrature_rule(2, 256), n_transforms=4, seed=1)
-        assert len(rep.rows) == 4 * 10  # ten monomials up to degree 3 in d=2
+        assert rep.residuals.shape == (4, 10)  # ten monomials up to degree 3 in d=2
         assert rep.max_residual < 1e-9
 
     def test_rule_dimension_mismatch(self):
@@ -353,7 +353,7 @@ class TestInvarianceCheck:
         finally:
             tracemalloc.stop()
         assert rule.size == 2**20
-        assert len(rep.rows) == 3 and rep.max_residual < 1e-12
+        assert rep.residuals.shape == (3, 1) and rep.max_residual < 1e-12
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 

@@ -514,6 +514,8 @@ def test_multi_indices_equal_the_product_oracle(d, max_degree):
     got = _multi_indices(d, max_degree)
     assert got.dtype == np.int64 and got.shape == (len(want), d)
     assert list(map(tuple, got.tolist())) == want
+    # one shared table per (d, max_degree), which no caller can change
+    assert _multi_indices(d, max_degree) is got and not got.flags.writeable
 
 
 def _scalar_moment(nvec, d):

@@ -410,12 +410,56 @@ def _scan_product_difference(factors, d, r2_lo, r2_hi):
     return worst
 
 
+def _remainder_oracle(factors, beyond):
+    """The remainder bound for |n| > beyond, every constant recomputed per call: the oracle of _remainder_bound."""
+    total = 0.0
+    for j, (y, s) in enumerate(factors):
+        sh = float(np.linalg.norm(s))
+        if sh == 0.0:
+            continue
+        if beyond <= sh:
+            raise ValueError("scan window too small for the shift sizes")
+        others = 1.0
+        for i, (z, _) in enumerate(factors):
+            if i != j:
+                if not isinstance(z, SpherePoly):
+                    raise ValueError("product remainders need sup bounds for every factor")
+                others *= z.sup_bound()
+        if isinstance(y, SpherePoly):
+            tail = y.gradient_sup_bound() * sh / (beyond - sh)
+        else:
+            tail = y.lipschitz * 2.0 * sh / beyond
+        total += others * tail
+    return total
+
+
+def test_remainder_bound_equals_per_call_oracle():
+    f = SphereFunction(2, lambda p: p[..., 0], lipschitz=1.5)
+    cases = [
+        ((T1, (1, 0)),),
+        ((T1 * T2, (2, -1)), (T2, (0, 0)), (T1 * T1 + (0.5 - 1j) * T2, (1, 1))),
+        ((f, (1, 0)),),
+        ((f, (0, 3)), (T1 * T2, (0, 0))),
+        ((T1, (1, 0)), (f, (0, 0))),  # the other factor has no sup bound
+    ]
+    for factors in cases:
+        bound = _remainder_bound(factors)
+        for beyond in (1.0, 1.5, 2.5, 3.0, 40.0, 1e6):
+            try:
+                want = _remainder_oracle(factors, beyond)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    bound.at(beyond)
+            else:
+                assert bound.at(beyond) == want
+
+
 def _tail_bound(signatures, d, R):
     total = 0.0
     for factors, weight in signatures:
         hi = SCAN_FACTOR * R
         scan = _scan_product_difference(factors, d, int(R * R), int(hi * hi))
-        rem = _remainder_bound(factors, hi)
+        rem = _remainder_oracle(factors, hi)
         total += weight * max(scan, rem)
     return total
 

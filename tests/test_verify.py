@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import nctrace
 from nctrace import verify
 from nctrace.verify import (
     EXIT_CHECK_FAILURE,
@@ -467,3 +472,48 @@ def test_suites_constant_covers_runners():
     # every advertised suite runs end to end somewhere in the test suite or
     # acceptance checks; here just pin the advertised names
     assert SUITES == ("torus-trace", "su2", "moments", "symplectic", "moyal", "symbol-compactness")
+
+
+# numpy 2 loads these submodules on first use (numpy 1 with numpy itself); per suite, the ones its
+# process holds when it exits
+_LAZY_NUMPY = ("numpy.polynomial", "numpy.random")
+_SUITE_NUMPY = {
+    ("torus-trace", "--nmax", "128"): (),
+    ("su2", "--lmax", "8"): ("numpy.random",),
+    ("moments", "--d", "4", "--max-degree", "4"): ("numpy.polynomial",),
+    ("symplectic", "--d", "4", "--max-degree", "0"): ("numpy.polynomial", "numpy.random"),
+    ("moyal",): ("numpy.random",),
+    ("symbol-compactness",): ("numpy.random",),
+}
+
+
+@pytest.mark.parametrize("args", list(_SUITE_NUMPY), ids=lambda args: args[0])
+def test_suite_process_loads_only_the_numpy_modules_it_uses(args):
+    # a fresh process per suite, since a module one suite loads stays loaded for the next
+    assert {a[0] for a in _SUITE_NUMPY} == set(SUITES)
+    code = (
+        "import json, sys, numpy\n"
+        f"lazy = {_LAZY_NUMPY!r}\n"
+        "eager = [m for m in lazy if m in sys.modules]\n"
+        "import nctrace.verify as v\n"
+        "clocked = []\n"
+        "def watch(run):\n"
+        "    def timed(cfg):\n"
+        "        before = set(sys.modules)\n"
+        "        records = run(cfg)\n"
+        "        clocked.extend(sorted(set(sys.modules) - before))\n"
+        "        return records\n"
+        "    return timed\n"
+        "v._SUITE_RUNNERS.update({name: watch(run) for name, run in v._SUITE_RUNNERS.items()})\n"
+        "rc = v.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, clocked, eager, [m for m in lazy if m in sys.modules]]))\n"
+    )
+    src = str(Path(nctrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, clocked, eager, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == EXIT_PASS
+    # a module imported inside the suite's clock would count as suite time
+    assert clocked == []
+    assert sorted(set(loaded) - set(eager)) == sorted(set(_SUITE_NUMPY[args]) - set(eager))
