@@ -70,7 +70,8 @@ def iter_shell(d: int, r2_min: int, r2_max: int) -> Iterator[np.ndarray]:
     if r2_max < 0 or r2_max <= r2_min:
         return
     check_shell_budget(d, r2_max)
-    yield from _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max), CHUNK)
+    for pts, _ in _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max)):
+        yield pts
 
 
 def _shell_coordinate(r2_min: int, r2_max: int, heads: np.ndarray, norm2: np.ndarray, left: int) -> tuple:
@@ -170,7 +171,7 @@ def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
         return
     check_orbit_budget(d, r2_max)
     table = _orbit_table(d)
-    for pts, norms2 in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max), CHUNK, norms=True):
+    for pts, norms2 in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max)):
         yield pts, norms2, _orbit_sizes(pts, table)
 
 
@@ -179,29 +180,27 @@ def _root() -> tuple:
     return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
 
 
-def _complete(heads, norm2, left: int, rule, target: int, norms: bool = False) -> Iterator:
-    """Complete each prefix row of `heads` by `left` more coordinates, at most `target` new rows at a time.
+def _complete(heads, norm2, left: int, rule) -> Iterator[tuple]:
+    """Complete each prefix row of `heads` by `left` more coordinates, at most CHUNK new rows at a time.
 
     rule(heads, norm2, left) gives the next coordinate's integer ranges
     [lo, hi] as two (prefixes, k) arrays: k disjoint ranges per prefix, in
-    increasing order, so that points come in lexicographic order. Yields the
-    points, or with norms (points, exact int64 |n|^2).
+    increasing order, so that points come in lexicographic order. Yields
+    (points, exact int64 |n|^2).
     """
     lo, hi = rule(heads, norm2, left)
     k = lo.shape[1]
     lo, hi = lo.ravel(), hi.ravel()
     total = int(np.sum(np.maximum(hi - lo + 1, 0)))
-    for start in range(0, total, target):
-        row, values = _expand(lo, hi, start, min(start + target, total))
+    for start in range(0, total, CHUNK):
+        row, values = _expand(lo, hi, start, min(start + CHUNK, total))
         if k > 1:
             row //= k  # range index -> prefix row; in place, since a chunk-sized copy is held while the consumer runs
         pts = np.column_stack([heads[row], values])
         if left > 1:
-            yield from _complete(pts, norm2[row] + values * values, left - 1, rule, target, norms)
-        elif norms:
-            yield pts, norm2[row] + values * values
+            yield from _complete(pts, norm2[row] + values * values, left - 1, rule)
         else:
-            yield pts
+            yield pts, norm2[row] + values * values
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> tuple:

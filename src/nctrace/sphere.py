@@ -45,7 +45,7 @@ _MULTI_INDEX_BUDGET = 2**20
 _NODE_BUDGET = 2**22
 # most bytes of the dense q x q Jacobi matrix behind q latitudes: q <= 2048,
 # whose eigh took 2.5 s. q = 2^21 latitudes fit the node budget at d=3 and
-# d=4, and would ask eigh or leggauss for 32 TiB
+# d=4, and would ask eigh for 32 TiB
 _JACOBI_BUDGET = 2**25
 
 
@@ -363,7 +363,8 @@ def _product_points(d: int, n_lat: int, n_phi: int) -> tuple:
 
 
 def _s3_hopf_rule(n_u: int, n_phi: int) -> HopfRule:
-    zu, wu = np.polynomial.legendre.leggauss(n_u)
+    # k = 3 is the Legendre weight on (-1, 1), total 2, mapped to (0, 1)
+    zu, wu = _gauss_gegenbauer(n_u, 3)
     return HopfRule(0.5 * (zu + 1.0), 0.5 * wu, n_phi)
 
 
@@ -464,8 +465,8 @@ def _flat_blocks(rule, g, directions: bool):
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """The rows x^0, ..., x^n, by repeated multiplication."""
-    out = np.empty((n + 1, x.size))
+    """The powers x^0, ..., x^n of an array of any shape, stacked on a new first axis, by repeated multiplication."""
+    out = np.empty((n + 1,) + x.shape)
     out[0] = 1.0
     for e in range(1, n + 1):
         np.multiply(out[e - 1], x, out=out[e])
@@ -588,11 +589,7 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
             if u is None:
                 totals += w.sum()
                 continue
-            power = np.empty((d, max_degree + 1, len(w)))
-            power[:, 0] = 1.0
-            power[:, 1] = u
-            for e in range(2, max_degree + 1):
-                np.multiply(power[:, e - 1], u, out=power[:, e])
+            power = _powers(u, max_degree).swapaxes(0, 1)
             sums = []
             _table_dots(power, w, max_degree, sums)
             totals += np.array(sums)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import sys
@@ -374,24 +373,17 @@ _SUITE_RUNNERS = {
     "symbol-compactness": _suite_symbol_compactness,
 }
 SUITES = tuple(_SUITE_RUNNERS)
-# The numpy submodules each suite uses; numpy loads them on first use. run_suite imports a suite's
-# before its clock starts and no suite imports anything inside it, so import time never counts as
-# suite time, and a suite that does not use one never loads it (numpy.random alone is about 13 ms
-# and 5 MB of every process). tests/test_verify.py checks the table in one fresh process per suite.
-_SUITE_NUMPY_MODULES = {
-    "torus-trace": (),
-    "su2": ("numpy.random",),
-    "moments": ("numpy.polynomial",),  # the Hopf rule's leggauss
-    "symplectic": ("numpy.random", "numpy.polynomial"),
-    "moyal": ("numpy.random",),
-    "symbol-compactness": ("numpy.random",),
-}
+# The suites that draw random numbers. numpy loads numpy.random on first use; run_suite imports it
+# before these suites' clocks start and no suite imports anything inside its clock, so import time
+# never counts as suite time, and the other suites never load it (about 13 ms and 5 MB of every
+# process). tests/test_verify.py checks this in one fresh process per suite.
+_RANDOM_SUITES = ("su2", "symplectic", "moyal", "symbol-compactness")
 
 
 def run_suite(config: VerifyConfig) -> VerifyReport:
     """Run the suite, then apply tolerance overrides (a ConfigError if one names no record) and decide pass."""
-    for name in _SUITE_NUMPY_MODULES[config.suite]:
-        importlib.import_module(name)
+    if config.suite in _RANDOM_SUITES:
+        import numpy.random
     start = time.perf_counter()
     records = _SUITE_RUNNERS[config.suite](config)
     names = [r["name"] for r in records]

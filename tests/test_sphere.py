@@ -141,7 +141,7 @@ def test_quadrature_reproduces_moments(d, kind, tol):
         (5, 0, "product"),
         (5, -(2**10), "product"),
         (12, 4, "product"),  # 8 * 4^10 = 8,388,608 nodes, over the budget of 2^22
-        # 2^22 nodes fit the budget, but eigh or leggauss would take a 2^21 x 2^21 matrix, 32 TiB
+        # 2^22 nodes fit the budget, but eigh would take a 2^21 x 2^21 matrix, 32 TiB
         (3, (2**21, 2), "product"),
         (4, (2**21, 1), "hopf"),
     ],
@@ -174,8 +174,8 @@ def test_default_rule_off_s3_is_bitwise_the_product_rule(d, q):
     assert np.array_equal(rule.points, pts) and np.array_equal(rule.weights, w)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.5])
-@pytest.mark.parametrize("q", [4, 16, 64])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 3.5])
+@pytest.mark.parametrize("q", [4, 16, 48, 64])
 def test_golub_welsch_matches_scipy_gauss_jacobi(alpha, q):
     from scipy.special import roots_jacobi
 
@@ -194,9 +194,18 @@ def test_product_rule_is_exact_up_to_its_design_degree(d, q):
         assert abs(value - sphere_moment(nvec, d)) <= 1e-12, nvec
 
 
+@pytest.mark.parametrize("n", [4, 16, 48, 64, 128])
+def test_hopf_latitudes_match_numpy_leggauss(n):
+    # the Hopf rule's latitudes are the Golub-Welsch Legendre rule (k = 3) mapped to (0, 1)
+    rule = quadrature_rule(4, n=(n, 2))
+    zu, wu = np.polynomial.legendre.leggauss(n)
+    assert np.abs(rule.latitudes - 0.5 * (zu + 1.0)).max() <= 1e-15
+    assert np.abs(rule.latitude_weights - 0.5 * wu).max() <= 1e-12 * (0.5 * wu).max()
+
+
 def _meshgrid_hopf_points(n_u, n_phi):
     """The S^3 product rule built on the full (u, p1, p2) meshgrid: the oracle of the broadcast build."""
-    zu, wu = np.polynomial.legendre.leggauss(n_u)
+    zu, wu = sphere._gauss_gegenbauer(n_u, 3)
     u = 0.5 * (zu + 1.0)
     wu = 0.5 * wu
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -480,8 +480,8 @@ _LAZY_NUMPY = ("numpy.polynomial", "numpy.random")
 _SUITE_NUMPY = {
     ("torus-trace", "--nmax", "128"): (),
     ("su2", "--lmax", "8"): ("numpy.random",),
-    ("moments", "--d", "4", "--max-degree", "4"): ("numpy.polynomial",),
-    ("symplectic", "--d", "4", "--max-degree", "0"): ("numpy.polynomial", "numpy.random"),
+    ("moments", "--d", "4", "--max-degree", "4"): (),
+    ("symplectic", "--d", "4", "--max-degree", "0"): ("numpy.random",),
     ("moyal",): ("numpy.random",),
     ("symbol-compactness",): ("numpy.random",),
 }
