@@ -6,8 +6,11 @@ radius boundary is ever misclassified. Iteration order is fixed
 
 Both enumerators run one walk (`_complete`): coordinates are chosen one at a
 time, each as integer ranges per prefix given by a range rule, and the points
-are built at most CHUNK rows at a time, level by level. The last coordinate's
-ranges are exact, so every point built is yielded.
+are built at most CHUNK rows at a time, level by level. A chunk takes runs of
+consecutive values from consecutive ranges, and is filled by repeating each
+range's prefix row, prefix |n|^2 and value offset over its run; no per-point
+index is built. The last coordinate's ranges are exact, so every point built
+is yielded.
 
 `iter_shell` walks the whole lattice: each coordinate but the last runs over
 [-b, b], and the last over the exact pair [-b, -a] and [a, b] of the annulus,
@@ -16,7 +19,10 @@ with a and b integer square roots.
 `iter_orbits` walks only the fundamental domain n_1 >= ... >= n_d >= 0 of the
 hyperoctahedral group (coordinate permutations and sign changes) and gives each
 point its orbit size, for sums whose summand is constant on orbits, and its
-exact squared norm, which the walk has built anyway.
+exact squared norm, which the walk has built anyway. Within a run of the last
+coordinate only the first and last rows can lie on a wall n_d = 0 or
+n_d = n_(d-1), so only those two are classified; the rows between share their
+prefix's orbit size.
 
 Both enumerators refuse, before building any chunk, a request whose bound on
 the points it would visit exceeds POINT_BUDGET.
@@ -31,9 +37,11 @@ from typing import Iterator
 import numpy as np
 
 POINT_BUDGET = 2**31
-# rows per chunk of every walk, read at call time. Medians of fresh processes on 2 vCPUs at 2^12, 2^13, 2^14, 2^16:
-# `torus-trace --d 2 --nmax 2048` 0.170, 0.142, 0.141, 0.194 s (0.255 s at 2^22); `--d 3 --nmax 192` 0.164-0.170 s
-# up to 2^15, then 0.205 s; the tail requests of `symbol-compactness --d 2`, seeds 0-11, 0.63, 0.51, 0.62, 0.77 s
+# rows per chunk of every walk, read at call time; chunk edges fix the summation order of dixmier._orbit_sums. Suite
+# wall_time_s at 2^12, 2^13, 2^14, 2^15, 2^16 (the range of the medians of three sweeps of 7-15 fresh processes each
+# on a shared 2-vCPU machine): `torus-trace --d 2 --nmax 2048` 0.044-0.072, 0.037-0.059, 0.033-0.054, 0.040-0.063,
+# 0.045-0.065 s; `--d 3 --nmax 192` 0.043-0.066, 0.062-0.066, 0.047-0.060, 0.048-0.072, 0.058-0.080 s;
+# `symbol-compactness --d 2` summed over seeds 0-11, 0.47-0.69, 0.50-0.80, 0.57-0.81, 0.61-0.83, 0.74-0.86 s
 CHUNK = 1 << 13
 # 2**d * d!, the largest orbit size, fits in int64 up to this dimension
 ORBIT_MAX_D = 16
@@ -70,7 +78,7 @@ def iter_shell(d: int, r2_min: int, r2_max: int) -> Iterator[np.ndarray]:
     if r2_max < 0 or r2_max <= r2_min:
         return
     check_shell_budget(d, r2_max)
-    for pts, _ in _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max)):
+    for pts, _, _ in _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max)):
         yield pts
 
 
@@ -130,13 +138,27 @@ def _orbit_table(d: int) -> np.ndarray:
     return (factorial(d) // stabiliser) << (d - zeros)
 
 
-def _orbit_sizes(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Orbit sizes of rows sorted in descending order, looked up in table = _orbit_table(d) by pattern code."""
+def _orbit_sizes(pts: np.ndarray, runs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Orbit sizes of a chunk of _complete with its runs, looked up in table = _orbit_table(d) by pattern code.
+
+    Along a run the prefix is fixed and n_d increases, so only the run's first
+    row can have n_d = 0 and only its last n_d = n_(d-1). The rows between
+    take their prefix's code, and only each run's two edge rows are
+    classified. The edges of a run of length 0 are the rows either side of
+    it, edges of their own runs, since a chunk's first and last runs are
+    never empty.
+    """
     d = pts.shape[1]
-    code = (pts[:, -1] == 0) << (d - 1)
+    last = np.cumsum(runs) - 1
+    edges = np.concatenate([last - (runs - 1), last])
+    rows = pts[edges]
+    code = (rows[:, -1] == 0) << (d - 1)
     for j in range(1, d):
-        code |= (pts[:, j] == pts[:, j - 1]) << (j - 1)
-    return table[code]
+        code |= (rows[:, j] == rows[:, j - 1]) << (j - 1)
+    prefix = code[: len(runs)] & ((1 << max(d - 2, 0)) - 1)  # a first row's code without n_d's two bits
+    sizes = np.repeat(table[prefix], runs)
+    sizes[edges] = table[code]
+    return sizes
 
 
 def _orbit_bound(d: int, r2_max: int) -> float:
@@ -171,8 +193,8 @@ def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
         return
     check_orbit_budget(d, r2_max)
     table = _orbit_table(d)
-    for pts, norms2 in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max)):
-        yield pts, norms2, _orbit_sizes(pts, table)
+    for pts, norms2, runs in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max)):
+        yield pts, norms2, _orbit_sizes(pts, runs, table)
 
 
 def _root() -> tuple:
@@ -185,36 +207,41 @@ def _complete(heads, norm2, left: int, rule) -> Iterator[tuple]:
 
     rule(heads, norm2, left) gives the next coordinate's integer ranges
     [lo, hi] as two (prefixes, k) arrays: k disjoint ranges per prefix, in
-    increasing order, so that points come in lexicographic order. Yields
-    (points, exact int64 |n|^2).
+    increasing order, so that points come in lexicographic order. A chunk
+    takes a run of consecutive values from each of some consecutive ranges,
+    so it is filled by repeating each range's prefix row, prefix |n|^2 and
+    value offset over its run. Yields (points, exact int64 |n|^2, runs), runs
+    being the lengths of the chunk's runs of the last coordinate, in order;
+    an empty range gives a run of length 0.
     """
     lo, hi = rule(heads, norm2, left)
     k = lo.shape[1]
     lo, hi = lo.ravel(), hi.ravel()
-    total = int(np.sum(np.maximum(hi - lo + 1, 0)))
-    for start in range(0, total, CHUNK):
-        row, values = _expand(lo, hi, start, min(start + CHUNK, total))
-        if k > 1:
-            row //= k  # range index -> prefix row; in place, since a chunk-sized copy is held while the consumer runs
-        pts = np.column_stack([heads[row], values])
-        if left > 1:
-            yield from _complete(pts, norm2[row] + values * values, left - 1, rule)
-        else:
-            yield pts, norm2[row] + values * values
-
-
-def _expand(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> tuple:
-    """Flat positions start..stop (start < stop) of the concatenated ranges [lo_i, hi_i]: (range index, value) each."""
     sizes = np.maximum(hi - lo + 1, 0)
     ends = np.cumsum(sizes)
-    # ranges first..final hold the positions; clip the two end ranges to them
-    first, final = np.searchsorted(ends, [start, stop - 1], side="right")
-    take = sizes[first : final + 1].copy()
-    take[0] -= start - (ends[first] - sizes[first])
-    take[-1] -= ends[final] - stop
-    idx = np.repeat(np.arange(first, final + 1), take)
     offset = ends - sizes - lo  # flat position of value 0 in each range
-    return idx, np.arange(start, stop, dtype=np.int64) - offset[idx]
+    total = int(ends[-1])
+    steps = np.arange(min(CHUNK, total), dtype=np.int64)
+    d = heads.shape[1] + 1
+    for start in range(0, total, CHUNK):
+        stop = min(start + CHUNK, total)
+        # ranges first..final hold the positions; clip the two end ranges to them
+        first, final = np.searchsorted(ends, [start, stop - 1], side="right")
+        runs = sizes[first : final + 1].copy()
+        runs[0] -= start - (ends[first] - sizes[first])
+        runs[-1] -= ends[final] - stop
+        row = np.arange(first, final + 1) // k  # range index -> prefix row
+        values = np.repeat(start - offset[first : final + 1], runs)
+        values += steps[: stop - start]
+        pts = np.empty((stop - start, d), dtype=np.int64)
+        pts[:, :-1] = np.repeat(heads[row], runs, axis=0)
+        pts[:, -1] = values
+        values *= values
+        values += np.repeat(norm2[row], runs)
+        if left > 1:
+            yield from _complete(pts, values, left - 1, rule)
+        else:
+            yield pts, values, runs
 
 
 def ball_points(d: int, radius: int) -> np.ndarray:

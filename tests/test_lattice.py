@@ -1,5 +1,6 @@
 """Tests for the shared lattice enumeration: chunk sizes (_lattice.CHUNK), order and shell membership."""
 
+from functools import partial
 from itertools import permutations, product
 from math import isqrt
 
@@ -7,7 +8,18 @@ import numpy as np
 import pytest
 
 import nctrace._lattice as lattice
-from nctrace._lattice import POINT_BUDGET, _orbit_bound, check_orbit_budget, iter_orbits, iter_shell
+from nctrace._lattice import (
+    POINT_BUDGET,
+    _complete,
+    _domain_coordinate,
+    _orbit_bound,
+    _orbit_table,
+    _root,
+    _shell_coordinate,
+    check_orbit_budget,
+    iter_orbits,
+    iter_shell,
+)
 
 
 def _walk(monkeypatch, enumerator, chunk, *args):
@@ -97,7 +109,7 @@ def _hyperoctahedral_orbit(p):
 @pytest.mark.parametrize(
     "d, r2_min, r2_max, target",
     [(1, 0, 50, 3), (2, 0, 400, 7), (2, 100, 401, 1 << 22), (3, 4, 100, 5), (3, -1, 64, 50), (4, 10, 40, 3),
-     (5, 0, 16, 100), (6, 3, 12, 17), (3, 6, 7, 4)],
+     (5, 0, 16, 100), (6, 3, 12, 17), (3, 6, 7, 4), (2, 0, 400, 1), (3, 4, 100, 2), (4, 10, 40, 1)],
 )
 def test_orbits_tile_the_shell(monkeypatch, d, r2_min, r2_max, target):
     shell = list(iter_shell(d, r2_min, r2_max))
@@ -156,3 +168,86 @@ def test_orbit_prefixes_stay_within_target(monkeypatch):
     pts, _, orbit = next(iter_orbits(6, 0, 128 * 128))
     assert len(pts) <= 1000 and pts[0].tolist() == [1, 0, 0, 0, 0, 0] and orbit[0] == 12
 
+
+
+def _gather_complete(heads, norm2, left, rule, chunk):
+    """The walk that gathered each point's prefix by a per-point range index, kept as the oracle of _complete."""
+    lo, hi = rule(heads, norm2, left)
+    k = lo.shape[1]
+    lo, hi = lo.ravel(), hi.ravel()
+    total = int(np.sum(np.maximum(hi - lo + 1, 0)))
+    for start in range(0, total, chunk):
+        row, values = _gather_expand(lo, hi, start, min(start + chunk, total))
+        if k > 1:
+            row //= k
+        pts = np.column_stack([heads[row], values])
+        if left > 1:
+            yield from _gather_complete(pts, norm2[row] + values * values, left - 1, rule, chunk)
+        else:
+            yield pts, norm2[row] + values * values
+
+
+def _gather_expand(lo, hi, start, stop):
+    """Flat positions start..stop of the concatenated ranges [lo_i, hi_i]: (range index, value) each."""
+    sizes = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(sizes)
+    first, final = np.searchsorted(ends, [start, stop - 1], side="right")
+    take = sizes[first : final + 1].copy()
+    take[0] -= start - (ends[first] - sizes[first])
+    take[-1] -= ends[final] - stop
+    idx = np.repeat(np.arange(first, final + 1), take)
+    offset = ends - sizes - lo
+    return idx, np.arange(start, stop, dtype=np.int64) - offset[idx]
+
+
+def _row_orbit_sizes(pts, table):
+    """Orbit sizes classified row by row, every column compared: the oracle of _orbit_sizes."""
+    d = pts.shape[1]
+    code = (pts[:, -1] == 0) << (d - 1)
+    for j in range(1, d):
+        code |= (pts[:, j] == pts[:, j - 1]) << (j - 1)
+    return table[code]
+
+
+def _assert_bitwise(got, want):
+    """Equal chunk by chunk and array by array, dtype and shape included."""
+    assert len(got) == len(want)
+    for g_chunk, w_chunk in zip(got, want):
+        for g, w in zip(g_chunk, w_chunk, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+# shells with empty ranges of the last coordinate between full ones, so with runs of length 0 in both walks
+_ZERO_RUN_SHELLS = [(2, 48, 50), (3, 26, 28), (4, 25, 27)]
+# full balls, shells from the origin out, and thin shells
+_ORACLE_SHELLS = _ZERO_RUN_SHELLS + [
+    (1, -1, 400), (1, 0, 400), (1, 100, 400),
+    (2, -1, 200), (2, 0, 200), (2, 24, 25), (2, 100, 101),
+    (3, -1, 40), (3, 0, 40), (3, 30, 34),
+    (4, -1, 20), (4, 10, 12),
+    (5, 0, 10), (5, 6, 9),
+    (6, -1, 6), (6, 4, 6),
+    (7, 0, 5), (7, 3, 5),
+    (8, -1, 4), (8, 2, 4),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64, 1000, 1 << 13])
+def test_walk_equals_gather_walk_bitwise(monkeypatch, chunk):
+    for d, r2_min, r2_max in _ORACLE_SHELLS:
+        shell, domain = partial(_shell_coordinate, r2_min, r2_max), partial(_domain_coordinate, r2_min, r2_max)
+        got = [(pts,) for pts in _walk(monkeypatch, iter_shell, chunk, d, r2_min, r2_max)]
+        _assert_bitwise(got, [(pts,) for pts, _ in _gather_complete(*_root(), d, shell, chunk)])
+        table = _orbit_table(d)
+        want = [(pts, n2, _row_orbit_sizes(pts, table)) for pts, n2 in _gather_complete(*_root(), d, domain, chunk)]
+        _assert_bitwise(_walk(monkeypatch, iter_orbits, chunk, d, r2_min, r2_max), want)
+
+
+@pytest.mark.parametrize("d, r2_min, r2_max", _ZERO_RUN_SHELLS)
+def test_thin_shells_give_zero_length_runs(d, r2_min, r2_max):
+    # the runs of each chunk add up to its rows, and both rules leave a range of the last coordinate empty mid-chunk
+    for rule in (_shell_coordinate, _domain_coordinate):
+        chunks = list(_complete(*_root(), d, partial(rule, r2_min, r2_max)))
+        assert all(runs.sum() == len(pts) for pts, _, runs in chunks)
+        assert any((runs == 0).any() for _, _, runs in chunks)
