@@ -33,6 +33,13 @@ def _theta_entries(theta) -> np.ndarray:
     return ThetaMatrix(np.asarray(theta, dtype=float)).entries
 
 
+def _theta_stack(theta) -> np.ndarray:
+    """The entries of one theta or of a stack (k, d, d) of them, refused whole by torus._check_theta_entries."""
+    th = theta.entries if isinstance(theta, ThetaMatrix) else np.asarray(theta, dtype=float)
+    _check_theta_entries(th, 3 if th.ndim == 3 else 2)
+    return th
+
+
 @dataclass(frozen=True)
 class SymplecticForm:
     """The fixed block form [[0,1],[-1,0]] repeated along the diagonal."""
@@ -59,34 +66,44 @@ class NormalForm:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """e^a for a real square matrix a, by scaling and squaring a Taylor polynomial.
+    """e^a for a real square matrix a, or for each member of a stack (k, d, d) of them.
 
-    a is halved s times until its 1-norm is at most 1/2; the degree-18 Taylor
-    polynomial of the scaled matrix is evaluated by Horner's rule and squared
-    s times. At 1-norm 1/2 the dropped tail is below (1/2)^19 e^{1/2} / 19!
-    < 1e-22, far under roundoff (Moler and Van Loan, SIAM Rev. 45, 2003;
-    Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    By scaling and squaring a Taylor polynomial: a member is halved s times
+    until its 1-norm is at most 1/2, the degree-18 Taylor polynomial of the
+    scaled matrix is evaluated by Horner's rule and squared s times. At 1-norm
+    1/2 the dropped tail is below (1/2)^19 e^{1/2} / 19! < 1e-22, far under
+    roundoff (Moler and Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005). On a stack, Horner's rule runs on every member at
+    once and squaring step j on the members with s > j, so each member is
+    bitwise its own call.
     """
     if np.iscomplexobj(a):
         raise ValueError("expected a real matrix")
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    stack = a.ndim == 3
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries are not finite")
-    s = 0
-    norm = float(np.abs(a).sum(axis=0).max())
-    while norm > 0.5:
-        norm /= 2.0
-        s += 1
-    a = a / 2.0**s
-    eye = np.eye(a.shape[0])
+    if not stack:
+        a = a[None]
+    squarings = []
+    for norm in np.abs(a).sum(axis=1).max(axis=1, initial=0.0).tolist():
+        s = 0
+        while norm > 0.5:
+            norm /= 2.0
+            s += 1
+        squarings.append(s)
+    s = np.array(squarings, dtype=int)
+    a = a / (2.0**s)[:, None, None]
+    eye = np.eye(a.shape[-1])
     out = eye + a / 18.0
     for k in range(17, 0, -1):
         out = eye + (a @ out) / k
-    for _ in range(s):
-        out = out @ out
-    return out
+    for j in range(s.max(initial=0)):
+        more = s > j
+        out[more] = out[more] @ out[more]
+    return out if stack else out[0]
 
 
 def antisymmetric_normal_form(theta) -> NormalForm:
@@ -104,9 +121,8 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     member would be; each member's beta and residual are bitwise those of its
     own call.
     """
-    th = theta.entries if isinstance(theta, ThetaMatrix) else np.asarray(theta, dtype=float)
+    th = _theta_stack(theta)
     stack = th.ndim == 3
-    _check_theta_entries(th, 3 if stack else 2)
     if not stack:
         th = th[None]
     k, d = th.shape[:2]
@@ -134,43 +150,62 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     return NormalForm(beta, residual) if stack else NormalForm(beta[0], float(residual[0]))
 
 
-def random_sp_block(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the group of the block form: e^{Omega S / 2}, S symmetric.
+def random_sp_block(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Random element of the group of the block form: e^{Omega S / 2}, S symmetric; or a stack (n, d, d) of them.
 
     Omega S runs over the full Lie algebra as S runs over symmetric matrices.
     S is normalised to unit spectral norm so that cond(g) <= e independently
     of d; quadrature error in the invariance checks grows with cond(g)^d, so
-    unbounded generators would drown the identity being tested.
+    unbounded generators would drown the identity being tested. A stack
+    draws its n generators in one call, the same stream as n calls, and
+    takes one stacked norm and one stacked expm; each member is bitwise the
+    matrix of its own call.
     """
-    omega = SymplecticForm(d).matrix
-    s = rng.normal(size=(d, d))
-    s = (s + s.T) / 2.0
-    s /= np.linalg.norm(s, 2)
-    return expm(0.5 * omega @ s)
+    return _sp_exp(rng.normal(size=(d, d) if n is None else (n, d, d)), 0.5)
+
+
+def _sp_exp(s: np.ndarray, scale) -> np.ndarray:
+    """e^{scale Omega S}, S the symmetric part of s at unit spectral norm, for one s or a stack (k, d, d).
+
+    scale is a number or one per member, shaped (k, 1, 1). The norms are one
+    stacked call and the exponentials one stacked expm.
+    """
+    s = (s + np.swapaxes(s, -1, -2)) / 2.0
+    s /= np.linalg.norm(s, 2, axis=(-2, -1))[..., None, None]
+    return expm(scale * SymplecticForm(s.shape[-1]).matrix @ s)
+
+
+def _form_residuals(g: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """max |g^T form g - form| for g, or one per member of a stack of g and of forms."""
+    if g.shape[-2:] != form.shape[-2:] or g.shape[-1] != g.shape[-2]:
+        raise ValueError("dimension mismatch")
+    return np.abs(np.swapaxes(g, -1, -2) @ form @ g - form).max(axis=(-2, -1))
 
 
 def sp_group_membership(g: np.ndarray, form: np.ndarray) -> bool:
     """Whether g^T form g = form within MEMBERSHIP_TOL (form may be any antisymmetric matrix)."""
     g = np.asarray(g, dtype=float)
     form = np.asarray(form, dtype=float)
-    if g.shape != form.shape or g.shape[0] != g.shape[1]:
+    if g.shape != form.shape:
         raise ValueError("dimension mismatch")
-    return float(np.abs(g.T @ form @ g - form).max()) <= MEMBERSHIP_TOL
+    return float(_form_residuals(g, form)) <= MEMBERSHIP_TOL
 
 
 def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarray:
     """beta g beta^{-1}; maps the block-form group onto Sp(theta).
 
     g must preserve the block form. When theta is supplied the output is
-    verified against it as well.
+    verified against it as well. Any of g, beta and theta may be a stack
+    (k, d, d), the others broadcast against it; the residuals are taken per
+    member, a stack is refused whole if any member fails, and each member is
+    bitwise the output of its own call.
     """
     g = np.asarray(g, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    d = g.shape[0]
-    if not sp_group_membership(g, SymplecticForm(d).matrix):
+    if np.any(_form_residuals(g, SymplecticForm(g.shape[-1]).matrix) > MEMBERSHIP_TOL):
         raise ValueError("g does not preserve the block form")
     out = beta @ g @ np.linalg.inv(beta)
-    if theta is not None and not sp_group_membership(out, _theta_entries(theta)):
+    if theta is not None and np.any(_form_residuals(out, _theta_stack(theta)) > MEMBERSHIP_TOL):
         raise ValueError("conjugated matrix fails the theta-form membership")
     return out
 
@@ -195,10 +230,12 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
 
     Symplectic matrices have determinant 1, so the weighted pullback must
     preserve every monomial integral exactly; the report holds the quadrature
-    residual per (random transform, monomial up to the degree). Each transform
-    takes one batch pass over the rule's nodes (sphere._monomial_integrals),
-    which on a HopfRule are streamed from per-angle tables, never stored; the
-    per-monomial form of the same values is
+    residual per (random transform, monomial up to the degree). The
+    transforms are drawn, conjugated into Sp(theta) and validated as one
+    stack (k, d, d), their determinants are one stacked det, and one stacked
+    sphere._monomial_integrals call gives each transform its own batch pass
+    over the rule's nodes, which on a HopfRule are streamed from per-angle
+    tables, never stored. The per-monomial form of the same values is
     sphere.quadrature_integrate(sphere.vg_action(g, t^n), rule).
     """
     th = _theta_entries(theta)
@@ -209,13 +246,10 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
     nf = antisymmetric_normal_form(th)
     indices = _multi_indices(d, degree)
     exact = _moments(indices, d)
-    residuals = np.empty((n_transforms, len(indices)))
-    for i in range(n_transforms):
-        g = sp_theta_conjugate(random_sp_block(d, rng), nf.beta, th)
-        det = np.linalg.det(g)
-        values = _monomial_integrals(rule, degree, g)
-        residuals[i] = np.abs(np.fromiter(values.values(), complex, len(indices)) - exact / det)
-    return InvarianceReport(indices, residuals)
+    g = sp_theta_conjugate(random_sp_block(d, rng, n_transforms), nf.beta, th)
+    values = _monomial_integrals(rule, degree, g)
+    quad = np.array([list(v.values()) for v in values], dtype=complex).reshape(n_transforms, len(indices))
+    return InvarianceReport(indices, np.abs(quad - exact / np.linalg.det(g)[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -429,22 +429,31 @@ def quadrature_integrate(f, rule) -> complex:
 _BLOCK = 1 << 16  # nodes per block of _monomial_integrals
 
 
-def _table_dots(power: np.ndarray, partial: np.ndarray, remaining: int, out: list, k: int = 0) -> None:
+def _table_dots(power: np.ndarray, partial: np.ndarray, remaining: int, out: list, even: bool, k: int = 0) -> None:
     """Append sum_j partial_j prod_{i>=k} power[i, n_i, j] for every (n_k, ..., n_{d-1}) of sum <= remaining.
 
     Lexicographic order, as in _multi_indices. Partial products are shared
-    along that order. Each sum over the nodes is a pairwise sum, not a BLAS
-    product, whose rounding would follow the BLAS thread count; row 0 of the
-    table is 1. A plain recursive function, not a closure: a self-referencing
-    closure is a reference cycle that would keep every block's power table
-    alive until the cyclic collector runs.
+    along that order. Each sum over the nodes is a pairwise sum of one row,
+    not a BLAS product, whose rounding would follow the BLAS thread count; so
+    a row's sum does not depend on which other rows are formed. With even,
+    the last coordinate forms only the rows that give the whole multi-index
+    an even degree, and appends 0.0 for the others. Row 0 of the table is 1.
+    A plain recursive function, not a closure: a self-referencing closure is
+    a reference cycle that would keep every block's power table alive until
+    the cyclic collector runs.
     """
     if k == power.shape[0] - 1:
-        out.append(partial.sum())
-        out.extend((power[k, 1 : remaining + 1] * partial).sum(axis=-1))
+        step = 2 if even else 1
+        first = (power.shape[1] - 1 - remaining) % step  # the degree of the prefix fixes the parity
+        sums = np.zeros(remaining + 1)
+        if first == 0:
+            sums[0] = partial.sum()
+            first = step
+        sums[first::step] = (power[k, first : remaining + 1 : step] * partial).sum(axis=-1)
+        out.extend(sums)
         return
     for e in range(remaining + 1):
-        _table_dots(power, partial if e == 0 else partial * power[k, e], remaining - e, out, k + 1)
+        _table_dots(power, partial if e == 0 else partial * power[k, e], remaining - e, out, even, k + 1)
 
 
 def _flat_blocks(rule, g, directions: bool):
@@ -550,7 +559,7 @@ def _hopf_blocks(rule: HopfRule, g: np.ndarray, directions: bool):
             yield u.reshape(4, -1), w
 
 
-def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
+def _monomial_integrals(rule, max_degree: int, g=None) -> dict | list:
     """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
 
     The batch form of quadrature_integrate(vg_action(g, t^n), rule) for all n
@@ -561,9 +570,10 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     rule.points of every other rule. On an antipodal HopfRule (n_phi even)
     V_g t^n is odd under t -> -t when |n| is odd, so those keys are set to
     exactly 0, the full rule's value in exact arithmetic and the exact
-    moment; the pullback source holds one node of each pair t, -t at twice
-    the weight, and its even keys differ from the full rule's sums at
-    roundoff. With n_phi odd every node is summed. Per block, the source
+    moment, and their table rows are not formed; the pullback source holds
+    one node of each pair t, -t at twice the weight, and its even keys
+    differ from the full rule's sums at roundoff. With n_phi odd every node
+    is summed. Per block, the source
     gives the directions u = gt/|gt| and the weights w |gt|^{-d}; the kernel
     forms the power table u_k^e for e <= max_degree, and each monomial is a
     weighted dot of table rows. At degree 0 the only monomial is 1, so it
@@ -572,14 +582,26 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
     O(d * max_degree * _BLOCK) whatever the node count. Keys run in the order
     of _multi_indices. A g that is not a finite, numerically invertible
     d x d matrix is a ValueError.
+
+    g may be a stack (k, d, d): it is validated once, with one stacked SVD,
+    and refused whole if any member fails; each member then runs its own
+    pass, in the tiles and summation order of its own call, and the result
+    is the list of the k dicts, each bitwise that of its own call.
     """
     d = rule.d
     if g is not None:
         g = np.asarray(g, dtype=float)
-        if g.shape != (d, d):
-            raise ValueError(f"g must be {d}x{d}, got shape {g.shape}")
+        if g.shape[-2:] != (d, d) or g.ndim not in (2, 3):
+            raise ValueError(f"g must be {d}x{d} or a stack of them, got shape {g.shape}")
         _check_invertible(g)
     keys = _multi_indices(d, max_degree)
+    if g is not None and g.ndim == 3:
+        return [_pullback_integrals(rule, max_degree, keys, member) for member in g]
+    return _pullback_integrals(rule, max_degree, keys, g)
+
+
+def _pullback_integrals(rule, max_degree: int, keys: np.ndarray, g) -> dict:
+    """The body of _monomial_integrals for one validated g, or None, and its key table."""
     hopf = isinstance(rule, HopfRule)
     if hopf and g is None:
         totals = _hopf_factor_sums(rule, keys, max_degree)
@@ -591,7 +613,7 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict:
                 continue
             power = _powers(u, max_degree).swapaxes(0, 1)
             sums = []
-            _table_dots(power, w, max_degree, sums)
+            _table_dots(power, w, max_degree, sums, hopf and rule.antipodal)
             totals += np.array(sums)
     if hopf and rule.antipodal:
         totals[keys.sum(axis=1) % 2 == 1] = 0.0
@@ -606,12 +628,13 @@ def _check_invertible(g: np.ndarray) -> None:
     """Refuse a square g that is not finite, or whose least singular value is at most 1e-12 of its largest.
 
     The ratio does not change when g is scaled, as det g does: 1e-4 times the
-    identity in d = 4 has det 1e-16 and condition number 1.
+    identity in d = 4 has det 1e-16 and condition number 1. g may be a stack
+    (k, d, d), refused whole if any member would be, by one stacked SVD.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("g entries must be finite")
     s = np.linalg.svd(g, compute_uv=False)  # descending
-    if not s[-1] > 1e-12 * s[0]:  # also refuses g = 0
+    if not np.all(s[..., -1] > 1e-12 * s[..., 0]):  # also refuses g = 0
         raise ValueError("g is numerically singular")
 
 

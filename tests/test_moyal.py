@@ -25,7 +25,7 @@ from nctrace.moyal import (
     sp_invariant_functional_check,
     sp_theta_conjugate,
 )
-from nctrace.sphere import SpherePoly, quadrature_rule
+from nctrace.sphere import SpherePoly, _moments, _monomial_integrals, quadrature_rule
 from nctrace.torus import ThetaMatrix
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -111,9 +111,24 @@ class TestExpm:
                 g = moyal.expm(random_real(d, rng, rng.uniform(0.0, 4.0), True))
                 assert np.abs(g.T @ omega @ g - omega).max() <= 1e-10
 
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_stack_is_bitwise_its_members(self, d):
+        # a zero member, members that need no squaring (1-norm <= 1/2) and
+        # members squared 3 to 7 times, so the squaring steps mask the stack
+        rng = np.random.default_rng(40 + d)
+        norms = [0.0, 0.3, 0.5, 4.5, 9.0, 50.0]
+        stack = np.array([random_real(d, rng, n, h) for n in norms for h in (False, True)])
+        got = moyal.expm(stack)
+        assert got.shape == stack.shape
+        for member, out in zip(stack, got):
+            assert np.array_equal(out, moyal.expm(member))
+        assert moyal.expm(stack[:0]).shape == (0, d, d)
+
     def test_refuses_bad_input(self):
         with pytest.raises(ValueError, match="not finite"):
             moyal.expm(np.array([[0.0, np.inf], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="not finite"):
+            moyal.expm(np.stack([np.zeros((2, 2)), np.array([[0.0, np.nan], [1.0, 0.0]])]))
         with pytest.raises(ValueError, match="not finite"):
             moyal.expm(np.full((2, 2), np.nan))
         with pytest.raises(ValueError, match="square"):
@@ -279,6 +294,16 @@ class TestGroupElements:
             g = random_sp_block(d, rng)
             assert sp_group_membership(g, omega)
 
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_random_block_stack_is_bitwise_sequential_calls(self, d):
+        # one normal(size=(n, d, d)) draw is the stream of n normal(size=(d, d)) draws
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        got = random_sp_block(d, rng, 7)
+        assert got.shape == (7, d, d)
+        for member in got:
+            assert np.array_equal(member, random_sp_block(d, ref))
+        assert rng.normal() == ref.normal()
+
     def test_generator_normalisation_bounds_condition(self):
         # unit-norm symmetric generator caps cond(e^{Omega S / 2}) at e
         rng = np.random.default_rng(11)
@@ -309,6 +334,40 @@ class TestGroupElements:
         out = sp_theta_conjugate(g, nf.beta, theta=a * OMEGA2)
         np.testing.assert_allclose(out, g, atol=1e-12)
 
+    def test_conjugate_stack_is_bitwise_its_members(self):
+        rng = np.random.default_rng(2)
+        th = np.array([random_antisymmetric(4, rng) for _ in range(5)])
+        betas = antisymmetric_normal_form(th).beta
+        g = random_sp_block(4, rng, 5)
+        got = sp_theta_conjugate(g, betas, th)
+        for member, gk, beta, tk in zip(got, g, betas, th):
+            assert np.array_equal(member, sp_theta_conjugate(gk, beta, tk))
+        # one beta and one theta broadcast against a stack of g
+        got = sp_theta_conjugate(g, betas[0], th[0])
+        for member, gk in zip(got, g):
+            assert np.array_equal(member, sp_theta_conjugate(gk, betas[0], th[0]))
+
+    def test_conjugate_stack_is_refused_whole(self):
+        rng = np.random.default_rng(4)
+        th = np.array([random_antisymmetric(4, rng) for _ in range(3)])
+        betas = antisymmetric_normal_form(th).beta
+        g = random_sp_block(4, rng, 3)
+        sp_theta_conjugate(g, betas, th)
+        bad = g.copy()
+        bad[1] *= 1.001
+        with pytest.raises(ValueError, match="block form"):
+            sp_theta_conjugate(bad, betas, th)
+        with pytest.raises(ValueError, match="theta-form"):
+            sp_theta_conjugate(g, betas, th[[0, 2, 2]])
+        bad_theta = th.copy()
+        bad_theta[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            sp_theta_conjugate(g, betas, bad_theta)
+        bad_theta = th.copy()
+        bad_theta[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="antisymmetric"):
+            sp_theta_conjugate(g, betas, bad_theta)
+
     def test_rejects_non_symplectic_g(self):
         nf = antisymmetric_normal_form(OMEGA2)
         with pytest.raises(ValueError):
@@ -336,6 +395,24 @@ class TestInvarianceCheck:
         rep = sp_invariant_functional_check(OMEGA2, 3, quadrature_rule(2, 256), n_transforms=4, seed=1)
         assert rep.residuals.shape == (4, 10)  # ten monomials up to degree 3 in d=2
         assert rep.max_residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "theta, degree, n",
+        [(OMEGA2, 3, 256), (ThetaMatrix.from_upper(4, [np.pi / (2 + k) for k in range(6)]), 4, (12, 16))],
+    )
+    def test_stacked_transforms_equal_the_per_transform_loop(self, theta, degree, n):
+        # the loop of one draw, conjugation, det and batch pass per transform is the oracle
+        th = moyal._theta_entries(theta)
+        rule = quadrature_rule(len(th), n)
+        rep = sp_invariant_functional_check(theta, degree, rule, n_transforms=5, seed=3)
+        rng = np.random.default_rng(3)
+        beta = antisymmetric_normal_form(th).beta
+        exact = _moments(rep.indices, len(th))
+        for row in rep.residuals:
+            g = sp_theta_conjugate(random_sp_block(len(th), rng), beta, th)
+            values = _monomial_integrals(rule, degree, g)
+            want = np.abs(np.fromiter(values.values(), complex, len(values)) - exact / np.linalg.det(g))
+            assert np.array_equal(row, want)
 
     def test_rule_dimension_mismatch(self):
         with pytest.raises(ValueError):

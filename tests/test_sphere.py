@@ -20,6 +20,7 @@ from nctrace.sphere import (
     _monomial_integrals,
     _multi_indices,
     _product_points,
+    _powers,
     _table_dots,
     lie_action,
     moment_recursion_check,
@@ -361,7 +362,7 @@ def _streamed_hopf_moments(rule, max_degree):
         for e in range(1, max_degree + 1):
             np.multiply(power[:, e - 1], u, out=power[:, e])
         sums = []
-        _table_dots(power, np.repeat(row_w[lat], n_phi), max_degree, sums)
+        _table_dots(power, np.repeat(row_w[lat], n_phi), max_degree, sums, False)
         totals += np.array(sums)
     if rule.antipodal:
         totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
@@ -482,6 +483,54 @@ def test_batch_moments_refuse_a_bad_g(g, match, kind):
     rule = quadrature_rule(4, n=(8, 16))
     with pytest.raises(ValueError, match=match):
         _monomial_integrals(rule if kind == "hopf" else _flat(rule), 2, g)
+
+
+@pytest.mark.parametrize("d,n", [(4, (12, 16)), (4, (7, 13)), (4, (50, 40)), (3, (8, 16)), (2, 64)])
+@pytest.mark.parametrize("degree", [0, 4])
+def test_batch_moments_of_a_stack_are_bitwise_its_members(d, n, degree):
+    # even and odd n_phi Hopf rules, and product rules: each member of a
+    # stack runs its own pass, in the tiles of its own call
+    rule = quadrature_rule(d, n=n)
+    g = np.array([_transform(kind, d, seed) for kind in ("sp", "gl") for seed in range(3) if d % 2 == 0 or kind == "gl"])
+    got = _monomial_integrals(rule, degree, g)
+    assert len(got) == len(g)
+    for values, member in zip(got, g):
+        want = _monomial_integrals(rule, degree, member)
+        assert list(values) == list(want)
+        assert all(values[nvec] == v for nvec, v in want.items())
+    assert _monomial_integrals(rule, degree, g[:0]) == []
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [(np.nan, "finite"), (np.zeros((4, 4)), "singular"), (np.outer([1.0, 2.0, 0.5, -1.0], [0.3, 1.0, -2.0, 0.7]), "singular")],
+    ids=["nan", "zero", "rank1"],
+)
+@pytest.mark.parametrize("kind", ["hopf", "flat"])
+def test_batch_moments_refuse_a_stack_with_one_bad_member(bad, match, kind):
+    rule = quadrature_rule(4, n=(8, 16))
+    g = np.array([_transform("sp", 4, seed) for seed in range(3)])
+    g[1] = bad
+    with pytest.raises(ValueError, match=match):
+        _monomial_integrals(rule if kind == "hopf" else _flat(rule), 2, g)
+    with pytest.raises(ValueError, match="4x4"):
+        _monomial_integrals(rule, 2, g[None])
+
+
+@pytest.mark.parametrize("max_degree", [1, 4, 6])
+def test_even_table_dots_are_bitwise_the_full_pass(max_degree):
+    # each key's sum is a pairwise sum of its own row, so skipping the rows of
+    # odd total degree leaves every even key bitwise as it was
+    rng = np.random.default_rng(max_degree)
+    power = np.swapaxes(_powers(rng.normal(size=(4, 1000)), max_degree), 0, 1)
+    weights = rng.uniform(size=1000)
+    full, even = [], []
+    _table_dots(power, weights, max_degree, full, False)
+    _table_dots(power, weights, max_degree, even, True)
+    keys = _multi_indices(4, max_degree).sum(axis=1)
+    assert len(full) == len(even) == len(keys)
+    for degree, a, b in zip(keys, full, even):
+        assert b == (0.0 if degree % 2 else a)
 
 
 def test_batch_moments_leave_no_reference_cycles():
