@@ -28,12 +28,6 @@ SHELL_SAMPLE_BYTES = 2**31  # largest point array of one sampled shell profile
 
 
 def _theta_entries(theta) -> np.ndarray:
-    if isinstance(theta, ThetaMatrix):
-        return theta.entries
-    return ThetaMatrix(np.asarray(theta, dtype=float)).entries
-
-
-def _theta_stack(theta) -> np.ndarray:
     """The entries of one theta or of a stack (k, d, d) of them, refused whole by torus._check_theta_entries."""
     th = theta.entries if isinstance(theta, ThetaMatrix) else np.asarray(theta, dtype=float)
     _check_theta_entries(th, 3 if th.ndim == 3 else 2)
@@ -73,29 +67,23 @@ def expm(a: np.ndarray) -> np.ndarray:
     scaled matrix is evaluated by Horner's rule and squared s times. At 1-norm
     1/2 the dropped tail is below (1/2)^19 e^{1/2} / 19! < 1e-22, far under
     roundoff (Moler and Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix
-    Anal. Appl. 26, 2005). On a stack, Horner's rule runs on every member at
-    once and squaring step j on the members with s > j, so each member is
-    bitwise its own call.
+    Anal. Appl. 26, 2005). The halving loop takes every member's count at
+    once, Horner's rule runs on the whole input and squaring step j on the
+    members with s > j, so each member of a stack is bitwise its own call.
     """
     if np.iscomplexobj(a):
         raise ValueError("expected a real matrix")
     a = np.asarray(a, dtype=float)
-    stack = a.ndim == 3
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries are not finite")
-    if not stack:
-        a = a[None]
-    squarings = []
-    for norm in np.abs(a).sum(axis=1).max(axis=1, initial=0.0).tolist():
-        s = 0
-        while norm > 0.5:
-            norm /= 2.0
-            s += 1
-        squarings.append(s)
-    s = np.array(squarings, dtype=int)
-    a = a / (2.0**s)[:, None, None]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.zeros(norm.shape, dtype=int)
+    while np.any(norm > 0.5):
+        s += norm > 0.5
+        norm = np.where(norm > 0.5, norm / 2.0, norm)
+    a = a / (2.0**s)[..., None, None]
     eye = np.eye(a.shape[-1])
     out = eye + a / 18.0
     for k in range(17, 0, -1):
@@ -103,7 +91,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     for j in range(s.max(initial=0)):
         more = s > j
         out[more] = out[more] @ out[more]
-    return out if stack else out[0]
+    return out
 
 
 def antisymmetric_normal_form(theta) -> NormalForm:
@@ -117,37 +105,35 @@ def antisymmetric_normal_form(theta) -> NormalForm:
     beta. Each eigenvector's phase is fixed first: its first component of
     modulus at least half the largest is made positive imaginary, and the
     pairs are ordered by that component's index. So a theta already in block
-    form comes back as a diagonal scaling. A stack is refused whole if any
-    member would be; each member's beta and residual are bitwise those of its
-    own call.
+    form comes back as a diagonal scaling. One theta gives a (d, d) beta and
+    a float residual; a stack gives (k, d, d) and (k,), is refused whole if
+    any member would be, and each member's beta and residual are bitwise
+    those of its own call.
     """
-    th = _theta_stack(theta)
-    stack = th.ndim == 3
-    if not stack:
-        th = th[None]
-    k, d = th.shape[:2]
+    th = _theta_entries(theta)
+    d = th.shape[-1]
     if d % 2:
         raise ValueError("antisymmetric normal form needs even d")
     w, v = np.linalg.eigh(1j * th)
     # eigenvalues ascend: the d/2 positive ones, lam_min to lam_max, come last. Their ratio,
     # unlike det theta, does not change when theta is scaled; lam_max = 0 is refused too
-    if not np.all(w[:, d // 2] > 1e-12 * w[:, -1]):
+    if not np.all(w[..., d // 2] > 1e-12 * w[..., -1]):
         raise ValueError("theta is numerically singular")
     v = v[..., d // 2 :]
     mod = np.abs(v)
-    first = np.argmax(mod >= 0.5 * mod.max(axis=1, keepdims=True), axis=1)
-    lead = np.take_along_axis(v, first[:, None], axis=1)
-    order = np.argsort(first, axis=1, kind="stable")
-    v = np.take_along_axis(v * (1j * lead.conj() / np.abs(lead)), order[:, None], axis=2)
-    q = np.empty((k, d, d))
+    first = np.argmax(mod >= 0.5 * mod.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
+    order = np.argsort(first, axis=-1, kind="stable")
+    v = np.take_along_axis(v * (1j * lead.conj() / np.abs(lead)), order[..., None, :], axis=-1)
+    q = np.empty(th.shape)
     q[..., 0::2] = v.imag
     q[..., 1::2] = v.real
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    lam = np.einsum("nik,nij,njk->nk", q[..., 0::2], th, q[..., 1::2])
-    beta = q * np.repeat(lam**-0.5, 2, axis=1)[:, None]
+    q /= np.linalg.norm(q, axis=-2, keepdims=True)
+    lam = np.einsum("...ik,...ij,...jk->...k", q[..., 0::2], th, q[..., 1::2])
+    beta = q * np.repeat(lam**-0.5, 2, axis=-1)[..., None, :]
     omega = SymplecticForm(d).matrix
-    residual = np.abs(np.swapaxes(beta, -1, -2) @ th @ beta - omega).max(axis=(1, 2))
-    return NormalForm(beta, residual) if stack else NormalForm(beta[0], float(residual[0]))
+    residual = np.abs(np.swapaxes(beta, -1, -2) @ th @ beta - omega).max(axis=(-2, -1))
+    return NormalForm(beta, residual)
 
 
 def random_sp_block(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -182,15 +168,6 @@ def _form_residuals(g: np.ndarray, form: np.ndarray) -> np.ndarray:
     return np.abs(np.swapaxes(g, -1, -2) @ form @ g - form).max(axis=(-2, -1))
 
 
-def sp_group_membership(g: np.ndarray, form: np.ndarray) -> bool:
-    """Whether g^T form g = form within MEMBERSHIP_TOL (form may be any antisymmetric matrix)."""
-    g = np.asarray(g, dtype=float)
-    form = np.asarray(form, dtype=float)
-    if g.shape != form.shape:
-        raise ValueError("dimension mismatch")
-    return float(_form_residuals(g, form)) <= MEMBERSHIP_TOL
-
-
 def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarray:
     """beta g beta^{-1}; maps the block-form group onto Sp(theta).
 
@@ -205,7 +182,7 @@ def sp_theta_conjugate(g: np.ndarray, beta: np.ndarray, theta=None) -> np.ndarra
     if np.any(_form_residuals(g, SymplecticForm(g.shape[-1]).matrix) > MEMBERSHIP_TOL):
         raise ValueError("g does not preserve the block form")
     out = beta @ g @ np.linalg.inv(beta)
-    if theta is not None and np.any(_form_residuals(out, _theta_stack(theta)) > MEMBERSHIP_TOL):
+    if theta is not None and np.any(_form_residuals(out, _theta_entries(theta)) > MEMBERSHIP_TOL):
         raise ValueError("conjugated matrix fails the theta-form membership")
     return out
 
@@ -230,25 +207,28 @@ def sp_invariant_functional_check(theta, degree: int, rule, n_transforms: int = 
 
     Symplectic matrices have determinant 1, so the weighted pullback must
     preserve every monomial integral exactly; the report holds the quadrature
-    residual per (random transform, monomial up to the degree). The
-    transforms are drawn, conjugated into Sp(theta) and validated as one
-    stack (k, d, d), their determinants are one stacked det, and one stacked
-    sphere._monomial_integrals call gives each transform its own batch pass
-    over the rule's nodes, which on a HopfRule are streamed from per-angle
-    tables, never stored. The per-monomial form of the same values is
-    sphere.quadrature_integrate(sphere.vg_action(g, t^n), rule).
+    residual per (random transform, monomial up to the degree). theta is one
+    d x d matrix of the rule's d, and n_transforms a positive int; anything
+    else is a ValueError raised before any draw. The transforms are drawn,
+    conjugated into Sp(theta) and validated as one stack (k, d, d), their
+    determinants are one stacked det, and one stacked
+    sphere._monomial_integrals call gives the (k, M) table of their batch
+    passes over the rule's nodes, which on a HopfRule are streamed from
+    per-angle tables, never stored. The per-monomial form of the same values
+    is sphere.quadrature_integrate(sphere.vg_action(g, t^n), rule).
     """
+    if not isinstance(n_transforms, (int, np.integer)) or isinstance(n_transforms, bool) or n_transforms < 1:
+        raise ValueError(f"n_transforms must be a positive int, got {n_transforms!r}")
     th = _theta_entries(theta)
-    d = th.shape[0]
-    if rule.d != d:
-        raise ValueError("quadrature rule dimension mismatch")
+    d = rule.d
+    if th.shape != (d, d):
+        raise ValueError(f"theta of shape {th.shape} does not match the quadrature rule on S^{d - 1}")
     rng = np.random.default_rng(seed)
     nf = antisymmetric_normal_form(th)
     indices = _multi_indices(d, degree)
     exact = _moments(indices, d)
     g = sp_theta_conjugate(random_sp_block(d, rng, n_transforms), nf.beta, th)
-    values = _monomial_integrals(rule, degree, g)
-    quad = np.array([list(v.values()) for v in values], dtype=complex).reshape(n_transforms, len(indices))
+    quad = _monomial_integrals(rule, degree, g)
     return InvarianceReport(indices, np.abs(quad - exact / np.linalg.det(g)[:, None]))
 
 
@@ -295,6 +275,8 @@ def grid_unitary_apply(grid: UniformGrid, theta, t, xi: np.ndarray) -> np.ndarra
     The phase sign is fixed so that U(t)U(s) = exp(+(i/2)<t, theta s>) U(t+s).
     """
     th = _theta_entries(theta)
+    if th.shape != (grid.d, grid.d):
+        raise ValueError(f"theta of shape {th.shape} does not match the grid's d={grid.d}")
     t = np.asarray(t, dtype=float)
     steps = grid.steps_of(t)
     xi = np.asarray(xi)
@@ -321,6 +303,8 @@ def grid_unitary_apply(grid: UniformGrid, theta, t, xi: np.ndarray) -> np.ndarra
 
 def ccr_phase(t, s, theta) -> complex:
     th = _theta_entries(theta)
+    if th.ndim != 2:
+        raise ValueError(f"ccr_phase takes one theta, got shape {th.shape}")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     return complex(np.exp(0.5j * float(t @ th @ s)))

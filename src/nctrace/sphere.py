@@ -29,7 +29,7 @@ integral, 0; with an odd angle count every node is summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import comb, exp, lgamma, log, pi
 from typing import Callable, ClassVar, NamedTuple
 
@@ -73,22 +73,15 @@ def _check_multi_index_budget(d: int, max_degree: int) -> None:
 def _multi_indices(d: int, max_degree: int) -> np.ndarray:
     """All d-tuples of nonnegative ints with sum <= max_degree, as the rows of an (M, d) int64 array, lexicographic.
 
-    The array is read-only and shared by every call with the same (d, max_degree).
+    Every call checks the budget and builds a new table.
     """
     _check_multi_index_budget(d, max_degree)
-    return _multi_index_table(d, max_degree)
-
-
-# a suite asks for one or two tables, each many times: the invariance check once per transform
-@lru_cache(maxsize=8)
-def _multi_index_table(d: int, max_degree: int) -> np.ndarray:
     out = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):
         # each prefix of sum s takes the next coordinate's values 0..max_degree - s in order
         counts = max_degree - out.sum(axis=1) + 1
         last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         out = np.column_stack([np.repeat(out, counts, axis=0), last])
-    out.flags.writeable = False
     return out
 
 
@@ -466,7 +459,7 @@ def _flat_blocks(rule, g, directions: bool):
         cols = rule.points[start : start + _BLOCK].T
         w = rule.weights[start : start + _BLOCK]
         if g is None:
-            yield (np.ascontiguousarray(cols) if directions else None), w
+            yield (cols if directions else None), w
             continue
         gt = g @ cols
         norms = np.sqrt(np.einsum("kj,kj->j", gt, gt))
@@ -474,11 +467,15 @@ def _flat_blocks(rule, g, directions: bool):
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """The powers x^0, ..., x^n of an array of any shape, stacked on a new first axis, by repeated multiplication."""
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
+    """The powers x^0, ..., x^n of an array of any shape, by repeated multiplication.
+
+    They are stacked on a new second-to-last axis, so a (d, m) array gives one
+    C-contiguous (d, n + 1, m) table and a vector of m entries an (n + 1, m) one.
+    """
+    out = np.empty(x.shape[:-1] + (n + 1,) + x.shape[-1:])
+    out[..., 0, :] = 1.0
     for e in range(1, n + 1):
-        np.multiply(out[e - 1], x, out=out[e])
+        np.multiply(out[..., e - 1, :], x, out=out[..., e, :])
     return out
 
 
@@ -559,34 +556,35 @@ def _hopf_blocks(rule: HopfRule, g: np.ndarray, directions: bool):
             yield u.reshape(4, -1), w
 
 
-def _monomial_integrals(rule, max_degree: int, g=None) -> dict | list:
+def _monomial_integrals(rule, max_degree: int, g=None) -> np.ndarray:
     """Quadrature of every monomial t^n with |n| <= max_degree, or of its pullback V_g t^n.
 
     The batch form of quadrature_integrate(vg_action(g, t^n), rule) for all n
-    at once. On a HopfRule with g = None the sums come from its factors
+    at once, as a float64 array whose entries follow the rows of
+    _multi_indices(rule.d, max_degree): shape (M,) for no g or one d x d g,
+    and (k, M) for a stack g of shape (k, d, d). A stack is validated once,
+    with one stacked SVD, and refused whole if any member fails; each member
+    then runs its own pass, so its row is bitwise the array of its own call.
+    A g that is not a finite, numerically invertible d x d matrix, or a stack
+    of them, is a ValueError.
+
+    On a HopfRule with g = None the sums come from its factors
     (_hopf_factor_sums) and no node is visited. Every other case runs one
     kernel over the blocks of a source: _hopf_blocks streams the pullback on
     a HopfRule in tiles built from its factors, and _flat_blocks slices
     rule.points of every other rule. On an antipodal HopfRule (n_phi even)
-    V_g t^n is odd under t -> -t when |n| is odd, so those keys are set to
+    V_g t^n is odd under t -> -t when |n| is odd, so those entries are set to
     exactly 0, the full rule's value in exact arithmetic and the exact
     moment, and their table rows are not formed; the pullback source holds
-    one node of each pair t, -t at twice the weight, and its even keys
+    one node of each pair t, -t at twice the weight, and its even entries
     differ from the full rule's sums at roundoff. With n_phi odd every node
-    is summed. Per block, the source
-    gives the directions u = gt/|gt| and the weights w |gt|^{-d}; the kernel
-    forms the power table u_k^e for e <= max_degree, and each monomial is a
-    weighted dot of table rows. At degree 0 the only monomial is 1, so it
-    sums the weights and forms neither u nor a table. Block sums are added in
-    block order, so the result is deterministic and memory is
-    O(d * max_degree * _BLOCK) whatever the node count. Keys run in the order
-    of _multi_indices. A g that is not a finite, numerically invertible
-    d x d matrix is a ValueError.
-
-    g may be a stack (k, d, d): it is validated once, with one stacked SVD,
-    and refused whole if any member fails; each member then runs its own
-    pass, in the tiles and summation order of its own call, and the result
-    is the list of the k dicts, each bitwise that of its own call.
+    is summed. Per block, the source gives the directions u = gt/|gt| and the
+    weights w |gt|^{-d}; the kernel forms the C-contiguous power table u_k^e
+    for e <= max_degree, and each monomial is a weighted dot of table rows.
+    At degree 0 the only monomial is 1, so it sums the weights and forms
+    neither u nor a table. Block sums are added in block order, so the
+    result is deterministic and memory is O(d * max_degree * _BLOCK)
+    whatever the node count.
     """
     d = rule.d
     if g is not None:
@@ -595,29 +593,23 @@ def _monomial_integrals(rule, max_degree: int, g=None) -> dict | list:
             raise ValueError(f"g must be {d}x{d} or a stack of them, got shape {g.shape}")
         _check_invertible(g)
     keys = _multi_indices(d, max_degree)
-    if g is not None and g.ndim == 3:
-        return [_pullback_integrals(rule, max_degree, keys, member) for member in g]
-    return _pullback_integrals(rule, max_degree, keys, g)
-
-
-def _pullback_integrals(rule, max_degree: int, keys: np.ndarray, g) -> dict:
-    """The body of _monomial_integrals for one validated g, or None, and its key table."""
     hopf = isinstance(rule, HopfRule)
-    if hopf and g is None:
-        totals = _hopf_factor_sums(rule, keys, max_degree)
-    else:
-        totals = np.zeros(len(keys))
-        for u, w in (_hopf_blocks if hopf else _flat_blocks)(rule, g, max_degree > 0):
+    members = [None] if g is None else g.reshape(-1, d, d)
+    out = np.zeros((len(members), len(keys)))
+    for totals, member in zip(out, members):
+        if hopf and member is None:
+            totals[:] = _hopf_factor_sums(rule, keys, max_degree)
+            continue
+        for u, w in (_hopf_blocks if hopf else _flat_blocks)(rule, member, max_degree > 0):
             if u is None:
                 totals += w.sum()
                 continue
-            power = _powers(u, max_degree).swapaxes(0, 1)
             sums = []
-            _table_dots(power, w, max_degree, sums, hopf and rule.antipodal)
+            _table_dots(_powers(u, max_degree), w, max_degree, sums, hopf and rule.antipodal)
             totals += np.array(sums)
     if hopf and rule.antipodal:
-        totals[keys.sum(axis=1) % 2 == 1] = 0.0
-    return {n: complex(v) for n, v in zip(map(tuple, keys.tolist()), totals)}
+        out[:, keys.sum(axis=1) % 2 == 1] = 0.0
+    return out.reshape(np.shape(g)[:-2] + (len(keys),))
 
 
 # ---------------------------------------------------------------------------

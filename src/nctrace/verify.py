@@ -30,6 +30,7 @@ from .sphere import (
     SpherePoly,
     _moments,
     _monomial_integrals,
+    _multi_indices,
     moment_recursion_check,
     quadrature_rule,
     sphere_integrate,
@@ -170,8 +171,9 @@ def _suite_moments(cfg: VerifyConfig) -> list:
         _record("first_reduction_residual", rep.first.max(), 0.0, 1e-12),
         _record("main_reduction_residual", rep.main.max(), 0.0, 1e-12),
     ]
-    table = _monomial_integrals(quadrature_rule(cfg.d), min(6, cfg.max_degree))
-    worst = np.abs(np.array(list(table.values())) - _moments(np.array(list(table)), cfg.d)).max()
+    degree = min(6, cfg.max_degree)
+    table = _monomial_integrals(quadrature_rule(cfg.d), degree)
+    worst = np.abs(table - _moments(_multi_indices(cfg.d, degree), cfg.d)).max()
     records.append(_record("quadrature_cross_check", worst, 0.0, 1e-8))
     return records
 

@@ -30,13 +30,13 @@ from nctrace.moyal import (
 )
 from nctrace.sphere import (
     SpherePoly,
+    _moments,
     _monomial_integrals,
     _multi_indices,
     lie_action,
     moment_recursion_check,
     quadrature_rule,
     random_unit_vectors,
-    sphere_moment,
     vg_action,
 )
 from nctrace.su2 import (
@@ -172,9 +172,8 @@ def _worst_invariance_residual(g, rule, degree=4):
     One batch pass over the rule; tests/test_sphere.py checks the batch values
     against the per-monomial quadrature_integrate path.
     """
-    det = np.linalg.det(g)
-    values = _monomial_integrals(rule, degree, g)
-    return max(abs(v - sphere_moment(nvec, rule.d) / det) for nvec, v in values.items())
+    exact = _moments(_multi_indices(rule.d, degree), rule.d)
+    return np.abs(_monomial_integrals(rule, degree, g) - exact / np.linalg.det(g)).max()
 
 
 def test_criterion_05_invariance_residuals():

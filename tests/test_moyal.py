@@ -21,7 +21,6 @@ from nctrace.moyal import (
     random_sp_block,
     random_sp_theta,
     riesz_difference_decay,
-    sp_group_membership,
     sp_invariant_functional_check,
     sp_theta_conjugate,
 )
@@ -292,7 +291,7 @@ class TestGroupElements:
         omega = SymplecticForm(d).matrix
         for _ in range(10):
             g = random_sp_block(d, rng)
-            assert sp_group_membership(g, omega)
+            assert moyal._form_residuals(g, omega) <= moyal.MEMBERSHIP_TOL
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_random_block_stack_is_bitwise_sequential_calls(self, d):
@@ -410,13 +409,22 @@ class TestInvarianceCheck:
         exact = _moments(rep.indices, len(th))
         for row in rep.residuals:
             g = sp_theta_conjugate(random_sp_block(len(th), rng), beta, th)
-            values = _monomial_integrals(rule, degree, g)
-            want = np.abs(np.fromiter(values.values(), complex, len(values)) - exact / np.linalg.det(g))
-            assert np.array_equal(row, want)
+            want = np.abs(_monomial_integrals(rule, degree, g) - exact / np.linalg.det(g))
+            assert row.tobytes() == want.tobytes()
 
     def test_rule_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sp_invariant_functional_check(OMEGA2, 2, quadrature_rule(3, (8, 16)))
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, True])
+    def test_refuses_a_count_that_is_not_a_positive_int_before_any_draw(self, n, monkeypatch):
+        # n_transforms = 0 gave max_residual 0.0 over a (0, M) table: a pass that checked nothing
+        def no_draw(*args):
+            raise AssertionError("drew a transform")
+
+        monkeypatch.setattr(moyal, "random_sp_block", no_draw)
+        with pytest.raises(ValueError, match="n_transforms must be a positive int"):
+            sp_invariant_functional_check(OMEGA2, 4, quadrature_rule(2, 16), n_transforms=n)
 
     def test_million_node_hopf_check_streams_its_nodes(self):
         # the 2^20 node array alone is 32 MB and its weights 8 MB; the Hopf
@@ -543,6 +551,19 @@ class TestCommutationPhase:
         grid = UniformGrid(2, 8, 1.0)
         with pytest.raises(ValueError):
             ccr_phase_residual((6.0, 0.0), (6.0, 0.0), self.THETA, grid)
+
+
+def test_one_theta_functions_refuse_a_stack():
+    # a (2, 2, 2) stack has the shapes a grid of d = 2 would broadcast against
+    stack = np.stack([OMEGA2, 2.0 * OMEGA2])
+    with pytest.raises(ValueError, match="one theta"):
+        ccr_phase((1.0, 0.0), (0.0, 1.0), stack)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        grid_unitary_apply(UniformGrid(2, 8, 1.0), stack, (1.0, 0.0), np.ones((8, 8)))
+    with pytest.raises(ValueError, match="does not match the quadrature rule"):
+        sp_invariant_functional_check(stack, 2, quadrature_rule(2, 16), n_transforms=2)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        grid_unitary_apply(UniformGrid(2, 8, 1.0), SymplecticForm(4).matrix, (1.0, 0.0), np.ones((8, 8)))
 
 
 class TestMultiplierIdentity:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nctrace import sphere
-from nctrace.moyal import random_sp_block, sp_group_membership
+from nctrace.moyal import MEMBERSHIP_TOL, _form_residuals, random_sp_block
 from nctrace.sphere import (
     HopfRule,
     QuadratureRule,
@@ -191,7 +191,8 @@ def test_product_rule_is_exact_up_to_its_design_degree(d, q):
     # at d=4 quadrature_rule picks the Hopf rule, so the product rule is built directly
     rule = QuadratureRule(d, *_product_points(d, q, 2 * q)) if d == 4 else quadrature_rule(d, n=q)
     assert rule.size == 2 * q ** (d - 1)
-    for nvec, value in _monomial_integrals(rule, 2 * q - 1).items():
+    keys = _multi_indices(d, 2 * q - 1).tolist()
+    for nvec, value in zip(keys, _monomial_integrals(rule, 2 * q - 1).tolist(), strict=True):
         assert abs(value - sphere_moment(nvec, d)) <= 1e-12, nvec
 
 
@@ -237,20 +238,27 @@ def _oracle_moments(rule, max_degree, g):
 
     V_g t^n = rho prod_k (c_k / rho)^{n_k}, so each monomial is one pairwise
     sum over the nodes of weight * rho * prod (c_k / rho)^{n_k}; for g = None,
-    rho = 1 and c_k = t_k.
+    rho = 1 and c_k = t_k. One entry per row of _multi_indices(d, max_degree).
     """
     d = rule.d
     basis = [SpherePoly.constant(d)] + [SpherePoly.coordinate(d, k) for k in range(1, d + 1)]
     rho, *c = ((b if g is None else vg_action(g, b)).evaluate(rule.points).real for b in basis)
     weighted, u = rule.weights * rho, [ck / rho for ck in c]
-    out = {}
-    for nvec in map(tuple, _multi_indices(d, max_degree).tolist()):
+    out = []
+    for nvec in _multi_indices(d, max_degree).tolist():
         term = weighted
         for k, e in enumerate(nvec):
             if e:
                 term = term * u[k] ** e
-        out[nvec] = complex(np.sum(term))
-    return out
+        out.append(np.sum(term))
+    return np.array(out)
+
+
+def _assert_close(got, want, rtol=1e-13):
+    """|got - want| <= rtol max(1, |want|) in every entry; a failure names the first rows of _multi_indices that miss."""
+    assert got.shape == want.shape
+    miss = np.abs(got - want) > rtol * np.maximum(1.0, np.abs(want))
+    assert not miss.any(), np.flatnonzero(miss)[:10]
 
 
 def _transform(kind, d, seed):
@@ -284,10 +292,8 @@ def test_batch_moments_match_per_monomial_quadrature(d, n, kind, g_kind):
     _check_kind(rule, kind)
     g = _transform(g_kind, d, seed=d)
     got = _monomial_integrals(rule, 4, g)
-    want = _oracle_moments(rule, 4, g)
-    assert list(got) == list(want)
-    for nvec, value in got.items():
-        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    assert got.dtype == np.float64 and got.shape == (comb(d + 4, d),)
+    _assert_close(got, _oracle_moments(rule, 4, g))
 
 
 def test_batch_moments_on_a_million_nodes_match_exact_moments():
@@ -296,9 +302,7 @@ def test_batch_moments_on_a_million_nodes_match_exact_moments():
     # 4e-13 relative on t^0; blockwise sums, and the pairwise sums of
     # quadrature_integrate, do not.
     rule = quadrature_rule(4, n=(64, 128))
-    for nvec, value in _monomial_integrals(rule, 4).items():
-        exact = sphere_moment(nvec, 4)
-        assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact)), nvec
+    _assert_close(_monomial_integrals(rule, 4), _moments(_multi_indices(4, 4), 4))
 
 
 def test_batch_moments_with_a_partial_last_block_are_deterministic():
@@ -308,9 +312,8 @@ def test_batch_moments_with_a_partial_last_block_are_deterministic():
     want = _oracle_moments(rule, 4, g)
     for source in (rule, _flat(rule)):
         first = _monomial_integrals(source, 4, g)
-        assert first == _monomial_integrals(source, 4, g)
-        for nvec, value in first.items():
-            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+        assert first.tobytes() == _monomial_integrals(source, 4, g).tobytes()
+        _assert_close(first, want)
 
 
 def _flat(rule):
@@ -329,8 +332,13 @@ def _flat_half(rule):
     return QuadratureRule(rule.d, rule.points[half], 2.0 * rule.weights[half])
 
 
-def _zero_odd(values):
-    return {n: 0j if sum(n) % 2 else v for n, v in values.items()}
+def _odd(d, max_degree):
+    """Whether each row of _multi_indices(d, max_degree) has odd degree."""
+    return _multi_indices(d, max_degree).sum(axis=1) % 2 == 1
+
+
+def _zero_odd(values, max_degree):
+    return np.where(_odd(4, max_degree), 0.0, values)
 
 
 def _streamed_hopf_moments(rule, max_degree):
@@ -347,8 +355,7 @@ def _streamed_hopf_moments(rule, max_degree):
     row_w = rule.row_weights * (2.0 if rule.antipodal else 1.0)
     cos, sin = rule.circle
     r1, r2 = np.sqrt(1.0 - rule.latitudes), np.sqrt(rule.latitudes)
-    keys = list(map(tuple, _multi_indices(4, max_degree).tolist()))
-    totals = np.zeros(len(keys))
+    totals = np.zeros(comb(4 + max_degree, 4))
     n_rows = rule.latitudes.size * n_p1
     step = max(1, _BLOCK // n_phi)
     for start in range(0, n_rows, step):
@@ -365,8 +372,8 @@ def _streamed_hopf_moments(rule, max_degree):
         _table_dots(power, np.repeat(row_w[lat], n_phi), max_degree, sums, False)
         totals += np.array(sums)
     if rule.antipodal:
-        totals[[sum(n) % 2 == 1 for n in keys]] = 0.0
-    return {n: complex(v) for n, v in zip(keys, totals)}
+        totals[_odd(4, max_degree)] = 0.0
+    return totals
 
 
 @pytest.mark.parametrize("n", [(48, 64), (64, 128), (7, 13), (12, 15), (12, 16), (50, 40), (7, 300)])
@@ -375,11 +382,10 @@ def test_hopf_factor_sums_match_the_streamed_pass(n):
     # sums against the node-by-node pass, on even and odd angle counts
     rule = quadrature_rule(4, n=n)
     want = _streamed_hopf_moments(rule, 6)
+    degrees = _multi_indices(4, 6).sum(axis=1)
     for degree in range(7):
-        got = _monomial_integrals(rule, degree)
-        assert list(got) == list(map(tuple, _multi_indices(4, degree).tolist()))
-        for nvec, value in got.items():
-            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+        # the rows of degree <= d of the lexicographic table are, in order, the table of degree d
+        _assert_close(_monomial_integrals(rule, degree), want[degrees <= degree])
     assert not {"points", "weights"} & set(vars(rule)), "the factor sums built node arrays"
 
 
@@ -394,11 +400,9 @@ def test_hopf_source_matches_flat_kernel(n, g_kind):
     for degree in range(5):
         got = _monomial_integrals(rule, degree, g)
         want = _monomial_integrals(flat, degree, g)
-        assert list(got) == list(want)
         oracles = [want] + ([_streamed_hopf_moments(rule, degree)] if g is None else [])
         for oracle in oracles:
-            for nvec, value in got.items():
-                assert abs(value - oracle[nvec]) <= 1e-13 * max(1.0, abs(oracle[nvec])), (degree, nvec)
+            _assert_close(got, oracle)
 
 
 @pytest.mark.parametrize("n", [(5, 16), (3, 7), (4, 40)])
@@ -415,9 +419,7 @@ def test_hopf_tiles_hold_at_most_a_block_or_a_circle(n, block, monkeypatch):
     assert max(nodes) <= max(block, rule.n_phi)
     assert len(list(_hopf_blocks(rule, g, False))) == len(nodes)
     for degree, values in want.items():
-        got = _monomial_integrals(rule, degree, g)
-        for nvec, value in got.items():
-            assert abs(value - values[nvec]) <= 1e-13 * max(1.0, abs(values[nvec])), (degree, nvec)
+        _assert_close(_monomial_integrals(rule, degree, g), values)
 
 
 @pytest.mark.parametrize("n", [(12, 16), (48, 64), (50, 40), (7, 300)])
@@ -428,13 +430,10 @@ def test_odd_keys_are_exact_zeros_on_an_even_angle_count(n, g_kind):
     rule = quadrature_rule(4, n=n)
     g = _transform(g_kind, 4, seed=sum(n))
     got = _monomial_integrals(rule, 4, g)
-    odd = [nvec for nvec in got if sum(nvec) % 2]
-    assert len(odd) == 24
-    for nvec in odd:
-        assert got[nvec] == 0j and not np.signbit(got[nvec].real), nvec
-    want = _oracle_moments(rule, 4, g)
-    for nvec, value in got.items():
-        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
+    odd = _odd(4, 4)
+    assert odd.sum() == 24
+    assert np.all(got[odd] == 0.0) and not np.signbit(got[odd]).any()
+    _assert_close(got, _oracle_moments(rule, 4, g))
 
 
 @pytest.mark.parametrize("n", [(7, 13), (12, 15)])
@@ -445,11 +444,8 @@ def test_odd_angle_count_streams_every_row(n, g_kind):
     assert not rule.antipodal
     g = _transform(g_kind, 4, seed=sum(n))
     got = _monomial_integrals(rule, 4, g)
-    want = _oracle_moments(rule, 4, g)
-    assert list(got) == list(want)
-    for nvec, value in got.items():
-        assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), nvec
-    assert any(got[nvec] != 0 for nvec in got if sum(nvec) % 2)
+    _assert_close(got, _oracle_moments(rule, 4, g))
+    assert np.any(got[_odd(4, 4)] != 0)
 
 
 @pytest.mark.parametrize("n", [(50, 40), (100, 40)])
@@ -462,10 +458,8 @@ def test_half_pass_with_a_partial_last_block_is_deterministic(n):
     g = _transform("sp", 4, seed=11)
     for degree in (0, 4):
         first = _monomial_integrals(rule, degree, g)
-        assert first == _monomial_integrals(rule, degree, g)
-        want = _zero_odd(_monomial_integrals(_flat_half(rule), degree, g))
-        for nvec, value in first.items():
-            assert abs(value - want[nvec]) <= 1e-13 * max(1.0, abs(want[nvec])), (degree, nvec)
+        assert first.tobytes() == _monomial_integrals(rule, degree, g).tobytes()
+        _assert_close(first, _zero_odd(_monomial_integrals(_flat_half(rule), degree, g), degree))
 
 
 @pytest.mark.parametrize(
@@ -493,12 +487,10 @@ def test_batch_moments_of_a_stack_are_bitwise_its_members(d, n, degree):
     rule = quadrature_rule(d, n=n)
     g = np.array([_transform(kind, d, seed) for kind in ("sp", "gl") for seed in range(3) if d % 2 == 0 or kind == "gl"])
     got = _monomial_integrals(rule, degree, g)
-    assert len(got) == len(g)
+    assert got.shape == (len(g), comb(d + degree, d))
     for values, member in zip(got, g):
-        want = _monomial_integrals(rule, degree, member)
-        assert list(values) == list(want)
-        assert all(values[nvec] == v for nvec, v in want.items())
-    assert _monomial_integrals(rule, degree, g[:0]) == []
+        assert values.tobytes() == _monomial_integrals(rule, degree, member).tobytes()
+    assert _monomial_integrals(rule, degree, g[:0]).shape == (0, comb(d + degree, d))
 
 
 @pytest.mark.parametrize(
@@ -522,7 +514,7 @@ def test_even_table_dots_are_bitwise_the_full_pass(max_degree):
     # each key's sum is a pairwise sum of its own row, so skipping the rows of
     # odd total degree leaves every even key bitwise as it was
     rng = np.random.default_rng(max_degree)
-    power = np.swapaxes(_powers(rng.normal(size=(4, 1000)), max_degree), 0, 1)
+    power = _powers(rng.normal(size=(4, 1000)), max_degree)
     weights = rng.uniform(size=1000)
     full, even = [], []
     _table_dots(power, weights, max_degree, full, False)
@@ -531,6 +523,25 @@ def test_even_table_dots_are_bitwise_the_full_pass(max_degree):
     assert len(full) == len(even) == len(keys)
     for degree, a, b in zip(keys, full, even):
         assert b == (0.0 if degree % 2 else a)
+
+
+@pytest.mark.parametrize("d,n,g_kind", [(4, (12, 16), "sp"), (4, (7, 13), "gl"), (3, (8, 16), "identity"), (5, (4, 8), "gl")])
+def test_power_tables_are_c_contiguous(d, n, g_kind, monkeypatch):
+    # a strided (d, degree + 1, nodes) view of a (degree + 1, d, nodes) table
+    # raised the peak RSS of moments --d 10 from 148 to 181 MB
+    rule = quadrature_rule(d, n=n)
+    g = _transform(g_kind, d, seed=d)
+    want = _monomial_integrals(rule, 4, g)
+    table_dots, shapes = sphere._table_dots, []
+
+    def contiguous_dots(power, *args):
+        assert power.flags.c_contiguous
+        shapes.append(power.shape)
+        table_dots(power, *args)
+
+    monkeypatch.setattr(sphere, "_table_dots", contiguous_dots)
+    assert _monomial_integrals(rule, 4, g).tobytes() == want.tobytes()
+    assert shapes and all(shape[:2] == (d, 5) for shape in shapes)
 
 
 def test_batch_moments_leave_no_reference_cycles():
@@ -562,8 +573,9 @@ def test_multi_index_table_over_budget_is_refused_at_once(monkeypatch):
 
 def test_batch_moments_on_the_circle_rule():
     values = _monomial_integrals(quadrature_rule(2, n=512), 4)
-    assert values[(2, 0)] == pytest.approx(np.pi, abs=1e-12)
-    assert values[(2, 2)] == pytest.approx(np.pi / 4, abs=1e-14)
+    keys = _multi_indices(2, 4).tolist()
+    assert values[keys.index([2, 0])] == pytest.approx(np.pi, abs=1e-12)
+    assert values[keys.index([2, 2])] == pytest.approx(np.pi / 4, abs=1e-14)
 
 
 @pytest.mark.parametrize("d,max_degree", [(1, 0), (1, 5), (2, 4), (4, 6), (7, 3)])
@@ -572,8 +584,9 @@ def test_multi_indices_equal_the_product_oracle(d, max_degree):
     got = _multi_indices(d, max_degree)
     assert got.dtype == np.int64 and got.shape == (len(want), d)
     assert list(map(tuple, got.tolist())) == want
-    # one shared table per (d, max_degree), which no caller can change
-    assert _multi_indices(d, max_degree) is got and not got.flags.writeable
+    # every call builds its own table, so what one caller does to it reaches no later call
+    got[:] = -1
+    assert list(map(tuple, _multi_indices(d, max_degree).tolist())) == want
 
 
 def _scalar_moment(nvec, d):
@@ -720,8 +733,8 @@ def test_sp_memberships():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(2, 2))
     a = OMEGA2 @ (s + s.T) / 2
-    assert sp_group_membership(expm(a), OMEGA2)
-    assert not sp_group_membership(np.diag([2.0, 1.0]), OMEGA2)
+    assert _form_residuals(expm(a), OMEGA2) <= MEMBERSHIP_TOL
+    assert not _form_residuals(np.diag([2.0, 1.0]), OMEGA2) <= MEMBERSHIP_TOL
 
 
 def test_sphere_function_wraps_callable():

@@ -517,3 +517,35 @@ def test_suite_process_loads_only_the_numpy_modules_it_uses(args):
     # a module imported inside the suite's clock would count as suite time
     assert clocked == []
     assert sorted(set(loaded) - set(eager)) == sorted(set(_SUITE_NUMPY[args]) - set(eager))
+
+
+# four configurations run back to back in one process; moments --d 4 --max-degree 4 runs twice,
+# before and after suites that build other multi-index tables and rules
+_ONE_PROCESS_SEQUENCE = (
+    ("moments", "--d", "4", "--max-degree", "4"),
+    ("symplectic", "--d", "4", "--max-degree", "0"),
+    ("moments", "--d", "6"),
+    ("moments", "--d", "4", "--max-degree", "4"),
+)
+
+
+def test_nothing_carries_between_suites_in_one_process(tmp_path, capsys):
+    # each report of the sequence equals, apart from wall_time_s, the report of its
+    # configuration run as a fresh process
+    src = str(Path(nctrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = []
+    for k, args in enumerate(_ONE_PROCESS_SEQUENCE):
+        out = tmp_path / f"fresh-{k}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctrace", *args, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        fresh.append(out)
+    for k, args in enumerate(_ONE_PROCESS_SEQUENCE):
+        assert main([*args, "--out", str(tmp_path / f"same-{k}.json")]) == EXIT_PASS
+    for k, want in enumerate(fresh):
+        lines = [(tmp_path / f"same-{k}.json").read_text().splitlines(), want.read_text().splitlines()]
+        got, want = ([line for line in text if '"wall_time_s"' not in line] for text in lines)
+        assert got == want, _ONE_PROCESS_SEQUENCE[k]
+        assert len(got) == len(lines[1]) - 1
