@@ -21,8 +21,10 @@ hyperoctahedral group (coordinate permutations and sign changes) and gives each
 point its orbit size, for sums whose summand is constant on orbits, and its
 exact squared norm, which the walk has built anyway. Within a run of the last
 coordinate only the first and last rows can lie on a wall n_d = 0 or
-n_d = n_(d-1), so only those two are classified; the rows between share their
-prefix's orbit size.
+n_d = n_(d-1), so only those two are classified, from the run's prefix row and
+their value; the rows between share their prefix's orbit size. So the orbit
+sizes and norms need no point array, and the last level's (k, d) points are
+built only for a caller that asks for them (`points=True`).
 
 Both enumerators refuse, before building any chunk, a request whose bound on
 the points it would visit exceeds POINT_BUDGET.
@@ -78,8 +80,8 @@ def iter_shell(d: int, r2_min: int, r2_max: int) -> Iterator[np.ndarray]:
     if r2_max < 0 or r2_max <= r2_min:
         return
     check_shell_budget(d, r2_max)
-    for pts, _, _ in _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max)):
-        yield pts
+    for prefixes, _, values, runs in _complete(*_root(), d, partial(_shell_coordinate, r2_min, r2_max)):
+        yield _points(prefixes, values, runs)
 
 
 def _shell_coordinate(r2_min: int, r2_max: int, heads: np.ndarray, norm2: np.ndarray, left: int) -> tuple:
@@ -138,26 +140,28 @@ def _orbit_table(d: int) -> np.ndarray:
     return (factorial(d) // stabiliser) << (d - zeros)
 
 
-def _orbit_sizes(pts: np.ndarray, runs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Orbit sizes of a chunk of _complete with its runs, looked up in table = _orbit_table(d) by pattern code.
+def _orbit_sizes(prefixes: np.ndarray, values: np.ndarray, runs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Orbit sizes of a last-level chunk of _complete, looked up in table = _orbit_table(d) by pattern code.
 
     Along a run the prefix is fixed and n_d increases, so only the run's first
     row can have n_d = 0 and only its last n_d = n_(d-1). The rows between
     take their prefix's code, and only each run's two edge rows are
-    classified. The edges of a run of length 0 are the rows either side of
-    it, edges of their own runs, since a chunk's first and last runs are
-    never empty.
+    classified, from the run's prefix row and their value of n_d. A run of
+    length 0 has no rows to classify.
     """
-    d = pts.shape[1]
-    last = np.cumsum(runs) - 1
-    edges = np.concatenate([last - (runs - 1), last])
-    rows = pts[edges]
-    code = (rows[:, -1] == 0) << (d - 1)
-    for j in range(1, d):
-        code |= (rows[:, j] == rows[:, j - 1]) << (j - 1)
-    prefix = code[: len(runs)] & ((1 << max(d - 2, 0)) - 1)  # a first row's code without n_d's two bits
-    sizes = np.repeat(table[prefix], runs)
-    sizes[edges] = table[code]
+    d = prefixes.shape[1] + 1
+    code = np.zeros(len(runs), dtype=np.int64)
+    for j in range(1, d - 1):
+        code |= (prefixes[:, j] == prefixes[:, j - 1]) << (j - 1)
+    sizes = np.repeat(table[code], runs)
+    full = runs > 0
+    code, prefixes, last = code[full], prefixes[full], np.cumsum(runs)[full] - 1
+    for edges in (last - (runs[full] - 1), last):
+        value = values[edges]
+        edge = code | (value == 0) << (d - 1)
+        if d > 1:
+            edge |= (value == prefixes[:, -1]) << (d - 2)
+        sizes[edges] = table[edge]
     return sizes
 
 
@@ -176,7 +180,7 @@ def _orbit_bound(d: int, r2_max: int) -> float:
     return exp(min(log_volume, 700.0))
 
 
-def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
+def iter_orbits(d: int, r2_min: int, r2_max: int, points: bool = True) -> Iterator[tuple]:
     """Yield (points, norms2, orbit_sizes) over n_1 >= ... >= n_d >= 0 with r2_min < |n|^2 <= r2_max.
 
     Every integer point of the shell lies in the orbit of exactly one yielded
@@ -184,8 +188,10 @@ def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
     (int64) counts that orbit, so the orbit sizes sum to the shell's point
     count. norms2 (int64) holds each point's exact |n|^2, carried by the walk.
     Points come in lexicographic order, at most CHUNK rows per chunk, and no
-    level of prefixes holds more than CHUNK rows at once. A request
-    over budget (check_orbit_budget), or d > ORBIT_MAX_D, raises ValueError.
+    level of prefixes holds more than CHUNK rows at once. With points=False
+    the (k, d) point arrays are not built and None stands in their place;
+    norms2 and orbit_sizes are the same. A request over budget
+    (check_orbit_budget), or d > ORBIT_MAX_D, raises ValueError.
     """
     if not 1 <= d <= ORBIT_MAX_D:
         raise ValueError(f"dimension must be in 1..{ORBIT_MAX_D}, got {d}")
@@ -193,8 +199,9 @@ def iter_orbits(d: int, r2_min: int, r2_max: int) -> Iterator[tuple]:
         return
     check_orbit_budget(d, r2_max)
     table = _orbit_table(d)
-    for pts, norms2, runs in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max)):
-        yield pts, norms2, _orbit_sizes(pts, runs, table)
+    for prefixes, prefix_norms2, values, runs in _complete(*_root(), d, partial(_domain_coordinate, r2_min, r2_max)):
+        pts = _points(prefixes, values, runs) if points else None
+        yield pts, _norms2(prefix_norms2, values, runs), _orbit_sizes(prefixes, values, runs, table)
 
 
 def _root() -> tuple:
@@ -210,9 +217,14 @@ def _complete(heads, norm2, left: int, rule) -> Iterator[tuple]:
     increasing order, so that points come in lexicographic order. A chunk
     takes a run of consecutive values from each of some consecutive ranges,
     so it is filled by repeating each range's prefix row, prefix |n|^2 and
-    value offset over its run. Yields (points, exact int64 |n|^2, runs), runs
-    being the lengths of the chunk's runs of the last coordinate, in order;
-    an empty range gives a run of length 0.
+    value offset over its run. Yields (prefixes, prefix_norms2, values, runs)
+    per chunk of the last level: runs are the lengths of the chunk's runs of
+    the last coordinate, in order (an empty range gives a run of length 0),
+    prefixes and prefix_norms2 the (len(runs), d - 1) prefix rows and the exact
+    int64 prefix |n|^2 of each, and values the last coordinate of each point.
+    _points and _norms2 join them into the chunk's points and |n|^2: every
+    level before the last does so to hand its prefixes on, the last level
+    leaves it to its caller.
     """
     lo, hi = rule(heads, norm2, left)
     k = lo.shape[1]
@@ -222,7 +234,6 @@ def _complete(heads, norm2, left: int, rule) -> Iterator[tuple]:
     offset = ends - sizes - lo  # flat position of value 0 in each range
     total = int(ends[-1])
     steps = np.arange(min(CHUNK, total), dtype=np.int64)
-    d = heads.shape[1] + 1
     for start in range(0, total, CHUNK):
         stop = min(start + CHUNK, total)
         # ranges first..final hold the positions; clip the two end ranges to them
@@ -233,15 +244,25 @@ def _complete(heads, norm2, left: int, rule) -> Iterator[tuple]:
         row = np.arange(first, final + 1) // k  # range index -> prefix row
         values = np.repeat(start - offset[first : final + 1], runs)
         values += steps[: stop - start]
-        pts = np.empty((stop - start, d), dtype=np.int64)
-        pts[:, :-1] = np.repeat(heads[row], runs, axis=0)
-        pts[:, -1] = values
-        values *= values
-        values += np.repeat(norm2[row], runs)
         if left > 1:
-            yield from _complete(pts, values, left - 1, rule)
+            yield from _complete(_points(heads[row], values, runs), _norms2(norm2[row], values, runs), left - 1, rule)
         else:
-            yield pts, values, runs
+            yield heads[row], norm2[row], values, runs
+
+
+def _points(prefixes: np.ndarray, values: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The (k, d) int64 points of a chunk: each prefix row repeated over its run, then the values as last column."""
+    pts = np.empty((len(values), prefixes.shape[1] + 1), dtype=np.int64)
+    pts[:, :-1] = np.repeat(prefixes, runs, axis=0)
+    pts[:, -1] = values
+    return pts
+
+
+def _norms2(prefix_norms2: np.ndarray, values: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The exact int64 |n|^2 of a chunk's points: each run's prefix |n|^2 plus its values squared."""
+    norms2 = values * values
+    norms2 += np.repeat(prefix_norms2, runs)
+    return norms2
 
 
 def ball_points(d: int, radius: int) -> np.ndarray:

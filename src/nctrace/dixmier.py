@@ -14,10 +14,14 @@ path: the weight (1+|n|^2)^{-d/2} is constant on each orbit of the
 hyperoctahedral group (coordinate permutations and sign changes), and so is
 the orbit sum of every monomial u^alpha, u = n/|n| -- 0 when an exponent is
 odd, otherwise the orbit size times the mean of u^beta over the distinct
-rearrangements beta of alpha. One walk over the fundamental domain
-n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`, which supplies each point's
-exact |n|^2 and orbit size) fills a table of these orbit-weighted sums per
-shell, and every partial sum is that table dotted with the coefficients. A
+rearrangements beta of alpha. Since |u|^2 = 1 that mean is 1 for alpha = 0
+and 1/d for every alpha of degree 2, so those columns need no direction: each
+is one shared per-chunk sum of orbit * (1+|n|^2)^{-d/2}, times 1 or 1/d. One
+walk over the fundamental domain n_1 >= ... >= n_d >= 0
+(`_lattice.iter_orbits`, which supplies each point's exact |n|^2 and orbit
+size, and builds the points only on a shell where some column has degree 4
+or more) fills a table of these orbit-weighted sums per shell, and every
+partial sum is that table dotted with the coefficients. A
 SphereFunction symbol gives only point values, which are not constant on
 orbits, so it cannot be summed orbit by orbit: such diagonals take the direct
 path, which evaluates `entry` at every lattice point and is the oracle the
@@ -129,9 +133,20 @@ def _batch_sums(requests: Sequence[tuple]) -> list:
     return results
 
 
+def _radius(r) -> int:
+    """r as an int, refused with a ValueError naming it unless it is a finite integer value."""
+    try:
+        n = int(r)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != r:
+        raise ValueError(f"radius must be a finite integer, got {r!r}")
+    return n
+
+
 def _radii(radii: Sequence[int]) -> list:
-    """The radii as ints, refused unless strictly increasing from at least 1."""
-    rs = [int(r) for r in radii]
+    """The radii as ints (_radius), refused unless strictly increasing from at least 1."""
+    rs = [_radius(r) for r in radii]
     if rs != sorted(rs) or len(set(rs)) != len(rs):
         raise ValueError("radii must be strictly increasing")
     if rs and rs[0] < 1:
@@ -164,27 +179,36 @@ def _orbit_sums(d: int, diags: list, grids: list, union: list) -> list:
     table[i, j] is the sum over the shell between union radii i-1 and i of
     orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th distinct sorted
     even exponent of the requests, filled only up to the largest radius of a
-    request that has it. A request whose symbol has no even exponent only counts.
+    request that has it. A column of degree 0 or 2 is the chunk's sum of
+    orbit(n) * (1+|n|^2)^{-d/2} times 1 or 1/d; only a shell with a live
+    column of degree 4 or more asks the walk for points. A request whose
+    symbol has no even exponent only counts.
     """
     columns = [_even_columns(diag.symbol) for diag in diags]
     keys = list(dict.fromkeys(key for cols in columns for key in cols))
-    rearrangements = [_distinct_permutations(key) for key in keys]
+    # the orbit mean of u^key is 1 at degree 0 and 1/d at degree 2, as |u|^2 = 1; higher degrees read the points
+    means = [{0: 1.0, 2: 1.0 / d}.get(sum(key)) for key in keys]
+    rearrangements = [_distinct_permutations(key) if mean is None else None for key, mean in zip(keys, means)]
     reach = [max(grid[-1] for cols, grid in zip(columns, grids) if key in cols) for key in keys]
     table = np.zeros((len(union), len(keys)))
     shell_counts = []
     count, prev2 = 0, 0
     for row, r in enumerate(union):
         live = [j for j, top in enumerate(reach) if top >= r]
-        needs_u = any(any(keys[j]) for j in live)
-        for pts, norms2, orbit in iter_orbits(d, prev2, r * r):
+        needs_u = any(means[j] is None for j in live)
+        for pts, norms2, orbit in iter_orbits(d, prev2, r * r, points=needs_u):
             count += int(np.sum(orbit))
             if not live:
                 continue
             norms2 = norms2.astype(float)
             base = orbit * (1.0 + norms2) ** (-d / 2.0)
+            total = np.sum(base)
             u2 = pts * pts / norms2[:, None] if needs_u else None
             for j in live:
-                table[row, j] += np.sum(base * _mean_monomial(u2, rearrangements[j]))
+                if means[j] is None:
+                    table[row, j] += np.sum(base * _mean_monomial(u2, rearrangements[j]))
+                else:
+                    table[row, j] += total * means[j]
         prev2 = r * r
         shell_counts.append(count)
     cumulative = np.cumsum(table, axis=0)
@@ -216,7 +240,7 @@ def _distinct_permutations(key: tuple) -> list:
     return [(head,) + tail for head, others in rest.items() for tail in _distinct_permutations(others)]
 
 
-def _mean_monomial(u2: np.ndarray | None, betas: list):
+def _mean_monomial(u2: np.ndarray, betas: list):
     """Mean over the exponents beta (all even) of u^beta, given u2 = u*u per point."""
     total = 0.0
     for beta in betas:
@@ -229,7 +253,7 @@ def _mean_monomial(u2: np.ndarray | None, betas: list):
 
 
 def lattice_partial_sum(diag: LatticeDiagonal, N: int) -> float | complex:
-    """Sum of the diagonal over 0 < |n| <= N (origin excluded); N < 1 raises ValueError."""
+    """Sum of the diagonal over 0 < |n| <= N (origin excluded); N < 1, or not a finite integer, raises ValueError."""
     ((s,), _), = _batch_sums([(diag, [N])])
     return real_if_close(s)
 
@@ -261,11 +285,11 @@ def log_fits(requests: Sequence[tuple]) -> list:
 
     Each shell of the union is walked once and feeds only the requests whose
     grid reaches it; a symbol with no even exponent only counts. Bad input (no
-    request, mixed dimensions, a grid of fewer than 4 radii or not strictly
-    increasing from 1, or a union over the point budget) raises ValueError
-    before any shell is walked.
+    request, mixed dimensions, a radius that is not a finite integer, a grid
+    of fewer than 4 radii or not strictly increasing from 1, or a union over
+    the point budget) raises ValueError before any shell is walked.
     """
-    grids = [tuple(int(n) for n in N_grid) for _, N_grid in requests]
+    grids = [tuple(_radius(n) for n in N_grid) for _, N_grid in requests]
     if any(len(grid) < 4 for grid in grids):
         raise ValueError("need at least 4 grid points")
     fits = []
@@ -278,7 +302,8 @@ def log_fits(requests: Sequence[tuple]) -> list:
 
 
 def doubling_grid(N: int) -> list:
-    """{N/16, N/8, N/4, N/2, N}; N must be at least 32, leaving the smallest radius >= 2."""
+    """{N/16, N/8, N/4, N/2, N}; N must be an integer of at least 32, leaving the smallest radius >= 2."""
+    N = _radius(N)
     if N < 32:
         raise ValueError("N must be at least 32")
     return [N >> k for k in range(4, -1, -1)]
@@ -292,7 +317,7 @@ def normalised_trace_estimate(diag: LatticeDiagonal, N: int) -> float | complex:
     (1/d) * integral of y over the sphere. It is the estimate field of the
     log_fit over that grid.
     """
-    return log_fit(diag, doubling_grid(int(N))).estimate
+    return log_fit(diag, doubling_grid(N)).estimate
 
 
 def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
@@ -301,7 +326,7 @@ def partial_sum_quotient(diag: LatticeDiagonal, N: int) -> float | complex:
     Converges to the same limit as normalised_trace_estimate but only at an
     O(1/log N) rate; kept for comparison, not used by the acceptance checks.
     """
-    ((s,), (k,)), = _batch_sums([(diag, [int(N)])])
+    ((s,), (k,)), = _batch_sums([(diag, [N])])
     return real_if_close(s / np.log(k))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -155,18 +156,62 @@ def test_log_fit_counts_match_brute_force(d):
 def test_torus_trace_walks_each_ball_once(monkeypatch):
     walks = Counter()
 
-    def counted(d, r2_min, r2_max):
-        walks[r2_min, r2_max] += 1
-        return walk(d, r2_min, r2_max)
+    def counted(d, r2_min, r2_max, points=True):
+        walks[r2_min, r2_max, points] += 1
+        return walk(d, r2_min, r2_max, points=points)
 
     walk = dixmier.iter_orbits
     monkeypatch.setattr(dixmier, "iter_orbits", counted)
     assert verify.main(["torus-trace", "--nmax", "256", "--out", os.devnull]) == 0
 
     # the four fits' grids (16..256 for the constant and the Connes record, 4..64 for t1^2 and
-    # the odd symbol) share one walk of their union: each shell between its radii exactly once
+    # the odd symbol) share one walk of their union: each shell between its radii exactly once,
+    # and none asks for points, since every symbol has degree <= 2
     radii = [0, 4, 8, 16, 32, 64, 128, 256]
-    assert walks == Counter(zip((r * r for r in radii), (r * r for r in radii[1:])))
+    assert walks == Counter((r * r, s * s, False) for r, s in zip(radii, radii[1:]))
+
+
+def _spy_points(monkeypatch):
+    """Count the point arrays the lattice walk builds, by their number of columns."""
+    built = Counter()
+    points = _lattice._points
+
+    def spied(prefixes, values, runs):
+        built[prefixes.shape[1] + 1] += 1
+        return points(prefixes, values, runs)
+
+    monkeypatch.setattr(_lattice, "_points", spied)
+    return built
+
+
+@pytest.mark.parametrize("d, nmax", [(2, 256), (3, 192)])
+def test_torus_trace_builds_no_last_level_points(monkeypatch, d, nmax):
+    built = _spy_points(monkeypatch)
+    assert verify.main(["torus-trace", "--d", str(d), "--nmax", str(nmax), "--out", os.devnull]) == 0
+    # the prefix levels before the last are still built; a degree-4 symbol builds the last level too
+    assert built[d] == 0 and built[d - 1] > 0
+    lattice_partial_sum(LatticeDiagonal.symbol_weighted(SpherePoly.monomial(d, (4,))), 8)
+    assert built[d] > 0
+
+
+@pytest.mark.parametrize("d, grid", [(2, [1, 2, 7, 30, 64]), (3, [1, 3, 9, 20]), (4, [1, 2, 5, 9])])
+def test_mixed_degree_symbol_matches_pointwise_orbit_sums(d, grid):
+    # degree 0 and 2 columns come from the orbit-weighted sum alone, degree 4 from the points: both against the
+    # oracle that reads points and calls _mean_monomial for every column
+    rng = np.random.default_rng(400 + d)
+    exponents = [(0,) * d, (2,), (0, 2), (4,), (2, 2), (0, 0, 4)[:d], (1,), (1, 1, 2)[:d]]
+    y = SpherePoly(d, {})
+    for alpha in exponents:
+        y = y + SpherePoly.monomial(d, alpha) * complex(*rng.normal(size=2))
+    assert {sum(a) for a in y.coeffs} == {0, 1, 2, 4}
+    x = torus_identity(ThetaMatrix.from_upper(d, rng.normal(size=d * (d - 1) // 2))) * complex(*rng.normal(size=2))
+    low = SpherePoly(d, {a: c for a, c in y.coeffs.items() if sum(a) <= 2})
+    for diag in (LatticeDiagonal.symbol_weighted(y), model_diagonal(x, y), LatticeDiagonal.symbol_weighted(low)):
+        sums, counts = _sums(diag, grid)
+        oracle, oracle_counts = _grid_sums(diag, grid)
+        assert counts == oracle_counts
+        np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.diff(sums), np.diff(oracle), rtol=1e-12, atol=0)
 
 
 def test_radial_check_closed_form_d2():
@@ -429,37 +474,83 @@ def test_log_fits_refuses_bad_input_before_any_walk(monkeypatch):
     assert checks == [64 * 64]
 
 
+@pytest.mark.parametrize("bad", [2.9, 32.7, 64.5, np.float64(128.25), float("inf"), -float("inf"), float("nan"), "64"])
+def test_radius_that_is_not_a_finite_integer_is_refused(bad, monkeypatch):
+    # each used to be truncated by int() (2.9 -> 2, 32.7 -> 32) or to raise OverflowError (inf)
+    def walked(*args, **kwargs):
+        raise AssertionError(f"walked {args}")
+
+    monkeypatch.setattr(dixmier, "iter_orbits", walked)
+    monkeypatch.setattr(dixmier, "iter_shell", walked)
+    one = LatticeDiagonal.symbol_weighted(ONE2)
+    calls = [
+        lambda: lattice_partial_sum(one, bad),
+        lambda: lattice_partial_sum(dataclasses.replace(one, symbol=None), bad),
+        lambda: log_fit(one, [bad, 64, 128, 256]),
+        lambda: log_fit(one, [32, 64, 128, bad]),
+        lambda: log_fits([(one, [1, 2, 3, 4]), (one, [2, 4, 8, bad])]),
+        lambda: normalised_trace_estimate(one, bad),
+        lambda: partial_sum_quotient(one, bad),
+        lambda: doubling_grid(bad),
+        lambda: connes_trace_torus(torus_identity(THETA), ONE2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"radius must be a finite integer, got {re.escape(repr(bad))}"):
+            call()
+
+
+def test_integer_radii_of_any_integer_type_are_accepted():
+    one = LatticeDiagonal.symbol_weighted(ONE2)
+    s2 = 2.0 + 4 / 3 + 4 / 5
+    for N in (2, np.int64(2), np.int32(2), np.uint8(2), 2.0, np.float64(2.0)):
+        assert lattice_partial_sum(one, N) == pytest.approx(s2, abs=1e-14)
+        assert partial_sum_quotient(one, N) == pytest.approx(s2 / np.log(12), abs=1e-14)
+    grid = [np.int64(32), 64, np.int32(128), 256.0]
+    assert log_fit(one, grid) == log_fit(one, [32, 64, 128, 256])
+    assert log_fit(one, grid).N_grid == (32, 64, 128, 256)
+    assert normalised_trace_estimate(one, np.int64(512)) == normalised_trace_estimate(one, 512)
+    assert doubling_grid(np.int64(64)) == doubling_grid(64.0) == [4, 8, 16, 32, 64]
+
+
 @pytest.mark.parametrize("d, grid", [(2, [3, 40, 200, 360]), (3, [3, 10, 30, 56])])
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "direct"])
 def test_chunked_sums_match_one_chunk_walk(d, grid, symmetric, monkeypatch):
-    # the walk in chunks of at most 2^22 points, one per shell here, is the oracle
+    # the walk in chunks of at most 2^22 points, one per shell here, is the oracle; the symmetric path runs once
+    # with points (a symbol of degree 4) and once without them (its part of degree <= 2)
     y = _random_poly(d, np.random.default_rng(200 + d))
-    diag = LatticeDiagonal.symbol_weighted(y)
+    low = SpherePoly(d, {n: c for n, c in y.coeffs.items() if sum(n) <= 2}) + SpherePoly.monomial(d, (0, 2)) * 0.5j
+    assert any(sum(n) == 4 and not any(e % 2 for e in n) for n in y.coeffs)
+    diags = [LatticeDiagonal.symbol_weighted(p) for p in (y, low)]
     if not symmetric:
-        diag = dataclasses.replace(diag, symbol=None)
+        diags = [dataclasses.replace(diags[0], symbol=None)]
     name = "iter_orbits" if symmetric else "iter_shell"
     walk = getattr(dixmier, name)
-    chunks = []
+    chunks, built = [], []
 
     def recorded(*args, **kwargs):
         for chunk in walk(*args, **kwargs):
-            chunks.append(len(chunk[0] if symmetric else chunk))
+            chunks.append(len(chunk[1] if symmetric else chunk))
+            built.append(chunk[0] is not None if symmetric else True)
             yield chunk
 
     chunk = _lattice.CHUNK
     monkeypatch.setattr(dixmier, name, recorded)
-    monkeypatch.setattr(_lattice, "CHUNK", 1 << 22)
-    oracle, oracle_counts = _sums(diag, grid)
-    assert len(chunks) == len(grid)
-    for target in (1 << 10, chunk):
+    for diag, points in zip(diags, (True, False)):
+        built.clear()
+        monkeypatch.setattr(_lattice, "CHUNK", 1 << 22)
         chunks.clear()
-        monkeypatch.setattr(_lattice, "CHUNK", target)
-        sums, counts = _sums(diag, grid)
-        # the outer shell alone spans several chunks
-        assert max(chunks) <= target and len(chunks) > len(grid)
-        assert counts == oracle_counts
-        np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(np.diff(sums), np.diff(oracle), rtol=1e-12, atol=0)
+        oracle, oracle_counts = _sums(diag, grid)
+        assert len(chunks) == len(grid)
+        for target in (1 << 10, chunk):
+            chunks.clear()
+            monkeypatch.setattr(_lattice, "CHUNK", target)
+            sums, counts = _sums(diag, grid)
+            # the outer shell alone spans several chunks
+            assert max(chunks) <= target and len(chunks) > len(grid)
+            assert counts == oracle_counts
+            np.testing.assert_allclose(sums, oracle, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(np.diff(sums), np.diff(oracle), rtol=1e-12, atol=0)
+        assert set(built) == {points}
 
 
 def test_symmetric_path_never_calls_entry():

@@ -249,5 +249,32 @@ def test_thin_shells_give_zero_length_runs(d, r2_min, r2_max):
     # the runs of each chunk add up to its rows, and both rules leave a range of the last coordinate empty mid-chunk
     for rule in (_shell_coordinate, _domain_coordinate):
         chunks = list(_complete(*_root(), d, partial(rule, r2_min, r2_max)))
-        assert all(runs.sum() == len(pts) for pts, _, runs in chunks)
-        assert any((runs == 0).any() for _, _, runs in chunks)
+        assert all(runs.sum() == len(values) and len(prefixes) == len(prefix_norms2) == len(runs)
+                   for prefixes, prefix_norms2, values, runs in chunks)
+        assert any((runs == 0).any() for *_, runs in chunks)
+
+
+# walls n_d = 0 and n_d = n_(d-1) inside a run and at its edges, full balls, thin shells and empty ranges
+_WALL_SHELLS = _ZERO_RUN_SHELLS + [
+    (1, -1, 400), (1, 0, 1), (1, 24, 400),
+    (2, -1, 200), (2, 0, 2), (2, 1, 8), (2, 49, 50), (2, 100, 401),
+    (3, -1, 60), (3, 0, 3), (3, 2, 12), (3, 26, 27),
+    (4, -1, 30), (4, 3, 4), (4, 12, 16),
+    (5, 0, 12), (5, 4, 5), (5, 7, 20),
+    (6, -1, 8), (6, 5, 6), (6, 8, 12),
+]
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])
+def test_walk_without_points_equals_point_walk(monkeypatch, chunk):
+    # points=False builds no (k, d) array; its norms2 and orbit sizes are the point walk's, and the row-by-row oracle's
+    monkeypatch.setattr(lattice, "CHUNK", chunk)
+    for d, r2_min, r2_max in _WALL_SHELLS:
+        with_points = list(iter_orbits(d, r2_min, r2_max))
+        without = list(iter_orbits(d, r2_min, r2_max, points=False))
+        assert all(pts is None for pts, _, _ in without)
+        table = _orbit_table(d)
+        want = [(np.einsum("ij,ij->i", pts, pts), _row_orbit_sizes(pts, table)) for pts, _, _ in with_points]
+        _assert_bitwise([(norms2, orbit) for _, norms2, orbit in without], want)
+        _assert_bitwise([(norms2, orbit) for _, norms2, orbit in with_points], want)
+        assert d == 1 or any(((pts[:, -1] == 0) | (pts[:, -1] == pts[:, -2])).any() for pts, _, _ in with_points)
