@@ -1,5 +1,5 @@
-"""Kernels shared across modules: sparse coefficient maps, the line fit and the
-real-if-close rule.
+"""Kernels shared across modules: sparse coefficient maps, the line fit, the
+real-if-close rule and the integer-argument rule.
 
 A coefficient map is a dict from hashable keys (torus modes, multi-indices,
 generator words) to complex amplitudes. Terms at or below PRUNE_TOL in
@@ -76,3 +76,18 @@ def real_if_close(z: complex) -> float | complex:
     """z.real when the imaginary part is roundoff (1e-12) relative to max(1, |Re z|)."""
     z = complex(z)
     return z.real if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)) else z
+
+
+def integer_value(value, name: str = "radius") -> int:
+    """value as an int, refused with a ValueError naming it unless it is a finite integer value.
+
+    Python and numpy integers and integral floats such as 64.0 pass; 2.9 is
+    refused rather than truncated, and inf or NaN rather than overflowing.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    return n

@@ -33,7 +33,7 @@ the points it would visit exceeds POINT_BUDGET.
 from __future__ import annotations
 
 from functools import partial
-from math import exp, factorial, isqrt, lgamma, log, pi
+from math import exp, factorial, isqrt, lgamma, log, log10, pi
 from typing import Iterator
 
 import numpy as np
@@ -51,7 +51,12 @@ ORBIT_MAX_D = 16
 
 def _check_budget(d: int, r2_max: int, bound: int | float) -> None:
     if bound > POINT_BUDGET:
-        shown = bound if isinstance(bound, int) else f"{bound:.4g}"
+        if bound >= 10**15:
+            # str() refuses an int of over 4300 digits; log10 takes any int
+            k = int(log10(bound))
+            shown = f"{10 ** (log10(bound) - k):.4g}e+{k}"
+        else:
+            shown = bound if isinstance(bound, int) else f"{bound:.4g}"
         raise ValueError(
             f"lattice enumeration in d={d} up to radius {isqrt(r2_max)} would visit up to {shown} points, "
             f"over the budget of {POINT_BUDGET}"

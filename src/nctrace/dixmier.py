@@ -11,27 +11,27 @@ desk-scale N outruns; the slope does not).
 Diagonals built by `LatticeDiagonal.symbol_weighted` or `model_diagonal` from a
 SpherePoly carry it as `symbol`, and their partial sums take the symmetric
 path: the weight (1+|n|^2)^{-d/2} is constant on each orbit of the
-hyperoctahedral group (coordinate permutations and sign changes), and so is
-the orbit sum of every monomial u^alpha, u = n/|n| -- 0 when an exponent is
-odd, otherwise the orbit size times the mean of u^beta over the distinct
-rearrangements beta of alpha. Since |u|^2 = 1 that mean is 1 for alpha = 0
-and 1/d for every alpha of degree 2, so those columns need no direction: each
-is one shared per-chunk sum of orbit * (1+|n|^2)^{-d/2}, times 1 or 1/d. One
-walk over the fundamental domain n_1 >= ... >= n_d >= 0
-(`_lattice.iter_orbits`, which supplies each point's exact |n|^2 and orbit
-size, and builds the points only on a shell where some column has degree 4
-or more) fills a table of these orbit-weighted sums per shell, and every
-partial sum is that table dotted with the coefficients. A
-SphereFunction symbol gives only point values, which are not constant on
-orbits, so it cannot be summed orbit by orbit: such diagonals take the direct
-path, which evaluates `entry` at every lattice point and is the oracle the
-tests check the symmetric path against.
+hyperoctahedral group (coordinate permutations and sign changes), so an orbit
+adds its size times the weight times the symbol's orbit average. An odd
+monomial u^alpha averages to 0, an even one to the mean of u^beta over the
+distinct rearrangements beta of alpha, which is 1 at degree 0 and 1/d at
+degree 2 since |u|^2 = 1. So each request's symbol reduces once to a constant,
+scale * (c_0 + sum of c_alpha / d over the even alpha of degree 2), plus its
+even monomials of degree 4 or more. One walk over the fundamental domain
+n_1 >= ... >= n_d >= 0 (`_lattice.iter_orbits`, which supplies each point's
+exact |n|^2 and orbit size, and builds the points only on a shell where some
+request has a monomial of degree 4 or more) fills a table of shell sums, one
+column per request. A SphereFunction symbol gives only point values, which are
+not constant on orbits: such diagonals take the direct path, which fills the
+same table from `entry` at every lattice point, and is the oracle the tests
+check the symmetric path against.
 
 `log_fits` batches fits of one dimension: each path walks the shells of the
-union of its requests' grids once, inside-out, and a shell fills the table
-columns, or calls the entries, only of the requests whose grid reaches it. A
-symbol with no even exponent fills no column, so its fit only reads the
-counts. `log_fit` is the batch of one, so every sum takes this code.
+union of its requests' grids once, inside-out, and a shell feeds only the
+requests whose grid reaches it. The cumulative sums of the table at each
+request's radii, against the log of the running counts there, give the line
+fit: the three steps of `su2._ratio_partial_sums` and `su2_dixmier_ratio`. A
+symbol with no even exponent only counts. `log_fit` is the batch of one.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._core import line_fit, real_if_close
+from ._core import integer_value, line_fit, real_if_close
 from ._lattice import ORBIT_MAX_D, check_orbit_budget, check_shell_budget, iter_orbits, iter_shell
 from .sphere import SpherePoly, sphere_integrate
 from .torus import TorusElement, torus_trace
@@ -109,8 +109,10 @@ def _batch_sums(requests: Sequence[tuple]) -> list:
     orbit walk, the rest one shell walk (see the module docstring); each walk
     covers the union of its requests' radii, shell by shell inside-out, after
     one budget check at the union's largest radius, made for both walks before
-    either starts. Per-chunk reduction is numpy pairwise summation in a fixed
-    chunk order, so results are reproducible bit for bit.
+    either starts. A walk gives a table of shell sums (rows = union shells,
+    columns = requests) and running counts; the sums are the table's cumulative
+    sums at each request's radii. Per-chunk reduction is numpy pairwise
+    summation in a fixed chunk order, so results are reproducible bit for bit.
     """
     if not requests:
         raise ValueError("no requests to sum")
@@ -120,33 +122,30 @@ def _batch_sums(requests: Sequence[tuple]) -> list:
     grids = [_radii(radii) for _, radii in requests]
     symmetric = [diag.symbol is not None and d <= ORBIT_MAX_D for diag, _ in requests]
     walks = []
-    for path, check, walk in ((True, check_orbit_budget, _orbit_sums), (False, check_shell_budget, _shell_sums)):
+    for path, walk in ((True, _orbit_sums), (False, _shell_sums)):
         group = [i for i, s in enumerate(symmetric) if s is path and grids[i]]
         union = sorted({r for i in group for r in grids[i]})
         if union:
-            check(d, union[-1] ** 2)
+            _check_walk_budget(d, union[-1] ** 2, path)
             walks.append((group, union, walk))
     results = [([], []) for _ in requests]
     for group, union, walk in walks:
-        for i, sums in zip(group, walk(d, [requests[i][0] for i in group], [grids[i] for i in group], union)):
-            results[i] = sums
+        table, counts = walk(d, [requests[i][0] for i in group], [grids[i][-1] for i in group], union)
+        cumulative = np.cumsum(table, axis=0)
+        for col, i in enumerate(group):
+            rows = np.searchsorted(union, grids[i])
+            results[i] = [complex(cumulative[row, col]) for row in rows], [counts[row] for row in rows]
     return results
 
 
-def _radius(r) -> int:
-    """r as an int, refused with a ValueError naming it unless it is a finite integer value."""
-    try:
-        n = int(r)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != r:
-        raise ValueError(f"radius must be a finite integer, got {r!r}")
-    return n
+def _check_walk_budget(d: int, r2_max: int, symbol: bool) -> None:
+    """Refuse, as _batch_sums does, a walk to r2_max: orbit budget for symbols up to ORBIT_MAX_D, else shell budget."""
+    (check_orbit_budget if symbol and d <= ORBIT_MAX_D else check_shell_budget)(d, r2_max)
 
 
 def _radii(radii: Sequence[int]) -> list:
-    """The radii as ints (_radius), refused unless strictly increasing from at least 1."""
-    rs = [_radius(r) for r in radii]
+    """The radii as ints (_core.integer_value), refused unless strictly increasing from at least 1."""
+    rs = [integer_value(r) for r in radii]
     if rs != sorted(rs) or len(set(rs)) != len(rs):
         raise ValueError("radii must be strictly increasing")
     if rs and rs[0] < 1:
@@ -154,82 +153,74 @@ def _radii(radii: Sequence[int]) -> list:
     return rs
 
 
-def _shell_sums(d: int, diags: list, grids: list, union: list) -> list:
-    """_batch_sums on the direct path: each shell's chunks go to the entry of every request whose grid reaches it."""
-    accs = [0j] * len(diags)
-    results = [([], []) for _ in diags]
-    count, prev2 = 0, 0
-    for r in union:
-        live = [i for i, grid in enumerate(grids) if grid[-1] >= r]
-        for chunk in iter_shell(d, prev2, r * r):
-            for i in live:
-                accs[i] += complex(np.sum(diags[i].entry(chunk)))
-            count += len(chunk)
-        prev2 = r * r
-        for acc, grid, (sums, counts) in zip(accs, grids, results):
-            if r in grid:
-                sums.append(acc)
-                counts.append(count)
-    return results
-
-
-def _orbit_sums(d: int, diags: list, grids: list, union: list) -> list:
-    """_batch_sums on the symmetric path, summed orbit by orbit (see the module docstring).
-
-    table[i, j] is the sum over the shell between union radii i-1 and i of
-    orbit(n) * (1+|n|^2)^{-d/2} * mean_beta u^beta for the j-th distinct sorted
-    even exponent of the requests, filled only up to the largest radius of a
-    request that has it. A column of degree 0 or 2 is the chunk's sum of
-    orbit(n) * (1+|n|^2)^{-d/2} times 1 or 1/d; only a shell with a live
-    column of degree 4 or more asks the walk for points. A request whose
-    symbol has no even exponent only counts.
-    """
-    columns = [_even_columns(diag.symbol) for diag in diags]
-    keys = list(dict.fromkeys(key for cols in columns for key in cols))
-    # the orbit mean of u^key is 1 at degree 0 and 1/d at degree 2, as |u|^2 = 1; higher degrees read the points
-    means = [{0: 1.0, 2: 1.0 / d}.get(sum(key)) for key in keys]
-    rearrangements = [_distinct_permutations(key) if mean is None else None for key, mean in zip(keys, means)]
-    reach = [max(grid[-1] for cols, grid in zip(columns, grids) if key in cols) for key in keys]
-    table = np.zeros((len(union), len(keys)))
-    shell_counts = []
+def _shell_sums(d: int, diags: list, tops: list, union: list) -> tuple:
+    """_batch_sums' table and counts on the direct path: a shell's chunks go to each reaching request's entry."""
+    table = np.zeros((len(union), len(diags)), dtype=complex)
+    counts = []
     count, prev2 = 0, 0
     for row, r in enumerate(union):
-        live = [j for j, top in enumerate(reach) if top >= r]
-        needs_u = any(means[j] is None for j in live)
+        live = [i for i, top in enumerate(tops) if top >= r]
+        accs = [0j] * len(live)
+        for chunk in iter_shell(d, prev2, r * r):
+            accs = [acc + complex(np.sum(diags[i].entry(chunk))) for acc, i in zip(accs, live)]
+            count += len(chunk)
+        table[row, live] = accs
+        counts.append(count)
+        prev2 = r * r
+    return table, counts
+
+
+def _orbit_sums(d: int, diags: list, tops: list, union: list) -> tuple:
+    """_batch_sums' table and counts on the symmetric path, summed orbit by orbit (see the module docstring).
+
+    A chunk adds to each live request its orbit average's constant times the
+    sum of w = orbit(n) * (1+|n|^2)^{-d/2}, plus w times the mean of each of
+    its even monomials of degree 4 or more, which only then need the points.
+    A request whose orbit average is 0 only counts.
+    """
+    averages = [_orbit_average(diag) for diag in diags]
+    table = np.zeros((len(union), len(diags)), dtype=complex)
+    counts = []
+    count, prev2 = 0, 0
+    for row, r in enumerate(union):
+        live = [i for i, top in enumerate(tops) if top >= r and any(averages[i])]
+        needs_u = any(averages[i][1] for i in live)
+        accs = [0j] * len(live)
         for pts, norms2, orbit in iter_orbits(d, prev2, r * r, points=needs_u):
             count += int(np.sum(orbit))
             if not live:
                 continue
             norms2 = norms2.astype(float)
             base = orbit * (1.0 + norms2) ** (-d / 2.0)
-            total = np.sum(base)
+            total = float(np.sum(base))
             u2 = pts * pts / norms2[:, None] if needs_u else None
-            for j in live:
-                if means[j] is None:
-                    table[row, j] += np.sum(base * _mean_monomial(u2, rearrangements[j]))
-                else:
-                    table[row, j] += total * means[j]
+            for k, i in enumerate(live):
+                constant, higher = averages[i]
+                accs[k] += total * constant
+                for c, betas in higher:
+                    accs[k] += c * float(np.sum(base * _mean_monomial(u2, betas)))
+        table[row, live] = accs
+        counts.append(count)
         prev2 = r * r
-        shell_counts.append(count)
-    cumulative = np.cumsum(table, axis=0)
-    results = []
-    for diag, cols, grid in zip(diags, columns, grids):
-        rows = np.searchsorted(union, grid)
-        coeffs = np.array(list(cols.values()), dtype=complex)
-        own = cumulative[:, [keys.index(key) for key in cols]]
-        sums = [complex(diag.scale * np.sum(coeffs * own[row])) for row in rows]
-        results.append((sums, [shell_counts[row] for row in rows]))
-    return results
+    return table, counts
 
 
-def _even_columns(symbol: SpherePoly) -> dict:
-    """Coefficient per sorted exponent, summed over the symbol's monomials whose exponents are all even."""
-    columns: dict = {}
-    for alpha, c in symbol.coeffs.items():
-        if not any(e % 2 for e in alpha):
+def _orbit_average(diag: LatticeDiagonal) -> tuple:
+    """The orbit average of scale * symbol: (constant, [(coefficient, rearrangements of a sorted exponent), ...]).
+
+    Odd monomials average to 0 and even ones of degree 0 and 2 to 1 and 1/d,
+    which make the constant; the rest are grouped by sorted exponent.
+    """
+    constant, higher = 0j, {}
+    for alpha, c in diag.symbol.coeffs.items():
+        if any(e % 2 for e in alpha):
+            continue
+        if sum(alpha) <= 2:
+            constant += c if sum(alpha) == 0 else c / diag.d
+        else:
             key = tuple(sorted(alpha, reverse=True))
-            columns[key] = columns.get(key, 0) + c
-    return columns
+            higher[key] = higher.get(key, 0) + c
+    return diag.scale * constant, [(diag.scale * c, _distinct_permutations(key)) for key, c in higher.items()]
 
 
 def _distinct_permutations(key: tuple) -> list:
@@ -289,7 +280,7 @@ def log_fits(requests: Sequence[tuple]) -> list:
     of fewer than 4 radii or not strictly increasing from 1, or a union over
     the point budget) raises ValueError before any shell is walked.
     """
-    grids = [tuple(_radius(n) for n in N_grid) for _, N_grid in requests]
+    grids = [tuple(integer_value(n) for n in N_grid) for _, N_grid in requests]
     if any(len(grid) < 4 for grid in grids):
         raise ValueError("need at least 4 grid points")
     fits = []
@@ -303,7 +294,7 @@ def log_fits(requests: Sequence[tuple]) -> list:
 
 def doubling_grid(N: int) -> list:
     """{N/16, N/8, N/4, N/2, N}; N must be an integer of at least 32, leaving the smallest radius >= 2."""
-    N = _radius(N)
+    N = integer_value(N)
     if N < 32:
         raise ValueError("N must be at least 32")
     return [N >> k for k in range(4, -1, -1)]

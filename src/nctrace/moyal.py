@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._core import integer_value
 from ._lattice import iter_shell
 from .sphere import _check_invertible, _moments, _monomial_integrals, _multi_indices, _probe_directions, vg_action
 from .torus import ThetaMatrix, _check_theta_entries
@@ -387,6 +388,14 @@ def _shell_points(d: int, R: float, rng: np.random.Generator) -> np.ndarray:
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
 
 
+def _shell_radii(radii: Sequence[float]) -> tuple:
+    """The shell radii as floats, refused with a ValueError naming the first one that is not positive and finite."""
+    for R in radii:
+        if not 0 < float(R) < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"shell radius must be positive and finite, got {R!r}")
+    return tuple(float(R) for R in radii)
+
+
 def _h_weight(g: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     """(|gt|/|t|)^d (1+|gt|^2)^{-d/2} - (1+|t|^2)^{-d/2}."""
     norms = np.linalg.norm(t, axis=-1)
@@ -418,22 +427,24 @@ def h_decay_profile(
     """Weighted sups sup_{|t| in [R, 2R]} |h(t)| |t|^{d+2} per shell radius.
 
     Bounded profiles certify the quadratic-decay margin of h beyond mere
-    integrability. When cell_radii is given (affordable for d = 2), partial
-    sums of per-unit-cell sups of |h| over balls are returned as cell_sums; their
-    stabilization is the summability surrogate. The cell radii must be nonnegative
-    and strictly increasing (else ValueError), so that one walk over the shells
-    between consecutive radii, keeping a running total, gives every sum.
+    integrability. The shell radii must be positive and finite. When cell_radii
+    is given (affordable for d = 2), partial sums of per-unit-cell sups of |h|
+    over balls are returned as cell_sums; their stabilization is the summability
+    surrogate. The cell radii must be integers, nonnegative and strictly
+    increasing, so that one walk over the shells between consecutive radii,
+    keeping a running total, gives every sum. Bad radii raise ValueError.
     """
     g = np.asarray(g, dtype=float)
     _check_invertible(g)
     d = g.shape[0]
-    cells = [] if cell_radii is None else [int(R) for R in cell_radii]
+    radii = _shell_radii(shell_radii)
+    cells = [] if cell_radii is None else [integer_value(R, "cell radius") for R in cell_radii]
     if cells != sorted(set(cells)) or min(cells, default=0) < 0:
         raise ValueError(f"cell radii must be nonnegative and strictly increasing, got {cells}")
     rng = np.random.default_rng(seed)
     sups = []
-    for R in shell_radii:
-        pts = _shell_points(d, float(R), rng)
+    for R in radii:
+        pts = _shell_points(d, R, rng)
         vals = np.abs(_h_weight(g, pts, d)) * np.linalg.norm(pts, axis=1) ** (d + 2)
         sups.append(float(vals.max()))
     offsets = np.array([*product((0.0, 1.0), repeat=d), (0.5,) * d])  # cell n + [0,1]^d: its corners and center
@@ -447,7 +458,7 @@ def h_decay_profile(
             total += float(np.sum(vals.reshape(len(chunk), -1).max(axis=1)))
         prev2 = R * R
         cell_sums.append(total)
-    return ShellProfile(tuple(float(r) for r in shell_radii), tuple(sups), tuple(cell_sums))
+    return ShellProfile(radii, tuple(sups), tuple(cell_sums))
 
 
 def riesz_difference_decay(k: int, d: int, radii: Sequence[float], seed: int = 0) -> ShellProfile:
@@ -455,15 +466,16 @@ def riesz_difference_decay(k: int, d: int, radii: Sequence[float], seed: int = 0
 
     The weighted difference tends to (1/2)|t_k|/|t| <= 1/2 along rays, so the
     profile is bounded by 1/2 up to sampling slack and approaches it on the
-    k-th axis.
+    k-th axis. A radius that is not positive and finite raises ValueError.
     """
     if not 1 <= k <= d:
         raise ValueError(f"coordinate index {k} out of range 1..{d}")
+    radii = _shell_radii(radii)
     rng = np.random.default_rng(seed)
     sups = []
     for R in radii:
-        pts = _shell_points(d, float(R), rng)
+        pts = _shell_points(d, R, rng)
         norms = np.linalg.norm(pts, axis=1)
         hk = pts[:, k - 1] / norms - pts[:, k - 1] / np.sqrt(1.0 + norms**2)
         sups.append(float((np.abs(hk) * norms**2).max()))
-    return ShellProfile(tuple(float(r) for r in radii), tuple(sups))
+    return ShellProfile(radii, tuple(sups))

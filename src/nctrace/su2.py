@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._core import add_maps, coeff_map, line_fit, real_if_close
+from ._core import add_maps, coeff_map, integer_value, line_fit, real_if_close
 from .sphere import SpherePoly, sphere_integrate
 
 # ordered so the diagonal one comes first, matching gens[0]
@@ -433,7 +433,7 @@ def _ratio_partial_sums(w: GenPoly, twice_grid: Sequence[int]) -> tuple:
     traces come from one block_trace call per chunk of spins (_spin_chunks),
     and the terms are summed in spin order.
     """
-    grid = [int(t) for t in twice_grid]
+    grid = [integer_value(t, "twice grid entry") for t in twice_grid]
     if grid != sorted(grid) or grid[0] < 1:
         raise ValueError("twice grid must be increasing with positive entries")
     twice = np.arange(1, grid[-1] + 1)
@@ -451,12 +451,13 @@ def su2_dixmier_ratio(w: GenPoly, L_max: int) -> tuple:
     denominator partial sums over the doubling grid of spins ending at L_max.
     Both sums diverge logarithmically with the same weights, so the slope
     strips the shared O(1) intercept that a single quotient would keep as an
-    O(1/log L) error. An L_max past SPIN_BUDGET is refused before any block is
-    laid out.
+    O(1/log L) error. An L_max that is not an integer of at least 4, or past
+    SPIN_BUDGET, is refused with a ValueError before any block is laid out.
     """
+    L_max = integer_value(L_max, "L_max")
     if L_max < 4:
         raise ValueError("L_max must be >= 4")
-    tmax = 2 * int(L_max)
+    tmax = 2 * L_max
     _check_spin_budget(tmax)
     grid = [tmax >> 3, tmax >> 2, tmax >> 1, tmax]
     nums, dens = _ratio_partial_sums(w, grid)

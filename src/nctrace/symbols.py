@@ -544,73 +544,72 @@ def _tail_bounds(signatures, d: int, radii) -> list:
     """Per radius R, the sum over signatures of weight * sup_{|n|>R} |prod y(unit(n+s)) - prod y(unit(n))|.
 
     Each sup is the larger of a scan of (R, hi] and the remainder beyond hi,
-    hi = SCAN_FACTOR * R. The edges |n|^2 = int(R*R) and int(hi*hi) of every
-    (signature, radius) range cut the lattice into annulus pieces, and each
-    piece into PIECE_STEPS geometric steps. The budget is checked once at the
-    outermost edge, so an over-budget request is refused before any point is
-    scanned; the pieces are then walked innermost first.
-    Every range keeps a running value, the max of its remainder beyond hi and
-    of the pieces scanned so far. A piece is scanned only for the signatures
-    whose bound at its inner edge, which bounds every point beyond that edge,
-    reaches (up to a factor 1 + 1e-9 for rounding) the running value of a
-    range covering it; no other point can raise a range's max, so every norm
-    is the one the full scan gives. That bound is the smaller of
-    _remainder_bound and _sharp_remainder, computed once per signature; the
-    running values start from _remainder_bound alone, so the reported norms
-    do not depend on the sharp bound. Per chunk the directions, each shifted
-    direction array, each letter's values and each shifted value are computed
-    once and shared by the scanned signatures.
+    hi = SCAN_FACTOR * R. Each radius has one range |n|^2 in (int(R*R),
+    int(hi*hi)], which every signature shares; the radii are checked (finite,
+    at least 1, hi*hi finite) before anything else, and with no signature the
+    norms are zeros and nothing is walked. The ranges' edges cut the lattice
+    into annulus pieces, and each piece into PIECE_STEPS geometric steps. The
+    budget is checked once at the outermost edge, so an over-budget request is
+    refused before any point is scanned; the pieces are then walked innermost
+    first, and the radii whose range covers a piece are found once per piece.
+    Every (signature, radius) keeps a running value, the max of its remainder
+    beyond hi and of the pieces scanned so far. A piece is scanned only for
+    the signatures whose bound at its inner edge, which bounds every point
+    beyond that edge, reaches (up to a factor 1 + 1e-9 for rounding) the
+    running value of a covering radius; no other point can raise a running
+    max, so every norm is the one the full scan gives. That bound is the
+    smaller of _remainder_bound and _sharp_remainder, built once per signature
+    and evaluated once per piece; the running values start from
+    _remainder_bound alone, so the reported norms do not depend on the sharp
+    bound. Per chunk the directions, each shifted direction array, each
+    letter's values and each shifted value are computed once and shared by the
+    scanned signatures.
     """
+    ranges = []  # per radius, shared by every signature: the scanned squared-norm range (lo, top]
     for R in radii:
         if not np.isfinite(R):
             raise ValueError(f"radius {R} is not finite")
         if R < 1:
             raise ValueError(f"radius {R} must be >= 1")
-    ranges = []  # per signature, per radius: the scanned squared-norm range (lo, top]
+        hi = SCAN_FACTOR * R
+        if not np.isfinite(hi * hi):
+            raise ValueError(f"radius {R} puts the scan edge at {hi:.4g}, whose square is not finite")
+        ranges.append((int(R * R), int(hi * hi)))
+    if not signatures or not ranges:
+        return [0.0] * len(radii)
     best = []  # per signature, per radius: the max of the remainder beyond top and of the pieces scanned so far
     remainders = []  # per signature
     for factors, _ in signatures:
-        max_shift = max(float(np.linalg.norm(s)) for _, s in factors)
         shift2 = max(sum(v * v for v in s) for _, s in factors)
-        ranges.append([])
-        best.append([])
-        remainder = None
-        for R in radii:
-            hi = SCAN_FACTOR * R
-            if not np.isfinite(hi * hi):
-                raise ValueError(f"radius {R} puts the scan edge at {hi:.4g}, whose square is not finite")
-            if shift2 > int(R * R):
+        for R, (lo, _) in zip(radii, ranges):
+            if shift2 > lo:
                 # the scan would reach n = -s, where n + s has no direction
-                raise ValueError(f"radius {R} is below the largest shift of the word, |s| = {max_shift:.4g}")
-            if remainder is None:
-                # built once a radius passes its checks: a factor without a bound is refused only then
-                remainder = _remainder_bound(factors)
-            ranges[-1].append((int(R * R), int(hi * hi)))
-            best[-1].append(remainder.at(hi))
-        remainders.append(remainder)
+                raise ValueError(f"radius {R} is below the largest shift of the word, |s| = {math.sqrt(shift2):.4g}")
+        # built once the radii pass the shift check: a factor without a bound is refused only then
+        remainders.append(_remainder_bound(factors))
+        best.append([remainders[-1].at(SCAN_FACTOR * R) for R in radii])
 
-    edges = sorted({e for row in ranges for lo_top in row for e in lo_top})
-    if edges:
-        check_shell_budget(d, edges[-1])
+    edges = sorted({e for lo_top in ranges for e in lo_top})
+    check_shell_budget(d, edges[-1])
     sharp = [_sharp_remainder(factors, d) for factors, _ in signatures]
     cuts = set(edges)
     for lo, top in zip(edges, edges[1:]):
         cuts.update(int(lo * (top / lo) ** (k / PIECE_STEPS)) for k in range(1, PIECE_STEPS))
     cuts = sorted(cuts)
     for r2_lo, r2_hi in zip(cuts, cuts[1:]):
-        users = {}  # signature index -> indices of the radii whose range covers the piece
-        for i, row in enumerate(ranges):
-            covering = [j for j, (lo, top) in enumerate(row) if lo <= r2_lo and r2_hi <= top]
-            if not covering:
-                continue
-            inner = float(np.sqrt(r2_lo))
+        covering = [j for j, (lo, top) in enumerate(ranges) if lo <= r2_lo and r2_hi <= top]
+        if not covering:
+            continue
+        inner = float(np.sqrt(r2_lo))
+        users = []  # the signatures whose bound at the piece's inner edge reaches a covering range's running max
+        for i in range(len(signatures)):
             try:
                 bound = remainders[i].at(inner)
             except ValueError:
                 bound = np.inf
             bound = min(bound, sharp[i].at(inner))
             if any(bound * (1.0 + 1e-9) >= best[i][j] for j in covering):
-                users[i] = covering
+                users.append(i)
         if not users:
             continue
         piece_max = dict.fromkeys(users, 0.0)
@@ -636,7 +635,7 @@ def _tail_bounds(signatures, d: int, radii) -> list:
                     base = base * base_y
                     shifted = shifted * (shifted_vals[id(y), s] if any(s) else base_y)
                 piece_max[i] = max(piece_max[i], float(np.abs(shifted - base).max()))
-        for i, covering in users.items():
+        for i in users:
             for j in covering:
                 best[i][j] = max(best[i][j], piece_max[i])
 

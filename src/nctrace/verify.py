@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dixmier as dx, moyal, su2, symbols as sy
+from ._lattice import check_shell_budget
 from .sphere import (
     SpherePoly,
     _moments,
@@ -44,6 +45,15 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
+
+# entries of the symplectic suite's largest stacked draw, _SYMPLECTIC_DRAWS (d, d) generators, so d <= 228 runs.
+# At d = 228 a run took 1.4-1.7 s and 138 MB peak RSS (three processes, one BLAS thread, 2 vCPUs); d = 1000, before
+# the budget, took 93 s and 1.76 GB
+_SYMPLECTIC_DRAWS = 20
+SYMPLECTIC_DRAW_BUDGET = 2**20
+# the commutator tail radii of the symbol-compactness suite
+_COMMUTATOR_RADII = (50, 100, 200, 400)
+
 
 class ConfigError(Exception):
     pass
@@ -126,6 +136,8 @@ def _suite_torus_trace(cfg: VerifyConfig) -> list:
     if cfg.nmax < floor:
         raise ConfigError(f"torus-trace at d={cfg.d} needs --nmax >= {floor}, got {cfg.nmax}")
     d = cfg.d
+    # the walk's budget at the largest radius, nmax, refuses a large d before theta's d(d-1)/2 entries are built
+    dx._check_walk_budget(d, cfg.nmax**2, symbol=True)
     theta = _theta_of(cfg)
     e = tuple([1, 1] + [0] * (d - 2))
     x = (
@@ -219,22 +231,27 @@ def _suite_su2(cfg: VerifyConfig) -> list:
 
 
 def _suite_symplectic(cfg: VerifyConfig) -> list:
+    d = cfg.d if cfg.d % 2 == 0 else cfg.d + 1
+    if _SYMPLECTIC_DRAWS * d * d > SYMPLECTIC_DRAW_BUDGET:
+        raise ConfigError(
+            f"symplectic draws of {_SYMPLECTIC_DRAWS} matrices in d={d} hold {_SYMPLECTIC_DRAWS * d * d} entries, "
+            f"over the budget of {SYMPLECTIC_DRAW_BUDGET}"
+        )
     rng = np.random.default_rng(cfg.seed)
     records = []
 
     worst_nf = 0.0
-    for d in (2, 4, 6):
-        a = rng.normal(size=(34, d, d))
+    for n in (2, 4, 6):
+        a = rng.normal(size=(34, n, n))
         th = a - np.swapaxes(a, -1, -2)
         th = th[~(np.abs(np.linalg.det(th)) < 1e-8)]
         worst_nf = moyal.antisymmetric_normal_form(th).residual.max(initial=worst_nf)
     records.append(_record("normal_form_residual", worst_nf, 0.0, 1e-10))
 
-    d = cfg.d if cfg.d % 2 == 0 else cfg.d + 1
     omega = moyal.SymplecticForm(d).matrix
     # each loop keeps its draws in their interleaved order; the algebra after them is stacked
     gens, scales = [], []
-    for _ in range(20):
+    for _ in range(_SYMPLECTIC_DRAWS):
         gens.append(rng.normal(size=(d, d)))
         scales.append(rng.uniform(-2, 2))
     # the generator's symmetric part has unit spectral norm, as in moyal.random_sp_block: unscaled, its
@@ -243,7 +260,7 @@ def _suite_symplectic(cfg: VerifyConfig) -> list:
     records.append(_record("exp_membership", float(moyal._form_residuals(g, omega).max()), 0.0, 1e-9))
 
     thetas, gens = [], []
-    for _ in range(20):
+    for _ in range(_SYMPLECTIC_DRAWS):
         a = rng.normal(size=(d, d))
         th = a - a.T
         if abs(np.linalg.det(th)) < 1e-8:
@@ -317,14 +334,15 @@ def _one_shift_difference(a: dict, b: dict, cols: np.ndarray) -> np.ndarray:
 
 
 def _suite_symbol_compactness(cfg: VerifyConfig) -> list:
-    theta = _theta_of(cfg)
     d = cfg.d
+    # the commutator scan's budget at its outer edge refuses d >= 3 before theta's d(d-1)/2 entries are built
+    check_shell_budget(d, (sy.SCAN_FACTOR * _COMMUTATOR_RADII[-1]) ** 2)
+    theta = _theta_of(cfg)
     rng = np.random.default_rng(cfg.seed)
     m1 = tuple([1] + [0] * (d - 1))
     m2 = tuple([0, 1] + [0] * (d - 2))
     u1, u2 = unitary_generator(theta, m1), unitary_generator(theta, m2)
-    # the commutator scan runs first: its point budget refuses d >= 3 before any window is built
-    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), (50, 100, 200, 400))
+    vals = sy.commutator_tail_norms(u1, SpherePoly.coordinate(d, 1), _COMMUTATOR_RADII)
 
     window = sy.LatticeWindow(d, 16)
     pts = window.points

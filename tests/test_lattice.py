@@ -17,6 +17,7 @@ from nctrace._lattice import (
     _root,
     _shell_coordinate,
     check_orbit_budget,
+    check_shell_budget,
     iter_orbits,
     iter_shell,
 )
@@ -143,6 +144,16 @@ def test_budget_refuses_before_building_a_chunk():
     with pytest.raises(ValueError, match="d=3 up to radius 4096"):
         next(iter_orbits(3, 0, 4096 * 4096))
     next(iter_orbits(2, 0, 4096 * 4096))
+
+
+def test_budget_message_shows_a_bound_of_any_size():
+    # (2 * 256 + 1)^2000 has 5421 digits, past the 4300 that str() converts; from 10^15 on the bound is m.mmme+k
+    with pytest.raises(ValueError, match=r"d=2000 up to radius 256 would visit up to 1\.717e\+5420 points, over the"):
+        check_shell_budget(2000, 256 * 256)
+    with pytest.raises(ValueError, match=r"d=17 up to radius 10 would visit up to 3\.004e\+22 points, over the budget"):
+        check_shell_budget(17, 100)
+    with pytest.raises(ValueError, match=f"up to {129**6} points"):
+        check_shell_budget(6, 64 * 64)
     next(iter_orbits(3, 0, 2048 * 2048))
     # the check iter_orbits runs, on its own: the same refusals, no walk
     for d, radius in ((6, 4096), (3, 4096), (12, 64)):

@@ -1,5 +1,6 @@
 """Tests for the symplectic normal form, grid shift unitaries, and decay profiles."""
 
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -653,6 +654,34 @@ class TestDecayProfiles:
             with pytest.raises(ValueError, match="strictly increasing"):
                 h_decay_profile(g, [10.0], cell_radii=radii)
         assert h_decay_profile(g, [10.0], cell_radii=()).cell_sums == ()
+
+    def test_cell_radius_that_is_not_a_finite_integer_is_refused(self, monkeypatch):
+        # (50.9, 100.2) used to give the sums for (50, 100), and inf to raise OverflowError
+        g = np.diag([2.0, 0.5])
+        sums = h_decay_profile(g, [10.0], cell_radii=(5, 10)).cell_sums
+        assert h_decay_profile(g, [10.0], cell_radii=(np.int64(5), 10.0)).cell_sums == sums
+
+        def walked(*args):
+            raise AssertionError("walked the cells")
+
+        monkeypatch.setattr(moyal, "iter_shell", walked)
+        for bad in ((50.9, 100.2), (50, 100.2), (50, float("inf")), (float("nan"), 100), ("50", 100)):
+            wrong = next(r for r in bad if not isinstance(r, int))
+            with pytest.raises(ValueError, match=f"cell radius must be a finite integer, got {re.escape(repr(wrong))}"):
+                h_decay_profile(g, [10.0], cell_radii=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, 0.0, -10.0, np.float64(-1e-300)])
+    def test_shell_radius_that_is_not_positive_and_finite_is_refused(self, bad, monkeypatch):
+        # NaN used to give NaN sups and an infinite bounded_ratio(), 0 a numpy error, and -10 was accepted
+        def sampled(*args):
+            raise AssertionError("sampled a shell")
+
+        monkeypatch.setattr(moyal, "_shell_points", sampled)
+        match = f"shell radius must be positive and finite, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=match):
+            h_decay_profile(np.diag([2.0, 0.5]), [10.0, bad, 250.0, 1000.0])
+        with pytest.raises(ValueError, match=match):
+            riesz_difference_decay(1, 2, [10.0, bad, 250.0, 1000.0])
 
     def test_bounded_ratio_needs_four_radii(self):
         with pytest.raises(ValueError):

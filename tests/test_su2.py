@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ def test_quotient_lags_the_slope():
     (num,), (den,) = su2._ratio_partial_sums(word, [200])
     quot = num / den
     assert abs(est - ref) < abs(quot - ref)
+
+
+def test_spin_argument_that_is_not_a_finite_integer_is_refused(monkeypatch):
+    # 200.9 used to give the value for L = 200, and inf to raise OverflowError
+    word = GenPoly.word((3, 3))
+    value = su2_dixmier_ratio(word, 8)
+    assert su2_dixmier_ratio(word, 8.0) == su2_dixmier_ratio(word, np.int64(8)) == value
+
+    def traced(*args):
+        raise AssertionError("a block was traced")
+
+    monkeypatch.setattr(su2, "block_trace", traced)
+    for bad in (200.9, 8.5, float("inf"), float("nan"), "8"):
+        with pytest.raises(ValueError, match=f"L_max must be a finite integer, got {re.escape(repr(bad))}"):
+            su2_dixmier_ratio(word, bad)
+        with pytest.raises(ValueError, match=f"twice grid entry must be a finite integer, got {re.escape(repr(bad))}"):
+            su2._ratio_partial_sums(word, [bad, 400])
 
 
 def test_b1b1_quotient_is_a_third_at_every_spin():

@@ -26,6 +26,7 @@ from nctrace.symbols import (
     _remainder_bound,
     _sharp_remainder,
     _shifted_signatures,
+    _tail_bounds,
 )
 from nctrace.torus import ThetaMatrix, TorusElement, torus_identity, twist_phase, unitary_generator
 
@@ -675,6 +676,20 @@ def test_non_finite_radius_or_scan_factor_refused(bad):
     # finite, but the square of the scan edge SCAN_FACTOR * R overflows
     with pytest.raises(ValueError, match="square is not finite"):
         residual_compactness_report(word, (1e200,))
+
+
+def test_no_signature_gives_zeros_without_a_walk(monkeypatch):
+    def walked(*args):
+        raise AssertionError(f"walked {args}")
+
+    monkeypatch.setattr(symbols_module, "iter_shell", walked)
+    assert _tail_bounds([], 2, (10.0, 20.0, 400.0)) == [0.0, 0.0, 0.0]
+    assert _tail_bounds([], 2, ()) == []
+    # the radii are checked before the signatures are looked at
+    with pytest.raises(ValueError, match="square is not finite"):
+        _tail_bounds([], 2, (10.0, 1e200))
+    with pytest.raises(ValueError, match="radius 0.5 must be >= 1"):
+        _tail_bounds([], 2, (0.5,))
 
 
 def test_radius_inside_a_shift_refused():

@@ -212,6 +212,36 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"d={d}" in err and "budget" in err
 
+    def test_large_d_is_refused_before_theta_or_any_draw(self, capsys, monkeypatch):
+        # each used to build theta's d(d-1)/2 entries first (0.9 s and 213 MB at d = 2000) and then crash printing
+        # a bound of over 4300 digits; symplectic ran on (93 s and 1.76 GB at d = 1000)
+        refusals = [
+            (["torus-trace", "--d", "2000"], "d=2000 up to radius 4096 would visit up to 7.69e+7826 points, over the"),
+            (["torus-trace", "--d", "1200", "--nmax", "256"], "d=1200 up to radius 256 would visit up to"),
+            (["symbol-compactness", "--d", "2000"], "d=2000 up to radius 1600 would visit up to"),
+            (["symplectic", "--d", "230"], "in d=230 hold 1058000 entries, over the budget of 1048576"),
+            (["symplectic", "--d", "229"], "in d=230 hold 1058000 entries, over the budget of 1048576"),
+        ]
+
+        class Made(Exception):
+            pass
+
+        def made(*args):
+            raise Made
+
+        monkeypatch.setattr(verify.ThetaMatrix, "from_upper", classmethod(made))
+        monkeypatch.setattr(verify.np.random, "default_rng", made)
+        monkeypatch.setattr(verify.moyal, "_sp_exp", made)
+        for argv, message in refusals:
+            start = time.perf_counter()
+            assert main(argv) == EXIT_CONFIG_ERROR, argv
+            assert time.perf_counter() - start < 10.0
+            err = capsys.readouterr().err
+            assert message in err and "budget" in err
+        # the largest d under the symplectic budget gets past the check to its first draw
+        with pytest.raises(Made):
+            run_suite(VerifyConfig(suite="symplectic", d=228))
+
     def test_moment_table_budget_is_config_error(self, capsys):
         start = time.perf_counter()
         assert main(["moments", "--d", "16"]) == EXIT_CONFIG_ERROR
